@@ -19,13 +19,16 @@ int main() {
     sim::Cluster cluster;
     kv::Store store;
     cluster.Spawn(4, [&](sim::Endpoint& ep) {
-      auto ctx = gloo::Context::Connect(ep, store, "fig3", 4);
-      if (ctx->rank() == 1) {
-        ep.fabric().Kill(ep.pid());
-        return;
-      }
-      std::vector<float> in(4096, 1.0f), out(4096);
+      // The victim may die before a survivor's full-mesh connect
+      // finishes, so the failure can surface in Connect as well as in
+      // the collective: both are the same IoException.
       try {
+        auto ctx = gloo::Context::Connect(ep, store, "fig3", 4);
+        if (ctx->rank() == 1) {
+          ep.fabric().Kill(ep.pid());
+          return;
+        }
+        std::vector<float> in(4096, 1.0f), out(4096);
         ctx->Allreduce<float>(in.data(), out.data(), in.size());
       } catch (const gloo::IoException&) {
         gloo_exceptions++;

@@ -13,10 +13,6 @@ namespace rcc::chaos {
 
 namespace {
 
-std::string Fmt(const char* oracle, const std::ostringstream& os) {
-  return std::string(oracle) + ": " + os.str();
-}
-
 // Serving-campaign oracles. P0/P3/P6/P7 keep their trainer meanings;
 // P8 is the serving plane's core guarantee: across every repair,
 // splice, and voluntary shrink, no admitted request is lost or

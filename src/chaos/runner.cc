@@ -185,7 +185,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       r.pid = ep.pid();
       r.serve = driver.Run();
       r.report.aborted = r.serve.aborted;
-      if (r.serve.aborted) obs::flight::DumpOnAbort();
+      // The serving driver applies the exit dump rule itself.
       if (r.serve.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
       r.end_time = ep.now();
       std::lock_guard<std::mutex> lock(mu);
@@ -201,7 +201,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
             r.serve = serve::ServingDriver::RunStandbyJoiner(ep, &store, so,
                                                              i, &rec);
             r.report.aborted = r.serve.aborted;
-            if (r.serve.aborted) obs::flight::DumpOnAbort();
             if (r.serve.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
             r.end_time = ep.now();
             std::lock_guard<std::mutex> lock(mu);
@@ -232,8 +231,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       r.pid = ep.pid();
       r.pipe = trainer.Run();
       r.report.aborted = r.pipe.aborted;
-      if (r.pipe.aborted) obs::flight::DumpOnAbort();
-      if (r.pipe.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
+      if (obs::flight::DumpIfUnexplainedExit(ep, r.pipe.aborted)) {
+        ep.fabric().Kill(ep.pid());
+      }
       r.end_time = ep.now();
       std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(r));
@@ -250,10 +250,12 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     r.pid = ep.pid();
     r.report = trainer.Run();
     // A worker that aborts while its endpoint is still alive has exited
-    // the job (e.g. an unrecoverable state-sync error): peers must
-    // observe a process failure, not block forever on a silent leaver.
-    if (r.report.aborted) obs::flight::DumpOnAbort();
-    if (r.report.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
+    // the job (e.g. an unrecoverable state-sync error): it dumps, and
+    // peers must observe a process failure, not block forever on a
+    // silent leaver.
+    if (obs::flight::DumpIfUnexplainedExit(ep, r.report.aborted)) {
+      ep.fabric().Kill(ep.pid());
+    }
     r.end_time = ep.now();
     std::lock_guard<std::mutex> lock(mu);
     results.push_back(std::move(r));
@@ -328,8 +330,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
           }
           // Same exit-is-a-failure rule as the founders: an aborted
           // joiner still registered in the fabric must die visibly.
-          if (r.report.aborted) obs::flight::DumpOnAbort();
-          if (r.report.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
+          if (obs::flight::DumpIfUnexplainedExit(ep, r.report.aborted)) {
+            ep.fabric().Kill(ep.pid());
+          }
           r.end_time = ep.now();
           std::lock_guard<std::mutex> lock(mu);
           results.push_back(std::move(r));
@@ -410,8 +413,8 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
                 // a scheduled joiner admitted there.
                 r.report = trainer.Run(cursor, /*joined_at_epoch=*/-1);
               }
-              if (r.report.aborted) obs::flight::DumpOnAbort();
-              if (r.report.aborted && ep.alive()) {
+              if (obs::flight::DumpIfUnexplainedExit(ep,
+                                                     r.report.aborted)) {
                 ep.fabric().Kill(ep.pid());
               }
             }

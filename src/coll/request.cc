@@ -7,29 +7,28 @@
 #include "obs/metrics.h"
 
 namespace rcc::coll {
-namespace {
 
-// Queue-wait vs service breakdown and in-flight depth for the request
-// pipeline. Instruments are resolved per algo label (cheap shared-lock
-// lookup after first use); the gauge is global across communicators.
-void RecordRequestMetrics(const Request::Info& info, sim::Seconds submit,
-                          sim::Seconds start, sim::Seconds complete,
-                          bool ok) {
-  auto& reg = obs::Registry::Global();
-  const obs::Labels algo{{"algo", info.algo}};
-  reg.GetHistogram("rcc_coll_queue_wait_seconds", algo)
-      ->Observe(start - submit);
-  reg.GetHistogram("rcc_coll_service_seconds", algo)
-      ->Observe(complete - start);
-  reg.GetCounter(ok ? "rcc_coll_ops_total" : "rcc_coll_ops_failed_total",
-                 algo)
-      ->Increment();
+RequestMetrics::Algo::Algo(const char* algo)
+    : queue_wait("rcc_coll_queue_wait_seconds", {{"algo", algo}}),
+      service("rcc_coll_service_seconds", {{"algo", algo}}),
+      ops("rcc_coll_ops_total", {{"algo", algo}}),
+      ops_failed("rcc_coll_ops_failed_total", {{"algo", algo}}) {}
+
+StackMetrics::StackMetrics(const char* algo, const char* stack)
+    : latency("rcc_collective_latency_seconds",
+              {{"algo", algo}, {"stack", stack}}),
+      bytes("rcc_collective_bytes_total", {{"algo", algo}, {"stack", stack}}),
+      ops("rcc_collective_ops_total", {{"algo", algo}, {"stack", stack}}) {}
+
+void StackMetrics::Record(double latency_s, double op_bytes) {
+  latency->Observe(latency_s);
+  bytes->Add(op_bytes);
+  ops->Increment();
 }
 
-}  // namespace
-
 Request Request::Start(Info info, sim::Seconds submit, Body body,
-                       sim::Engine& engine, int pid, const Request* after) {
+                       sim::Engine& engine, int pid, RequestMetrics& metrics,
+                       const Request* after) {
   Request req;
   req.state_ = std::make_shared<State>();
   State* st = req.state_.get();
@@ -37,9 +36,12 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   st->submit = submit;
   st->start = submit;
   st->complete = submit;
-  obs::Gauge* inflight =
-      obs::Registry::Global().GetGauge("rcc_coll_inflight");
+  obs::Gauge* inflight = metrics.inflight.Get();
   inflight->Add(1.0);
+  // Queue-wait vs service breakdown per algo; the gauge is global
+  // across communicators.
+  std::shared_ptr<RequestMetrics::Algo> algo_metrics =
+      metrics.algos.For(info.algo);
   std::shared_ptr<State> pred =
       (after != nullptr) ? after->state_ : nullptr;
   sim::TaskOptions opts;
@@ -49,8 +51,8 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   opts.clock = &st->complete;
   st->worker = engine.Spawn(
       opts,
-      [st, inflight, pid, pred = std::move(pred),
-       body = std::move(body)]() mutable {
+      [st, inflight, pid, m = std::move(algo_metrics),
+       pred = std::move(pred), body = std::move(body)]() mutable {
         if (pred) {
           std::unique_lock<std::mutex> lock(pred->mu);
           while (!pred->done) pred->wp.Wait(lock);
@@ -61,8 +63,9 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
         pred.reset();
         st->start = st->complete;
         Status s = body(&st->complete);
-        RecordRequestMetrics(st->info, st->submit, st->start, st->complete,
-                             s.ok());
+        m->queue_wait->Observe(st->start - st->submit);
+        m->service->Observe(st->complete - st->start);
+        (s.ok() ? m->ops : m->ops_failed)->Increment();
         if (obs::flight::Enabled()) {
           obs::flight::ForRank(pid)->Record(
               obs::flight::Ev::kCollSvc, st->complete,

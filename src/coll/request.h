@@ -26,10 +26,36 @@
 
 #include "coll/transport.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "sim/endpoint.h"
 #include "sim/engine.h"
 
 namespace rcc::coll {
+
+// Request-pipeline instruments of one communicator: the in-flight gauge
+// plus, per algo, the queue-wait and service histograms and the op
+// counters. Owned by the communicator and handed to Request::Start, so
+// each series is resolved once per communicator rather than per op.
+struct RequestMetrics {
+  struct Algo {
+    explicit Algo(const char* algo);
+    obs::HistogramHandle queue_wait, service;
+    obs::CounterHandle ops, ops_failed;
+  };
+  obs::GaugeHandle inflight{"rcc_coll_inflight"};
+  obs::ByAlgo<Algo> algos;
+};
+
+// Completed-collective instruments of one algo on one stack (mpi, nccl,
+// gloo): the latency histogram and the byte and op counters, all
+// labelled {algo, stack}. Communicators keep an obs::ByAlgo of these.
+struct StackMetrics {
+  StackMetrics(const char* algo, const char* stack);
+  void Record(double latency, double bytes);
+
+  obs::HistogramHandle latency;
+  obs::CounterHandle bytes, ops;
+};
 
 class Request {
  public:
@@ -50,9 +76,11 @@ class Request {
   // rank's clock at submission; `pid` its rank id (the deterministic
   // run-queue tie-break for the op task); if `after` holds an active
   // request, the op task first waits for it and starts no earlier than
-  // its completion.
+  // its completion. The op records into the submitting communicator's
+  // `metrics`.
   static Request Start(Info info, sim::Seconds submit, Body body,
                        sim::Engine& engine, int pid,
+                       RequestMetrics& metrics,
                        const Request* after = nullptr);
 
   // An already-completed failed request (submission-time errors such as

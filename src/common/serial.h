@@ -35,8 +35,13 @@ class ByteWriter {
     WriteRaw(b.data(), b.size());
   }
   void WriteRaw(const void* data, size_t bytes) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + bytes);
+    // resize + memcpy rather than a range insert: GCC 12 misreads the
+    // inlined insert into an empty buffer as an overflow
+    // (-Wstringop-overflow).
+    if (bytes == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + bytes);
+    std::memcpy(buf_.data() + at, data, bytes);
   }
 
   const std::vector<uint8_t>& data() const { return buf_; }

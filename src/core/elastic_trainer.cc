@@ -132,24 +132,12 @@ Status ElasticTrainer::TrainStep(int epoch, int step, float* loss_out) {
     // Per-step driver metrics (real-numerics trainer). Compute is the
     // charged FLOP time; comm service comes from the resilient comm's
     // accumulator, so only this step's GPU collectives count.
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"stack", "elastic_trainer"}};
     const double wall = rc_->endpoint().now() - step_start;
     const double compute =
         3.0 * model_->LastForwardFlops() /
         rc_->endpoint().fabric().config().net.gpu_flops;
-    const double service = rc_->TakeCommServiceSeconds();
-    const double exposed = wall > compute ? wall - compute : 0.0;
-    reg.GetCounter("rcc_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_step_seconds_total", labels)->Add(wall);
-    reg.GetCounter("rcc_step_compute_seconds_total", labels)->Add(compute);
-    reg.GetCounter("rcc_step_comm_service_seconds_total", labels)
-        ->Add(service);
-    reg.GetCounter("rcc_step_comm_exposed_seconds_total", labels)
-        ->Add(exposed);
-    reg.GetHistogram("rcc_step_seconds", labels)->Observe(wall);
-    reg.GetGauge("rcc_world_size", labels)
-        ->Set(static_cast<double>(rc_->size()));
+    step_metrics_.Record(wall, compute, rc_->TakeCommServiceSeconds(),
+                         rc_->size());
   }
   return Status::Ok();
 }
@@ -364,8 +352,11 @@ bool ElasticTrainer::PolicyTick(int* epoch, int* step, TrainerReport* report,
   report->decisions = policy_.log();
   switch (d.chosen) {
     case policy::Strategy::kShrink:
+    case policy::Strategy::kReroute:
       // Forward recovery already ran inside the failed collective;
-      // continue degraded.
+      // continue degraded. Re-routing needs pipeline stages: this
+      // trainer never advertises kFlagReroutable, so it degenerates to
+      // shrink.
       break;
     case policy::Strategy::kRestore: {
       // Roll every member back to the shared epoch-boundary snapshot;

@@ -20,6 +20,7 @@
 #include "dnn/model.h"
 #include "dnn/optimizer.h"
 #include "horovod/plan.h"
+#include "obs/metrics.h"
 #include "policy/policy.h"
 
 namespace rcc::core {
@@ -172,6 +173,7 @@ class ElasticTrainer {
   int policy_last_world_ = 0;          // membership at the previous tick
   int policy_slots_used_ = 0;          // replacement slots consumed
   double policy_step_ewma_ = 0.0;      // measured per-step wall (virtual)
+  obs::StepMetrics step_metrics_{"elastic_trainer"};
 };
 
 }  // namespace rcc::core

@@ -391,6 +391,12 @@ Status PipelineTrainer::ColumnAllreduce() {
   return dp_comm_->Allreduce(in, out, kProxyFloats);
 }
 
+PipelineTrainer::StageMetrics::StageMetrics(int stage)
+    : busy("rcc_pp_stage_busy_seconds_total",
+           {{"stage", std::to_string(stage)}}),
+      bubble("rcc_pp_stage_bubble_seconds_total",
+             {{"stage", std::to_string(stage)}}) {}
+
 void PipelineTrainer::Commit(int64_t gstep) {
   StepCommit sc;
   sc.gstep = gstep;
@@ -406,7 +412,6 @@ void PipelineTrainer::Commit(int64_t gstep) {
   report_.commit_times.push_back(rc_->endpoint().now());
   ++report_.steps_run;
 
-  auto& reg = obs::Registry::Global();
   const GridCoord c = grid_.CoordOf(rc_->endpoint().pid());
   int64_t adopted = 0;
   for (const auto& e : pending_) {
@@ -415,21 +420,16 @@ void PipelineTrainer::Commit(int64_t gstep) {
   }
   report_.adopted_microbatches += adopted;
   if (!pending_.empty()) {
-    reg.GetCounter("rcc_pp_microbatches_total", {})
-        ->Add(static_cast<double>(pending_.size()));
-    if (adopted > 0) {
-      reg.GetCounter("rcc_pp_adopted_microbatches_total", {})
-          ->Add(static_cast<double>(adopted));
-    }
+    microbatches_->Add(static_cast<double>(pending_.size()));
+    if (adopted > 0) adopted_->Add(static_cast<double>(adopted));
   }
   pending_.clear();
   if (c.d >= 0 && grid_.Functional(c.d, c.p)) {
     const double span = rc_->endpoint().now() - step_start_;
-    const obs::Labels stage{{"stage", std::to_string(c.p)}};
-    reg.GetCounter("rcc_pp_stage_busy_seconds_total", stage)->Add(step_busy_);
-    reg.GetCounter("rcc_pp_stage_bubble_seconds_total", stage)
-        ->Add(std::max(0.0, span - step_busy_));
-    reg.GetHistogram("rcc_pp_step_seconds", {})->Observe(span);
+    StageMetrics& stage = stage_metrics_.try_emplace(c.p, c.p).first->second;
+    stage.busy->Add(step_busy_);
+    stage.bubble->Add(std::max(0.0, span - step_busy_));
+    step_seconds_->Observe(span);
   }
   if ((gstep + 1) % opts_.checkpoint_interval == 0) ckpt_ = gstep;
 }
@@ -531,8 +531,7 @@ bool PipelineTrainer::Adapt(int64_t* gstep) {
       }
       grid_ = trial;
       ++report_.reroutes;
-      obs::Registry::Global().GetCounter("rcc_pp_reroutes_total", {})
-          ->Increment();
+      reroutes_->Increment();
       break;
     }
     case policy::Strategy::kRestore: {

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,7 @@
 #include "core/grid.h"
 #include "core/resilient.h"
 #include "dnn/zoo.h"
+#include "obs/metrics.h"
 #include "policy/policy.h"
 
 namespace rcc::core {
@@ -183,6 +185,18 @@ class PipelineTrainer {
   // and a half-rebuilt group deadlocks in the init barrier.
   std::vector<int> peer_flag_pids_;
   std::vector<uint64_t> peer_flags_;
+
+  // Pipeline instruments, resolved once per trainer; the per-stage busy
+  // and bubble counters once per stage this rank has served.
+  struct StageMetrics {
+    explicit StageMetrics(int stage);
+    obs::CounterHandle busy, bubble;
+  };
+  obs::CounterHandle microbatches_{"rcc_pp_microbatches_total"};
+  obs::CounterHandle adopted_{"rcc_pp_adopted_microbatches_total"};
+  obs::CounterHandle reroutes_{"rcc_pp_reroutes_total"};
+  obs::HistogramHandle step_seconds_{"rcc_pp_step_seconds"};
+  std::map<int, StageMetrics> stage_metrics_;
 };
 
 }  // namespace rcc::core

@@ -246,9 +246,7 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
     if (!data_done) {
       const double retry_t0 = ep_.now();
       if (repaired) {
-        obs::Span span(
-            rec_, ep_,
-            std::string("recovery/") + horovod::phase::kRetryCollective);
+        obs::Span span(rec_, ep_, retry_phase_);
         st = data_fn();
       } else {
         st = data_fn();
@@ -256,9 +254,7 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
       if (st.ok()) {
         data_done = true;
         if (replay_min != kNoIncompleteOp) {
-          obs::Registry::Global()
-              .GetCounter("rcc_recovery_replayed_ops_total")
-              ->Increment();
+          replayed_ops_->Increment();
           if (rec_ != nullptr) {
             rec_->RecordReplay(ep_.pid(), op_id, replay_min);
           }
@@ -400,16 +396,14 @@ int64_t ResilientComm::FirstIncompleteWindowOp() const {
 }
 
 Status ResilientComm::ReplayWindowFrom(int64_t min_id) {
-  obs::Counter* replayed =
-      obs::Registry::Global().GetCounter("rcc_recovery_replayed_ops_total");
+  obs::Counter* replayed = replayed_ops_.Get();
   const bool fly = obs::flight::Enabled();
   const double replay_t0 = ep_.now();
   int64_t depth = 0;
   std::vector<float> scratch;  // planted-fault sink, see below
   for (auto& op : window_) {
     if (op.id < min_id) continue;
-    obs::Span span(
-        rec_, ep_, std::string("recovery/") + horovod::phase::kRetryCollective);
+    obs::Span span(rec_, ep_, retry_phase_);
     if (gpu_ == nullptr) return gpu_init_status_;
     // Planted fault (test-only): participate in the re-execution — the
     // collective needs every member — but drop the result, leaving this

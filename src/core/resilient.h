@@ -47,6 +47,7 @@
 #include "mpi/comm.h"
 #include "nccl/nccl.h"
 #include "obs/flight.h"
+#include "obs/span.h"
 #include "trace/trace.h"
 #include "ulfm/ulfm.h"
 
@@ -290,6 +291,10 @@ class ResilientComm {
   std::function<void(int64_t, int64_t)> replay_hook_;
   std::deque<WindowOp> window_;
   double comm_service_acc_ = 0.0;  // see TakeCommServiceSeconds
+  // Instruments of the per-op re-execution path, resolved once.
+  obs::SpanPhase retry_phase_{std::string("recovery/") +
+                              horovod::phase::kRetryCollective};
+  obs::CounterHandle replayed_ops_{"rcc_recovery_replayed_ops_total"};
 
   // --- async-admission state (one pending expand at a time) ---
   ulfm::ExpandOp expand_op_;

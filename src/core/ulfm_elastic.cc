@@ -46,20 +46,21 @@ struct Session {
   }
 };
 
-// Dumps every rank's flight ring the moment a worker exits dead, so the
-// black box survives even when the driver's caller never inspects the
-// outcome. Later aborts overwrite with strictly more history.
-class AbortDumpGuard {
+// Applies the worker-exit rule (obs::flight::DumpIfUnexplainedExit) on
+// every return path: a worker that returns before finishing while its
+// endpoint is still alive left the job unexplained. A scripted death
+// leaves the endpoint dead and dumps nothing.
+class ExitDumpGuard {
  public:
-  explicit AbortDumpGuard(sim::Endpoint& ep) : ep_(ep) {}
-  ~AbortDumpGuard() {
-    if (!ep_.alive()) obs::flight::DumpOnAbort();
-  }
-  AbortDumpGuard(const AbortDumpGuard&) = delete;
-  AbortDumpGuard& operator=(const AbortDumpGuard&) = delete;
+  ExitDumpGuard(const sim::Endpoint& ep, const bool& finished)
+      : ep_(ep), finished_(finished) {}
+  ~ExitDumpGuard() { obs::flight::DumpIfUnexplainedExit(ep_, !finished_); }
+  ExitDumpGuard(const ExitDumpGuard&) = delete;
+  ExitDumpGuard& operator=(const ExitDumpGuard&) = delete;
 
  private:
-  sim::Endpoint& ep_;
+  const sim::Endpoint& ep_;
+  const bool& finished_;
 };
 
 std::vector<uint8_t> EncodeCursor(int epoch, int step) {
@@ -78,7 +79,7 @@ class UlfmWorker {
 
   // Founding worker.
   void RunOriginal() {
-    AbortDumpGuard guard(ep_);
+    ExitDumpGuard guard(ep_, finished_);
     auto blob = ss_->store->Wait(&ep_, "ulfm/pids");
     if (!blob.ok()) return;
     ByteReader r(blob.value());
@@ -99,7 +100,7 @@ class UlfmWorker {
   // Replacement / upscale worker: provisioned ahead of its merge epoch so
   // the cold start overlaps the survivors' degraded-mode training.
   void RunJoiner(int join_epoch, bool cold) {
-    AbortDumpGuard guard(ep_);
+    ExitDumpGuard guard(ep_, finished_);
     const auto& costs = ep_.fabric().config().costs;
     const std::string signal =
         cold ? "epoch_start/" + std::to_string(std::max(0, join_epoch - 1))
@@ -127,7 +128,7 @@ class UlfmWorker {
   // finishes), stages the published snapshot in the background, then
   // parks until the survivors splice it in at a step boundary.
   void RunJoinerAsync(int join_epoch, bool cold) {
-    AbortDumpGuard guard(ep_);
+    ExitDumpGuard guard(ep_, finished_);
     const auto& costs = ep_.fabric().config().costs;
     const std::string session = "epoch" + std::to_string(join_epoch);
     if (!ulfm::AnnounceJoiner(ep_, session).ok()) return;
@@ -175,7 +176,10 @@ class UlfmWorker {
   }
 
  private:
-  void Finish() { AtomicMax(&ss_->completion, ep_.now()); }
+  void Finish() {
+    AtomicMax(&ss_->completion, ep_.now());
+    finished_ = true;
+  }
 
   // State broadcast from rank 0 (survivor order is preserved by shrink
   // and expand, so rank 0 always holds valid state).
@@ -350,21 +354,8 @@ class UlfmWorker {
   // resilient comm's own accumulator so host-side traffic from other
   // phases never pollutes the comm-hidden fraction.
   void RecordStepMetrics(double wall) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"stack", "ulfm"}};
-    const double compute = ss_->step_compute_seconds;
-    const double service = rc_->TakeCommServiceSeconds();
-    const double exposed = wall > compute ? wall - compute : 0.0;
-    reg.GetCounter("rcc_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_step_seconds_total", labels)->Add(wall);
-    reg.GetCounter("rcc_step_compute_seconds_total", labels)->Add(compute);
-    reg.GetCounter("rcc_step_comm_service_seconds_total", labels)
-        ->Add(service);
-    reg.GetCounter("rcc_step_comm_exposed_seconds_total", labels)
-        ->Add(exposed);
-    reg.GetHistogram("rcc_step_seconds", labels)->Observe(wall);
-    reg.GetGauge("rcc_world_size", labels)
-        ->Set(static_cast<double>(rc_->size()));
+    step_metrics_.Record(wall, ss_->step_compute_seconds,
+                         rc_->TakeCommServiceSeconds(), rc_->size());
     if (ss_->rec != nullptr) {
       ss_->rec->RecordCounter(ep_.pid(), "world_size", ep_.now(),
                               static_cast<double>(rc_->size()));
@@ -377,7 +368,7 @@ class UlfmWorker {
       MaybeDie(static_cast<int>(b));
       if (!ep_.alive()) return false;
       if (!ss_->plan.response_cache) {
-        obs::Span scope(ss_->rec, ep_, "negotiation");
+        obs::Span scope(ss_->rec, ep_, negotiation_);
         if (!Negotiate(b)) return false;
       }
       Bucket& bucket = buckets_[b];
@@ -420,7 +411,7 @@ class UlfmWorker {
         return false;
       }
       if (!ss_->plan.response_cache) {
-        obs::Span scope(ss_->rec, ep_, "negotiation");
+        obs::Span scope(ss_->rec, ep_, negotiation_);
         if (!Negotiate(b)) {
           rc_->WaitAll();
           return false;
@@ -484,6 +475,9 @@ class UlfmWorker {
   int epoch_ = 0;
   int step_ = 0;
   int64_t admit_begin_gstep_ = -1;  // global step the pending expand opened
+  bool finished_ = false;           // reached Finish()
+  obs::StepMetrics step_metrics_{"ulfm"};
+  obs::SpanPhase negotiation_{"negotiation"};
 };
 
 }  // namespace

@@ -86,12 +86,8 @@ void Context::BeginOp(const char* algo, double bytes) {
 void Context::Raise(const Status& s) {
   current_phase_ = 0;
   if (s.ok()) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", op_algo_}, {"stack", "gloo"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(ep_->now() - op_start_);
-    reg.GetCounter("rcc_collective_bytes_total", labels)->Add(op_bytes_);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    stack_metrics_.For(op_algo_, "gloo")
+        ->Record(ep_->now() - op_start_, op_bytes_);
     return;
   }
   broken_ = true;

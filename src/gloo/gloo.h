@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "coll/algorithms.h"
+#include "coll/request.h"
 #include "coll/transport.h"
 #include "coll/tuning.h"
 #include "kvstore/kvstore.h"
@@ -113,6 +114,7 @@ class Context : public coll::Transport {
   const char* op_algo_ = "";
   double op_bytes_ = 0.0;
   sim::Seconds op_start_ = 0.0;
+  obs::ByAlgo<coll::StackMetrics> stack_metrics_;
 };
 
 }  // namespace rcc::gloo

@@ -221,21 +221,8 @@ class EhWorker {
   // GPU communicator's per-comm accumulator, so host-side gloo traffic
   // (state sync, negotiation) never pollutes the comm-hidden fraction.
   void RecordStepMetrics(double wall) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"stack", "elastic_horovod"}};
-    const double compute = ss_->step_compute_seconds;
-    const double service = gpu_->TakeServiceSeconds();
-    const double exposed = wall > compute ? wall - compute : 0.0;
-    reg.GetCounter("rcc_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_step_seconds_total", labels)->Add(wall);
-    reg.GetCounter("rcc_step_compute_seconds_total", labels)->Add(compute);
-    reg.GetCounter("rcc_step_comm_service_seconds_total", labels)
-        ->Add(service);
-    reg.GetCounter("rcc_step_comm_exposed_seconds_total", labels)
-        ->Add(exposed);
-    reg.GetHistogram("rcc_step_seconds", labels)->Observe(wall);
-    reg.GetGauge("rcc_world_size", labels)
-        ->Set(static_cast<double>(ctx_->size()));
+    step_metrics_.Record(wall, ss_->step_compute_seconds,
+                         gpu_->TakeServiceSeconds(), ctx_->size());
   }
 
   void TrainStepBlocking() {
@@ -330,7 +317,7 @@ class EhWorker {
     if (ss_->plan.response_cache) return;
     // Uncached response negotiation: a small host-side allgather
     // coordinating which tensors are ready (Horovod's control plane).
-    obs::Span scope(ss_->rec, ep_, "negotiation");
+    obs::Span scope(ss_->rec, ep_, negotiation_);
     uint64_t ready = b;
     std::vector<uint64_t> all(ctx_->size());
     ctx_->Allgather<uint64_t>(&ready, all.data(), 1);
@@ -499,6 +486,8 @@ class EhWorker {
   bool have_state_;
   bool in_recovery_;
   bool recompute_pending_ = false;
+  obs::StepMetrics step_metrics_{"elastic_horovod"};
+  obs::SpanPhase negotiation_{"negotiation"};
 };
 
 }  // namespace

@@ -3,25 +3,18 @@
 #include <cstring>
 
 #include "obs/flight.h"
-#include "obs/metrics.h"
 
 namespace rcc::kv {
 namespace {
 
-// Per-operation traffic counter (the rendezvous path is O(P) reads per
-// joiner, worth watching at scale).
-void CountOp(const char* op) {
-  obs::Registry::Global()
-      .GetCounter("rcc_kv_ops_total", {{"op", op}})
-      ->Increment();
-}
-
-// The store key count, updated wherever the map mutates.
-void SetKeysGauge(size_t n) {
-  obs::Registry::Global()
-      .GetGauge("rcc_kv_keys")
-      ->Set(static_cast<double>(n));
-}
+// rcc_kv_ops_total{op} label values, indexed by Store::Op.
+constexpr const char* kOpNames[] = {
+    "set",          "get",
+    "wait",         "wait_entry",
+    "delete",       "add_and_get",
+    "compare_and_swap",
+    "list_prefix",  "version_of",
+};
 
 // Stable 53-bit key fingerprint (FNV-1a, truncated) so blocking waits
 // can be correlated across ranks in flight-recorder dumps without
@@ -39,9 +32,17 @@ int64_t KeyHash(const std::string& key) {
 
 }  // namespace
 
+Store::Store(sim::Seconds roundtrip) : roundtrip_(roundtrip) {
+  static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) == kNumOps);
+  ops_.reserve(kNumOps);
+  for (const char* op : kOpNames) {
+    ops_.emplace_back("rcc_kv_ops_total", obs::Labels{{"op", op}});
+  }
+}
+
 Status Store::Set(sim::Endpoint* ep, const std::string& key,
                   std::vector<uint8_t> value) {
-  CountOp("set");
+  CountOp(kSet);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = data_[key];
@@ -60,7 +61,7 @@ Status Store::SetString(sim::Endpoint* ep, const std::string& key,
 
 Result<std::vector<uint8_t>> Store::Get(sim::Endpoint* ep,
                                         const std::string& key) {
-  CountOp("get");
+  CountOp(kGet);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);
@@ -80,7 +81,7 @@ Result<std::string> Store::GetString(sim::Endpoint* ep,
 
 Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
                                          const std::string& key) {
-  CountOp("wait");
+  CountOp(kWait);
   Charge(ep);
   obs::flight::Ring* fly = nullptr;
   double wait_begin = 0.0;
@@ -112,7 +113,7 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
 }
 
 Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
-  CountOp("wait_entry");
+  CountOp(kWaitEntry);
   Charge(ep);
   obs::flight::Ring* fly = nullptr;
   double wait_begin = 0.0;
@@ -140,7 +141,7 @@ Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
 }
 
 Status Store::Delete(sim::Endpoint* ep, const std::string& key) {
-  CountOp("delete");
+  CountOp(kDelete);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   data_.erase(key);
@@ -150,7 +151,7 @@ Status Store::Delete(sim::Endpoint* ep, const std::string& key) {
 
 Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
                                  int64_t delta) {
-  CountOp("add_and_get");
+  CountOp(kAddAndGet);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = data_[key];
@@ -171,7 +172,7 @@ Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
 Result<bool> Store::CompareAndSwap(sim::Endpoint* ep, const std::string& key,
                                    uint64_t expected_version,
                                    std::vector<uint8_t> value) {
-  CountOp("compare_and_swap");
+  CountOp(kCompareAndSwap);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);
@@ -187,7 +188,7 @@ Result<bool> Store::CompareAndSwap(sim::Endpoint* ep, const std::string& key,
 
 std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
                                            const std::string& prefix) {
-  CountOp("list_prefix");
+  CountOp(kListPrefix);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> keys;
@@ -199,7 +200,7 @@ std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
 }
 
 Result<uint64_t> Store::VersionOf(sim::Endpoint* ep, const std::string& key) {
-  CountOp("version_of");
+  CountOp(kVersionOf);
   Charge(ep);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);

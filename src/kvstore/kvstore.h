@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "sim/endpoint.h"
 #include "sim/engine.h"
 
@@ -26,7 +27,7 @@ struct Entry {
 
 class Store {
  public:
-  explicit Store(sim::Seconds roundtrip = 0.5e-3) : roundtrip_(roundtrip) {}
+  explicit Store(sim::Seconds roundtrip = 0.5e-3);
 
   // `ep` may be null (test / orchestrator access, no time charged).
   Status Set(sim::Endpoint* ep, const std::string& key,
@@ -71,14 +72,35 @@ class Store {
   size_t size() const;
 
  private:
+  // Operations counted in rcc_kv_ops_total{op} (names in kvstore.cc).
+  enum Op {
+    kSet,
+    kGet,
+    kWait,
+    kWaitEntry,
+    kDelete,
+    kAddAndGet,
+    kCompareAndSwap,
+    kListPrefix,
+    kVersionOf,
+    kNumOps,
+  };
+
   void Charge(sim::Endpoint* ep) const {
     if (ep != nullptr) ep->Busy(roundtrip_);
   }
+  // Per-operation traffic counter (the rendezvous path is O(P) reads per
+  // joiner, worth watching at scale).
+  void CountOp(Op op) { ops_[op]->Increment(); }
+  // The store key count, updated wherever the map mutates.
+  void SetKeysGauge(size_t n) { keys_->Set(static_cast<double>(n)); }
 
   mutable std::mutex mu_;
   sim::WaitPoint wp_;
   std::map<std::string, Entry> data_;
   sim::Seconds roundtrip_;
+  std::vector<obs::CounterHandle> ops_;  // indexed by Op
+  obs::GaugeHandle keys_{"rcc_kv_keys"};
 };
 
 }  // namespace rcc::kv

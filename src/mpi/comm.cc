@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/log.h"
-#include "obs/metrics.h"
 
 namespace rcc::mpi {
 
@@ -41,7 +40,8 @@ coll::Request Comm::StartOp(coll::Request::Info info,
                             coll::Request::Body body) {
   coll::Request req =
       coll::Request::Start(info, ep_->now(), std::move(body),
-                           ep_->fabric().engine(), ep_->pid(), &engine_tail_);
+                           ep_->fabric().engine(), ep_->pid(),
+                           request_metrics_, &engine_tail_);
   engine_tail_ = req;
   return req;
 }
@@ -53,13 +53,9 @@ Status Comm::Wait(coll::Request* req) {
   Status s = req->Join();
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", req->info().algo}, {"stack", "mpi"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(req->complete_time() - req->submit_time());
-    reg.GetCounter("rcc_collective_bytes_total", labels)
-        ->Add(req->info().bytes);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    stack_metrics_.For(req->info().algo, "mpi")
+        ->Record(req->complete_time() - req->submit_time(),
+                 req->info().bytes);
   }
   if (s.code() == Code::kProcFailed) NoteFailedPids(s.failed_pids());
   return s;

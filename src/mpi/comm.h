@@ -237,6 +237,8 @@ class Comm : public coll::Transport {
   uint64_t agree_seq_ = 0;
   coll::Request engine_tail_;  // last submitted op (ordering chain)
   std::set<int> observed_failed_;
+  coll::RequestMetrics request_metrics_;
+  obs::ByAlgo<coll::StackMetrics> stack_metrics_;
 };
 
 }  // namespace rcc::mpi

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/log.h"
-#include "obs/metrics.h"
 
 namespace rcc::nccl {
 
@@ -60,7 +59,8 @@ coll::Request Comm::StartOp(coll::Request::Info info,
                             coll::Request::Body body) {
   coll::Request req =
       coll::Request::Start(info, ep_->now(), std::move(body),
-                           ep_->fabric().engine(), ep_->pid(), &engine_tail_);
+                           ep_->fabric().engine(), ep_->pid(),
+                           request_metrics_, &engine_tail_);
   engine_tail_ = req;
   return req;
 }
@@ -79,13 +79,9 @@ Status Comm::Wait(coll::Request* req) {
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
     service_acc_ += req->complete_time() - req->start_time();
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", req->info().algo}, {"stack", "nccl"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(req->complete_time() - req->submit_time());
-    reg.GetCounter("rcc_collective_bytes_total", labels)
-        ->Add(req->info().bytes);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    stack_metrics_.For(req->info().algo, "nccl")
+        ->Record(req->complete_time() - req->submit_time(),
+                 req->info().bytes);
   }
   if (!s.ok()) broken_ = true;
   return s;

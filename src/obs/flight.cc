@@ -12,6 +12,7 @@
 #include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
+#include "sim/endpoint.h"
 #include "sim/engine.h"
 
 namespace rcc::obs::flight {
@@ -35,12 +36,21 @@ uint64_t RingSlots() {
   return slots;
 }
 
+// Pids below kFastPids find their ring with a lock-free indexed load:
+// blocks of kBlockPids ring pointers, each allocated when the first
+// ring of its pid range is created.
+constexpr int kBlockPids = 1024;
+constexpr int kFastBlocks = 64;
+constexpr int kFastPids = kBlockPids * kFastBlocks;
+
 // Ring registry. Rings are created on first use and live for the whole
-// process (call sites cache the pointer); ResetAll empties them in
+// process (call sites may cache the pointer); ResetAll empties them in
 // place instead of deallocating.
 struct State {
   std::mutex mu;
   std::map<int, std::unique_ptr<Ring>> rings;
+  // Lock-free index over `rings` for pids < kFastPids (written under mu).
+  std::atomic<std::atomic<Ring*>*> fast[kFastBlocks] = {};
   // Failure observations (deduped by pid) for the MTBF estimator.
   std::set<int> failed_pids;
   double first_failure_t = 0.0;
@@ -111,13 +121,56 @@ const char* PhaseName(Phase p) {
 }
 
 Ring::Ring(int pid, uint64_t slots)
-    : pid_(pid), slots_(slots), ring_(new Slot[slots]) {}
+    : pid_(pid),
+      slots_(slots),
+      nchunks_((slots + kChunkSlots - 1) / kChunkSlots),
+      chunks_(new std::atomic<Slot*>[nchunks_]) {
+  for (uint64_t j = 0; j < nchunks_; ++j) {
+    chunks_[j].store(nullptr, std::memory_order_relaxed);
+  }
+}
 
-Ring::~Ring() { delete[] ring_; }
+Ring::~Ring() {
+  for (uint64_t j = 0; j < nchunks_; ++j) {
+    delete[] chunks_[j].load(std::memory_order_relaxed);
+  }
+}
+
+Ring::Slot& Ring::WriteSlot(uint64_t k) {
+  std::atomic<Slot*>& chunk = chunks_[k / kChunkSlots];
+  Slot* c = chunk.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // First write into this chunk: commit it. Racing writers (threads
+    // engine) keep whichever chunk was published first.
+    Slot* fresh = new Slot[kChunkSlots];
+    if (chunk.compare_exchange_strong(c, fresh, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      c = fresh;
+    } else {
+      delete[] fresh;
+    }
+  }
+  return c[k % kChunkSlots];
+}
+
+const Ring::Slot* Ring::ReadSlot(uint64_t k) const {
+  const Slot* c = chunks_[k / kChunkSlots].load(std::memory_order_acquire);
+  return c == nullptr ? nullptr : &c[k % kChunkSlots];
+}
+
+uint64_t Ring::committed_slots() const {
+  uint64_t n = 0;
+  for (uint64_t j = 0; j < nchunks_; ++j) {
+    if (chunks_[j].load(std::memory_order_acquire) != nullptr) {
+      n += kChunkSlots;
+    }
+  }
+  return n;
+}
 
 void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c) {
   const uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring_[i % slots_];
+  Slot& s = WriteSlot(i % slots_);
   // Seqlock publication: odd while the fields are being replaced, then
   // 2*i+2 (even, index-stamped) once the event is whole. A reader that
   // sees any other value skips the slot.
@@ -136,7 +189,9 @@ std::vector<Event> Ring::Snapshot() const {
   std::vector<Event> out;
   out.reserve(head - first);
   for (uint64_t i = first; i < head; ++i) {
-    const Slot& s = ring_[i % slots_];
+    const Slot* slot = ReadSlot(i % slots_);
+    if (slot == nullptr) continue;  // claimed, chunk not yet committed
+    const Slot& s = *slot;
     if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
     Event e;
     e.index = i;
@@ -197,10 +252,16 @@ std::string Ring::ToJson(const std::string& reason) const {
 }
 
 void Ring::Reset() {
-  // Only safe between runs (no concurrent writers): unpublish every
-  // slot, then rewind the head.
-  for (uint64_t k = 0; k < slots_; ++k) {
-    ring_[k].seq.store(0, std::memory_order_relaxed);
+  // Only safe between runs (no concurrent writers): unpublish the slots
+  // written since the last reset (the first min(head, capacity)), then
+  // rewind the head.
+  const uint64_t written =
+      std::min(head_.load(std::memory_order_relaxed), slots_);
+  for (uint64_t k = 0; k < written; ++k) {
+    Slot* c = chunks_[k / kChunkSlots].load(std::memory_order_relaxed);
+    if (c != nullptr) {
+      c[k % kChunkSlots].seq.store(0, std::memory_order_relaxed);
+    }
   }
   head_.store(0, std::memory_order_relaxed);
 }
@@ -212,15 +273,37 @@ void SetEnabled(bool on) {
 }
 
 Ring* ForRank(int pid) {
-  InstallStallDump();
   State& st = GlobalState();
+  const bool fast = pid >= 0 && pid < kFastPids;
+  if (fast) {
+    const std::atomic<Ring*>* block =
+        st.fast[pid / kBlockPids].load(std::memory_order_acquire);
+    if (block != nullptr) {
+      Ring* ring = block[pid % kBlockPids].load(std::memory_order_acquire);
+      if (ring != nullptr) return ring;
+    }
+  }
+  InstallStallDump();
   std::lock_guard<std::mutex> lock(st.mu);
   auto it = st.rings.find(pid);
   if (it == st.rings.end()) {
     it = st.rings.emplace(pid, std::make_unique<Ring>(pid, RingSlots()))
              .first;
   }
-  return it->second.get();
+  Ring* ring = it->second.get();
+  if (fast) {
+    std::atomic<std::atomic<Ring*>*>& slot = st.fast[pid / kBlockPids];
+    std::atomic<Ring*>* block = slot.load(std::memory_order_relaxed);
+    if (block == nullptr) {
+      block = new std::atomic<Ring*>[kBlockPids];
+      for (int k = 0; k < kBlockPids; ++k) {
+        block[k].store(nullptr, std::memory_order_relaxed);
+      }
+      slot.store(block, std::memory_order_release);
+    }
+    block[pid % kBlockPids].store(ring, std::memory_order_release);
+  }
+  return ring;
 }
 
 void ResetAll() {
@@ -277,12 +360,10 @@ std::vector<std::string> DumpAll(const std::string& reason,
   return paths;
 }
 
-void DumpOnAbort() {
-  if (!Enabled()) return;
-  // Every abort re-dumps (overwriting the previous files): a later
-  // abort has strictly more history in its rings, so the last dump is
-  // the most complete picture.
-  DumpAll("abort");
+bool DumpIfUnexplainedExit(const sim::Endpoint& ep, bool aborted) {
+  if (!aborted || !ep.alive()) return false;
+  if (Enabled()) DumpAll("abort");
+  return true;
 }
 
 void InstallStallDump() {

@@ -12,12 +12,15 @@
 // snapshot a ring seqlock-style: a slot whose sequence is odd or moved
 // during the copy is being overwritten and is skipped.
 //
-// Dumps — one JSON file per rank, flight_rank<pid>.json — are triggered
-// automatically on worker abort (DumpOnAbort), on a proven fiber-
-// scheduler stall (sim stall observer, installed by InstallStallDump),
-// on an oracle violation in the chaos runner, and on a serving SLO
-// breach. tools/postmortem merges the per-rank dumps into one causal
-// timeline and names the root-cause rank (see obs/postmortem.h).
+// Dumps — one JSON file per rank, flight_rank<pid>.json — are written
+// only when something unexplained happened: a worker that exits aborted
+// while its endpoint is still alive (DumpIfUnexplainedExit), a proven
+// fiber-scheduler stall (sim stall observer, installed by
+// InstallStallDump), an oracle violation in the chaos runner, and a
+// serving verify failure or SLO breach. A death the failure schedule
+// delivered is the experiment and never dumps. tools/postmortem merges
+// the per-rank dumps into one causal timeline and names the root-cause
+// rank (see obs/postmortem.h).
 //
 // Knobs: RCC_FLIGHT (0 disables, default on), RCC_FLIGHT_RING (events
 // per rank, default 4096), RCC_FLIGHT_DIR (dump directory, default ".").
@@ -25,8 +28,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+namespace rcc::sim {
+class Endpoint;
+}  // namespace rcc::sim
 
 namespace rcc::obs::flight {
 
@@ -125,8 +133,11 @@ struct Event {
   double c = 0.0;
 };
 
-// One rank's ring. Obtained once via ForRank and cached by call sites;
-// never deallocated while the process lives.
+// One rank's ring. Obtained via ForRank (a lock-free indexed load once
+// the ring exists); never deallocated while the process lives. Slot
+// storage is committed in chunks as events land, so a ring costs memory
+// in proportion to what it recorded (up to its capacity), not its
+// capacity.
 class Ring {
  public:
   Ring(int pid, uint64_t slots);
@@ -152,9 +163,18 @@ class Ring {
   // JSON dump of this ring ({"schema":"rcc-flight-v1",...}).
   std::string ToJson(const std::string& reason) const;
 
-  // Empties the ring in place. Only safe between runs (no concurrent
-  // writers); cached Ring pointers stay valid. Used by ResetAll.
+  // Empties the ring in place, touching only the slots ever written.
+  // Only safe between runs (no concurrent writers); cached Ring pointers
+  // and committed storage stay valid. Used by ResetAll.
   void Reset();
+
+  // Capacity in events, and the slots whose storage is committed (a
+  // multiple of kChunkSlots, at most the capacity rounded up to one).
+  uint64_t capacity() const { return slots_; }
+  uint64_t committed_slots() const;
+
+  // Slots committed together on a chunk's first write (48 B each).
+  static constexpr uint64_t kChunkSlots = 64;
 
  private:
   struct Slot {
@@ -166,10 +186,16 @@ class Ring {
     std::atomic<double> c{0.0};
   };
 
+  // Slot k (0 <= k < slots_) for a writer, committing its chunk first.
+  Slot& WriteSlot(uint64_t k);
+  // Slot k for a reader, or null while its chunk is uncommitted.
+  const Slot* ReadSlot(uint64_t k) const;
+
   int pid_;
   uint64_t slots_;
+  uint64_t nchunks_;
   std::atomic<uint64_t> head_{0};
-  Slot* ring_;
+  std::unique_ptr<std::atomic<Slot*>[]> chunks_;
 };
 
 // Global on/off. Initialized from RCC_FLIGHT (default on); SetEnabled
@@ -196,10 +222,17 @@ std::vector<std::string> DumpAll(const std::string& reason,
                                  const std::string& dir_override = "",
                                  const std::string& prefix = "");
 
-// Worker-abort trigger: dumps all rings, overwriting any previous abort
-// dump (a later abort has strictly more history, so the last dump is
-// the most complete picture). Respects Enabled().
-void DumpOnAbort();
+// The worker-exit rule, shared by every driver that runs workers (chaos
+// runner, serving driver, ULFM figure driver). A worker that exits
+// aborted while its endpoint is still alive left the job for a reason
+// nothing scheduled: every rank's ring is dumped (reason "abort"; a
+// later unexplained exit overwrites with more history) and the call
+// returns true, so the caller can make the exit visible to its peers. A
+// death delivered by the failure schedule (FailurePlan, ScriptedFailure,
+// ArmKillAt, node kills) leaves the endpoint dead: that is the
+// experiment, not a failure, and it never dumps. Only the dump respects
+// Enabled().
+bool DumpIfUnexplainedExit(const sim::Endpoint& ep, bool aborted);
 
 // Installs a sim stall observer that dumps all rings (reason "stall")
 // right before the stall handler / fatal abort fires. Idempotent.

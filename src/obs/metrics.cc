@@ -357,4 +357,26 @@ void Registry::ResetAll() {
   }
 }
 
+// --- StepMetrics ---
+
+StepMetrics::StepMetrics(const char* stack)
+    : steps_("rcc_steps_total", {{"stack", stack}}),
+      seconds_("rcc_step_seconds_total", {{"stack", stack}}),
+      compute_("rcc_step_compute_seconds_total", {{"stack", stack}}),
+      service_("rcc_step_comm_service_seconds_total", {{"stack", stack}}),
+      exposed_("rcc_step_comm_exposed_seconds_total", {{"stack", stack}}),
+      step_seconds_("rcc_step_seconds", {{"stack", stack}}),
+      world_("rcc_world_size", {{"stack", stack}}) {}
+
+void StepMetrics::Record(double wall, double compute, double service,
+                         int world) {
+  steps_->Increment();
+  seconds_->Add(wall);
+  compute_->Add(compute);
+  service_->Add(service);
+  exposed_->Add(wall > compute ? wall - compute : 0.0);
+  step_seconds_->Observe(wall);
+  world_->Set(static_cast<double>(world));
+}
+
 }  // namespace rcc::obs

@@ -5,11 +5,11 @@
 //   1. Lock-cheap hot paths. Recording into an instrument is a handful
 //      of relaxed atomics (a CAS-add for the double counters, a
 //      fetch_add for histogram buckets) - no mutex, no allocation.
-//      Looking an instrument up takes a shared lock on the registry map;
-//      instrumented call sites either cache the returned pointer
-//      (instruments are never deallocated while the registry lives) or
-//      tolerate the read-mostly lookup, which only takes the exclusive
-//      lock on first registration.
+//      Looking an instrument up sorts and serializes its labels and
+//      takes a shared lock on the registry map, so per-op and per-step
+//      paths never do it per event: they hold a Handle (below), which
+//      resolves once and caches the pointer (instruments are never
+//      deallocated while the registry lives).
 //   2. One registry per process (Registry::Global()), matching how the
 //      simulated cluster runs every rank as a thread of one process:
 //      cross-rank aggregation is free, and benches snapshot/diff the
@@ -31,6 +31,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -189,5 +190,104 @@ class Registry {
 // Serializes labels canonically ("{a=\"x\",b=\"y\"}", empty string for
 // no labels); shared by the registry key and the Prometheus exporter.
 std::string LabelString(const Labels& labels);
+
+// One instrument (family name + labels), resolved on first use and then
+// cached. The first Get() pays the registry lookup (label sort, label
+// string, shared lock, two map finds); every later one is one acquire
+// load. Registration stays exactly as lazy as a direct Get* call, so a
+// series appears in the exposition only once something was recorded
+// into it. Hot paths keep their handles with the object that owns the
+// work (a communicator, store, driver or trainer) instead of looking an
+// instrument up per event. Get() is safe from any thread: racing first
+// resolutions return the same pointer. `name` must have static storage
+// (a string literal); `registry` defaults to Registry::Global().
+template <class T>
+class Handle {
+ public:
+  explicit Handle(const char* name, Labels labels = {},
+                  Registry* registry = nullptr)
+      : name_(name), labels_(std::move(labels)), registry_(registry) {}
+  // Copies share the resolved instrument.
+  Handle(const Handle& other)
+      : name_(other.name_),
+        labels_(other.labels_),
+        registry_(other.registry_),
+        ptr_(other.ptr_.load(std::memory_order_acquire)) {}
+  Handle& operator=(const Handle& other) {
+    name_ = other.name_;
+    labels_ = other.labels_;
+    registry_ = other.registry_;
+    ptr_.store(other.ptr_.load(std::memory_order_acquire),
+               std::memory_order_release);
+    return *this;
+  }
+
+  T* Get() const {
+    T* p = ptr_.load(std::memory_order_acquire);
+    if (p == nullptr) {
+      Registry& reg = registry_ != nullptr ? *registry_ : Registry::Global();
+      if constexpr (std::is_same_v<T, Counter>) {
+        p = reg.GetCounter(name_, labels_);
+      } else if constexpr (std::is_same_v<T, Gauge>) {
+        p = reg.GetGauge(name_, labels_);
+      } else {
+        p = reg.GetHistogram(name_, labels_);
+      }
+      ptr_.store(p, std::memory_order_release);
+    }
+    return p;
+  }
+  T* operator->() const { return Get(); }
+
+ private:
+  const char* name_;
+  Labels labels_;
+  Registry* registry_;
+  mutable std::atomic<T*> ptr_{nullptr};
+};
+
+using CounterHandle = Handle<Counter>;
+using GaugeHandle = Handle<Gauge>;
+using HistogramHandle = Handle<Histogram>;
+
+// Instrument sets keyed by a collective's algo name, for owners that
+// record one series per kernel. Algo names are static strings, so the
+// lookup is a short scan comparing addresses; a name met at a second
+// address gets a second entry resolving to the same instruments.
+// For(algo, args...) builds Entry(algo, args...) on first use. Only the
+// owning rank looks entries up; the entries' handles may then be used
+// from any thread.
+template <class Entry>
+class ByAlgo {
+ public:
+  template <class... Args>
+  const std::shared_ptr<Entry>& For(const char* algo, Args&&... args) {
+    for (const auto& [name, entry] : entries_) {
+      if (name == algo) return entry;
+    }
+    entries_.emplace_back(
+        algo, std::make_shared<Entry>(algo, std::forward<Args>(args)...));
+    return entries_.back().second;
+  }
+
+ private:
+  std::vector<std::pair<const char*, std::shared_ptr<Entry>>> entries_;
+};
+
+// Per-step instruments shared by every training loop (ElasticTrainer,
+// the ULFM and Elastic Horovod figure drivers), labelled by stack: step
+// count and wall time, its compute / comm-service / exposed-comm split,
+// the step-time histogram and the world-size gauge.
+class StepMetrics {
+ public:
+  explicit StepMetrics(const char* stack);
+  // Exposed comm is the wall time not covered by compute.
+  void Record(double wall, double compute, double service, int world);
+
+ private:
+  CounterHandle steps_, seconds_, compute_, service_, exposed_;
+  HistogramHandle step_seconds_;
+  GaugeHandle world_;
+};
 
 }  // namespace rcc::obs

@@ -4,7 +4,9 @@
 // recorder under `phase` (when a recorder is attached, so the interval
 // shows up in the Perfetto export) and (b) observed into the
 // `metric{phase=...}` histogram (always, so metrics work even in
-// recorder-less paths).
+// recorder-less paths). Spans on per-step or per-op paths take a
+// SpanPhase their owner keeps, so the histogram is resolved once rather
+// than looked up per span.
 #pragma once
 
 #include <string>
@@ -16,6 +18,18 @@
 
 namespace rcc::obs {
 
+// A span phase with its histogram handle, kept by the owner of a hot
+// path and passed to every Span of that phase.
+struct SpanPhase {
+  // `metric` defaults to the cross-layer phase-duration family.
+  explicit SpanPhase(std::string phase,
+                     const char* metric = "rcc_phase_seconds")
+      : name(std::move(phase)), hist(metric, {{"phase", name}}) {}
+
+  std::string name;
+  HistogramHandle hist;
+};
+
 class Span {
  public:
   // `metric` defaults to the cross-layer phase-duration family.
@@ -23,6 +37,12 @@ class Span {
        const char* metric = "rcc_phase_seconds")
       : rec_(rec), ep_(ep), phase_(std::move(phase)), start_(ep.now()),
         hist_(Registry::Global().GetHistogram(metric, {{"phase", phase_}})) {
+    if (rec_ != nullptr) rec_->PhaseStarted(ep_, phase_);
+  }
+
+  Span(trace::Recorder* rec, sim::Endpoint& ep, const SpanPhase& phase)
+      : rec_(rec), ep_(ep), phase_(phase.name), start_(ep.now()),
+        hist_(phase.hist.Get()) {
     if (rec_ != nullptr) rec_->PhaseStarted(ep_, phase_);
   }
 

@@ -4,7 +4,6 @@
 
 #include "common/serial.h"
 #include "obs/flight.h"
-#include "obs/metrics.h"
 #include "sim/params.h"
 
 namespace rcc::serve {
@@ -23,10 +22,26 @@ ServingDriver::ServingDriver(core::ResilientComm* rc, const ServeOptions& opts)
       stream_(GenerateArrivals(opts.traffic)),
       batcher_(opts.max_batch),
       ctl_(opts.autoscale),
-      last_repairs_(rc->repairs()) {
+      last_repairs_(rc->repairs()),
+      metrics_(ModeName(opts.mode)) {
   rc_->SetReplayHook(
       [this](int64_t /*op_id*/, int64_t /*min_id*/) { ++decode_replays_; });
 }
+
+ServingDriver::Metrics::Metrics(const char* mode)
+    : ttft("rcc_serve_ttft_seconds", {{"mode", mode}}),
+      token("rcc_serve_token_seconds", {{"mode", mode}}),
+      completions("rcc_serve_completions_total", {{"mode", mode}}),
+      decode_replays("rcc_serve_decode_replays_total", {{"mode", mode}}),
+      tokens("rcc_serve_tokens_total", {{"mode", mode}}),
+      queue_depth("rcc_serve_queue_depth", {{"mode", mode}}),
+      world_size("rcc_serve_world_size", {{"mode", mode}}),
+      goodput("rcc_serve_goodput_tokens_per_s", {{"mode", mode}}),
+      recovery_steps("rcc_serve_recovery_steps_total", {{"mode", mode}}),
+      recovery_seconds("rcc_serve_recovery_seconds_total", {{"mode", mode}}),
+      recovery_tokens("rcc_serve_recovery_tokens_total", {{"mode", mode}}),
+      recovery_goodput("rcc_serve_goodput_during_recovery_tokens_per_s",
+                       {{"mode", mode}}) {}
 
 std::string ServingDriver::StandbyKey(const std::string& session, int index) {
   return "serve/" + session + "/standby/" + std::to_string(index);
@@ -44,16 +59,21 @@ ServeReport ServingDriver::Run() {
 ServeReport ServingDriver::RunStandbyJoiner(sim::Endpoint& ep, kv::Store* store,
                                             const ServeOptions& opts, int index,
                                             trace::Recorder* rec) {
-  ServeReport r;
-  auto entry = store->WaitEntry(&ep, StandbyKey(opts.session, index));
-  if (!entry.ok()) {
+  // The exits before the serving loop skip Finish, so they apply the
+  // exit dump rule here.
+  const auto aborted = [&ep] {
+    obs::flight::DumpIfUnexplainedExit(ep, /*aborted=*/true);
+    ServeReport r;
     r.aborted = true;
     return r;
-  }
+  };
+  auto entry = store->WaitEntry(&ep, StandbyKey(opts.session, index));
+  if (!entry.ok()) return aborted();
   const std::string session(entry.value().value.begin(),
                             entry.value().value.end());
   if (session.empty()) {
     // Released at drain without being needed.
+    ServeReport r;
     r.idle_standby = true;
     return r;
   }
@@ -64,17 +84,13 @@ ServeReport ServingDriver::RunStandbyJoiner(sim::Endpoint& ep, kv::Store* store,
         staged = b;
         return Status::Ok();
       });
-  if (rc == nullptr) {
-    r.aborted = true;
-    return r;
-  }
+  if (rc == nullptr) return aborted();
   ServingDriver d(rc.get(), opts);
   // The staged snapshot restores the weights + a (stale) serving cursor
   // in the background; the post-splice sync below replaces the cursor
   // with the survivors' live state.
   if (!d.RestoreState(staged).ok() || !d.SpliceSync(/*receiver=*/true).ok()) {
-    r.aborted = true;
-    return r;
+    return aborted();
   }
   return d.Loop();
 }
@@ -179,16 +195,14 @@ ServeReport ServingDriver::Loop() {
     std::vector<double> ttft = batcher_.TakeFirstTokenLatencies();
     if (rc_->rank() == 0) {
       ExportStepMetrics(step_seconds, batch, recovery);
-      obs::Registry& reg = obs::Registry::Global();
-      const obs::Labels labels{{"mode", ModeName(opts_.mode)}};
-      obs::Histogram* h = reg.GetHistogram("rcc_serve_ttft_seconds", labels);
+      obs::Histogram* h = metrics_.ttft.Get();
       for (double v : ttft) h->Observe(v);
       const size_t done = batcher_.completions().size();
-      reg.GetCounter("rcc_serve_completions_total", labels)
-          ->Add(static_cast<double>(done - exported_completions));
+      metrics_.completions->Add(
+          static_cast<double>(done - exported_completions));
       exported_completions = done;
-      reg.GetCounter("rcc_serve_decode_replays_total", labels)
-          ->Add(static_cast<double>(decode_replays_ - exported_replays));
+      metrics_.decode_replays->Add(
+          static_cast<double>(decode_replays_ - exported_replays));
       exported_replays = decode_replays_;
     } else {
       // Keep the export cursors current so a later rank-0 handover only
@@ -288,35 +302,29 @@ void ServingDriver::ReleaseStandbys() {
 
 void ServingDriver::ExportStepMetrics(double step_seconds, int committed_tokens,
                                       bool recovery_step) {
-  obs::Registry& reg = obs::Registry::Global();
-  const obs::Labels labels{{"mode", ModeName(opts_.mode)}};
-  obs::Histogram* tok = reg.GetHistogram("rcc_serve_token_seconds", labels);
+  obs::Histogram* tok = metrics_.token.Get();
   for (int i = 0; i < committed_tokens; ++i) tok->Observe(step_seconds);
-  reg.GetCounter("rcc_serve_tokens_total", labels)
-      ->Add(static_cast<double>(committed_tokens));
-  reg.GetGauge("rcc_serve_queue_depth", labels)->Set(batcher_.waiting());
-  reg.GetGauge("rcc_serve_world_size", labels)->Set(rc_->size());
+  metrics_.tokens->Add(static_cast<double>(committed_tokens));
+  metrics_.queue_depth->Set(batcher_.waiting());
+  metrics_.world_size->Set(rc_->size());
   const double goodput =
       step_seconds > 0 ? committed_tokens / step_seconds : 0.0;
-  reg.GetGauge("rcc_serve_goodput_tokens_per_s", labels)->Set(goodput);
+  metrics_.goodput->Set(goodput);
   if (recovery_step) {
-    reg.GetCounter("rcc_serve_recovery_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_serve_recovery_seconds_total", labels)
-        ->Add(step_seconds);
-    reg.GetCounter("rcc_serve_recovery_tokens_total", labels)
-        ->Add(static_cast<double>(committed_tokens));
-    reg.GetGauge("rcc_serve_goodput_during_recovery_tokens_per_s", labels)
-        ->Set(goodput);
+    metrics_.recovery_steps->Increment();
+    metrics_.recovery_seconds->Add(step_seconds);
+    metrics_.recovery_tokens->Add(static_cast<double>(committed_tokens));
+    metrics_.recovery_goodput->Set(goodput);
   }
 }
 
 ServeReport ServingDriver::Finish(bool aborted) {
+  sim::Endpoint& ep = rc_->endpoint();
   if (aborted && obs::flight::Enabled()) {
-    sim::Endpoint& ep = rc_->endpoint();
     obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kSelfAbort,
                                            ep.now());
-    obs::flight::DumpOnAbort();
   }
+  obs::flight::DumpIfUnexplainedExit(ep, aborted);
   ServeReport r = report_;
   r.aborted = aborted;
   // Repairs that landed after the last step's bookkeeping (e.g. inside

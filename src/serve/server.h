@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "core/resilient.h"
+#include "obs/metrics.h"
 #include "serve/autoscale.h"
 #include "serve/batcher.h"
 #include "serve/generator.h"
@@ -110,7 +111,8 @@ class ServingDriver {
 
  private:
   ServeReport Loop();
-  // Snapshot of the replicated state into a report for this rank.
+  // Snapshot of the replicated state into a report for this rank; an
+  // aborted exit also goes through obs::flight::DumpIfUnexplainedExit.
   ServeReport Finish(bool aborted);
   // Agree on the authoritative step clock (resilient MAX-allgather).
   Status AgreeClock();
@@ -135,6 +137,18 @@ class ServingDriver {
   int last_repairs_ = 0;
   int64_t decode_replays_ = 0;
   ServeReport report_;
+
+  // Rank 0's serving instruments, all labelled {mode}; resolved once
+  // per driver instead of per decode step.
+  struct Metrics {
+    explicit Metrics(const char* mode);
+    obs::HistogramHandle ttft, token;
+    obs::CounterHandle completions, decode_replays, tokens;
+    obs::GaugeHandle queue_depth, world_size, goodput;
+    obs::CounterHandle recovery_steps, recovery_seconds, recovery_tokens;
+    obs::GaugeHandle recovery_goodput;
+  };
+  Metrics metrics_;
 };
 
 }  // namespace rcc::serve

@@ -111,6 +111,92 @@ TEST(FlightRing, ConcurrentSnapshotsNeverSeeTornEvents) {
   EXPECT_EQ(ring.Snapshot().size(), 32u);
 }
 
+// Storage is committed in chunks as events land: an idle ring holds
+// none, and one that recorded k events holds about k slots (rounded up
+// to a chunk), not its whole capacity.
+TEST(FlightRing, CommittedStorageTracksRecordedEvents) {
+  Ring ring(/*pid=*/11, /*slots=*/4096);
+  EXPECT_EQ(ring.capacity(), 4096u);
+  EXPECT_EQ(ring.committed_slots(), 0u);
+  constexpr uint64_t k = 100;
+  for (uint64_t i = 0; i < k; ++i) {
+    ring.Record(Ev::kCollPost, static_cast<double>(i), static_cast<int64_t>(i));
+  }
+  EXPECT_GE(ring.committed_slots(), k);
+  EXPECT_LT(ring.committed_slots(), k + Ring::kChunkSlots);
+  EXPECT_EQ(ring.Snapshot().size(), k);
+  // Reset keeps the committed chunks (no reallocation next run).
+  ring.Reset();
+  EXPECT_GE(ring.committed_slots(), k);
+  EXPECT_LT(ring.committed_slots(), k + Ring::kChunkSlots);
+  // A ring whose capacity is not a chunk multiple commits at most its
+  // capacity rounded up to one chunk, however far it wraps.
+  Ring small(/*pid=*/12, /*slots=*/100);
+  for (int i = 0; i < 1000; ++i) small.Record(Ev::kAgree, 0.0, i);
+  EXPECT_EQ(small.committed_slots(), 2 * Ring::kChunkSlots);
+  EXPECT_EQ(small.Snapshot().size(), 100u);
+}
+
+// Reset only unpublishes the slots it wrote; after a reset the ring must
+// wrap and snapshot exactly as a fresh one: no event from before the
+// reset resurfaces, indices restart at 0, and concurrent writers after
+// the wrap still never expose a torn event.
+TEST(FlightRing, ResetThenWraparoundKeepsSeqlockGuarantees) {
+  Ring ring(/*pid=*/13, /*slots=*/96);
+  for (int i = 0; i < 250; ++i) ring.Record(Ev::kRevoke, 1.0, -1, -1, -1.0);
+  ring.Reset();
+  EXPECT_TRUE(ring.Snapshot().empty());
+  // Partially refill: only the new events show, stale slots beyond the
+  // new head stay invisible.
+  for (int i = 0; i < 10; ++i) ring.Record(Ev::kAgree, 2.0, i);
+  std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 10u);
+  for (size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].index, k);
+    EXPECT_EQ(events[k].kind, Ev::kAgree);
+    EXPECT_EQ(events[k].a, static_cast<int64_t>(k));
+  }
+  // Wrap past capacity again.
+  for (int i = 10; i < 300; ++i) ring.Record(Ev::kAgree, 2.0, i);
+  events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 96u);
+  for (size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].index, 204 + k);
+    EXPECT_EQ(events[k].a, static_cast<int64_t>(204 + k));
+  }
+
+  ring.Reset();
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 2000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const Event& e : ring.Snapshot()) {
+        if (e.kind != Ev::kCollPost ||
+            e.c != static_cast<double>(e.a) * 1e6 + static_cast<double>(e.b)) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        ring.Record(Ev::kCollPost, static_cast<double>(i), w, i,
+                    static_cast<double>(w) * 1e6 + i);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(ring.recorded(), static_cast<uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(ring.Snapshot().size(), 96u);
+}
+
 TEST(Flight, EnabledToggles) {
   ASSERT_TRUE(Enabled());  // default-on (RCC_FLIGHT unset in tests)
   SetEnabled(false);
@@ -125,6 +211,46 @@ TEST(Flight, ForRankReturnsStablePointer) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a->pid(), 1234);
   EXPECT_NE(ForRank(1235), a);
+}
+
+// ForRank's lock-free lookup: pids created concurrently (neighbours in
+// one index block, pids in different blocks, and pids past the indexed
+// range) each get their own ring, every later lookup returns it, and
+// events recorded through the lookups stay on their own pid's ring.
+TEST(Flight, ForRankKeepsPidsDistinctUnderConcurrency) {
+  const std::vector<int> pids = {2000, 2001, 2002, 3071, 3072,
+                                 9000, 70000, 70001, 1 << 20};
+  std::vector<std::thread> threads;
+  std::vector<Ring*> first(pids.size(), nullptr);
+  for (size_t k = 0; k < pids.size(); ++k) {
+    ForRank(pids[k])->Reset();
+  }
+  for (size_t k = 0; k < pids.size(); ++k) {
+    threads.emplace_back([&, k] {
+      first[k] = ForRank(pids[k]);
+      for (int i = 0; i < 200; ++i) {
+        ForRank(pids[k])->Record(Ev::kCollSvc, 0.0, pids[k], i);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t k = 0; k < pids.size(); ++k) {
+    Ring* ring = ForRank(pids[k]);
+    EXPECT_EQ(ring, first[k]);
+    EXPECT_EQ(ring->pid(), pids[k]);
+    for (size_t j = 0; j < k; ++j) EXPECT_NE(ring, ForRank(pids[j]));
+    const std::vector<Event> events = ring->Snapshot();
+    ASSERT_EQ(events.size(), 200u) << "pid " << pids[k];
+    for (const Event& e : events) EXPECT_EQ(e.a, pids[k]);
+  }
+  // A dense pid range across several index blocks: every lookup finds
+  // its own pid's ring, the same one each time.
+  std::vector<Ring*> dense;
+  for (int pid = 5000; pid < 6200; ++pid) dense.push_back(ForRank(pid));
+  for (int pid = 5000; pid < 6200; ++pid) {
+    ASSERT_EQ(ForRank(pid), dense[pid - 5000]);
+    ASSERT_EQ(ForRank(pid)->pid(), pid);
+  }
 }
 
 // Dump -> parse round-trip through the postmortem reader: every field

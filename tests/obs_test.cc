@@ -62,7 +62,9 @@ TEST(Metrics, HistogramBucketsAndStats) {
   for (double v : {1e-9, 3e-7, 0.5, 2.0, 900.0}) {
     const int idx = Histogram::BucketIndex(v);
     EXPECT_LE(v, Histogram::BucketBound(idx));
-    if (idx > 0) EXPECT_GT(v, Histogram::BucketBound(idx - 1));
+    if (idx > 0) {
+      EXPECT_GT(v, Histogram::BucketBound(idx - 1));
+    }
   }
   // Quantile estimates stay within a bucket width of the true value and
   // never leave the observed range.
@@ -398,6 +400,129 @@ TEST(Metrics, ResetAllZeroesButKeepsRegistrations) {
   EXPECT_EQ(reg.HistogramSnapshot("obs_test_reset_seconds").count, 0u);
   // Pointer stability across reset.
   EXPECT_EQ(reg.GetCounter("obs_test_reset_total"), c);
+}
+
+// A cached handle resolves to exactly the instrument a fresh lookup
+// returns, registers nothing until first use, and copies share it.
+TEST(Handle, ResolvesToTheLookedUpInstrument) {
+  auto& reg = Registry::Global();
+  CounterHandle c("obs_test_handle_total", {{"b", "2"}, {"a", "1"}});
+  EXPECT_EQ(reg.PrometheusText().find("obs_test_handle_total"),
+            std::string::npos);  // lazy: not registered before first use
+  c->Add(2.0);
+  EXPECT_EQ(c.Get(),
+            reg.GetCounter("obs_test_handle_total", {{"a", "1"}, {"b", "2"}}));
+  EXPECT_DOUBLE_EQ(
+      reg.CounterValue("obs_test_handle_total", {{"a", "1"}, {"b", "2"}}),
+      2.0);
+  const CounterHandle copy = c;
+  EXPECT_EQ(copy.Get(), c.Get());
+
+  GaugeHandle g("obs_test_handle_gauge");
+  g->Set(7.0);
+  EXPECT_EQ(g.Get(), reg.GetGauge("obs_test_handle_gauge"));
+  HistogramHandle h("obs_test_handle_seconds", {{"phase", "x"}});
+  h->Observe(0.5);
+  EXPECT_EQ(h.Get(),
+            reg.GetHistogram("obs_test_handle_seconds", {{"phase", "x"}}));
+
+  // Racing first resolutions agree on the pointer.
+  CounterHandle shared("obs_test_handle_race_total", {{"k", "v"}});
+  std::vector<Counter*> seen(8, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = shared.Get();
+      seen[t]->Increment();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (Counter* p : seen) EXPECT_EQ(p, seen[0]);
+  EXPECT_DOUBLE_EQ(
+      reg.CounterValue("obs_test_handle_race_total", {{"k", "v"}}), 8.0);
+}
+
+TEST(Handle, StaysValidAcrossResetAll) {
+  auto& reg = Registry::Global();
+  CounterHandle c("obs_test_handle_reset_total");
+  HistogramHandle h("obs_test_handle_reset_seconds");
+  Counter* before = c.Get();
+  c->Add(5.0);
+  h->Observe(1.0);
+  reg.ResetAll();
+  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_handle_reset_total"), 0.0);
+  EXPECT_EQ(reg.HistogramSnapshot("obs_test_handle_reset_seconds").count,
+            0u);
+  c->Increment();
+  h->Observe(2.0);
+  EXPECT_EQ(c.Get(), before);
+  EXPECT_EQ(reg.GetCounter("obs_test_handle_reset_total"), before);
+  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_handle_reset_total"), 1.0);
+  EXPECT_EQ(reg.HistogramSnapshot("obs_test_handle_reset_seconds").count,
+            1u);
+}
+
+// The same recording sequence through cached handles and through
+// per-event Get* lookups yields byte-identical Prometheus and CSV
+// exposition, including the series a handle never touched (absent in
+// both) and an algo name met at two addresses.
+TEST(Handle, ExpositionMatchesPerEventLookups) {
+  Registry via_handles;
+  Registry via_lookups;
+  struct Algo {
+    Algo(const char* algo, Registry* reg)
+        : ops("t_ops_total", {{"algo", algo}, {"stack", "t"}}, reg),
+          failed("t_ops_failed_total", {{"algo", algo}}, reg),
+          latency("t_latency_seconds", {{"algo", algo}, {"stack", "t"}}, reg) {}
+    CounterHandle ops, failed;
+    HistogramHandle latency;
+  };
+  ByAlgo<Algo> table;
+  GaugeHandle inflight("t_inflight", {}, &via_handles);
+  const char ring_copy[] = "ring";  // same name, another address
+  const std::vector<std::pair<const char*, double>> ops = {
+      {"ring", 1e-3}, {"tree", 2e-4}, {ring_copy, 5e-3}, {"ring", 0.25}};
+  for (const auto& [algo, latency] : ops) {
+    Algo& m = *table.For(algo, &via_handles);
+    m.ops->Increment();
+    m.latency->Observe(latency);
+    inflight->Add(1.0);
+    Registry& r = via_lookups;
+    r.GetCounter("t_ops_total", {{"algo", algo}, {"stack", "t"}})->Increment();
+    r.GetHistogram("t_latency_seconds", {{"stack", "t"}, {"algo", algo}})
+        ->Observe(latency);
+    r.GetGauge("t_inflight")->Add(1.0);
+  }
+  EXPECT_EQ(via_handles.PrometheusText(), via_lookups.PrometheusText());
+  EXPECT_EQ(via_handles.CsvText(), via_lookups.CsvText());
+  EXPECT_EQ(via_handles.PrometheusText().find("t_ops_failed_total"),
+            std::string::npos);
+}
+
+// A span over a cached SpanPhase records exactly what the per-span
+// lookup form records.
+TEST(Span, CachedPhaseMatchesLookupForm) {
+  trace::Recorder rec;
+  sim::Cluster cluster;
+  const SpanPhase phase("obs_test/cached_phase", "obs_test_cached_span_seconds");
+  cluster.Spawn(1, [&](sim::Endpoint& ep) {
+    {
+      Span span(&rec, ep, phase);
+      ep.Busy(0.25);
+    }
+    Span span(&rec, ep, "obs_test/cached_phase", "obs_test_cached_span_seconds");
+    ep.Busy(0.5);
+  });
+  cluster.Join();
+  ASSERT_EQ(rec.EventsForPhase("obs_test/cached_phase").size(), 2u);
+  const auto s = Registry::Global().HistogramSnapshot(
+      "obs_test_cached_span_seconds", {{"phase", "obs_test/cached_phase"}});
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_NEAR(s.sum, 0.75, 1e-9);
+  EXPECT_EQ(phase.hist.Get(),
+            Registry::Global().GetHistogram(
+                "obs_test_cached_span_seconds",
+                {{"phase", "obs_test/cached_phase"}}));
 }
 
 }  // namespace

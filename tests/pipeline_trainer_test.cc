@@ -149,7 +149,9 @@ TEST(PipelineTrainer, CleanRunCommitsEveryStepExactlyOnce) {
       }
     }
     EXPECT_EQ(got.size(), expect) << "pid " << pid;
-    if (pid == 4) EXPECT_TRUE(r.execs.empty());  // the spare idles
+    if (pid == 4) {
+      EXPECT_TRUE(r.execs.empty());  // the spare idles
+    }
   }
 }
 

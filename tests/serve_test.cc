@@ -38,7 +38,9 @@ TEST(Generator, DeterministicSortedAndBounded) {
     EXPECT_EQ(a[i].arrival, b[i].arrival);
     EXPECT_EQ(a[i].prompt_tokens, b[i].prompt_tokens);
     EXPECT_EQ(a[i].decode_tokens, b[i].decode_tokens);
-    if (i > 0) EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    }
     EXPECT_GE(a[i].prompt_tokens, cfg.min_prompt);
     EXPECT_LE(a[i].prompt_tokens, cfg.max_prompt);
     EXPECT_GE(a[i].decode_tokens, cfg.min_decode);
