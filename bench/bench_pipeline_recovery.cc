@@ -56,9 +56,6 @@ struct ArmOutcome {
 
 rcc::sim::SimConfig BenchConfig() {
   rcc::sim::SimConfig cfg;
-  // Fibers engine: byte-identical replays make the arm comparison
-  // exact (same reasoning as bench_policy_adaptive).
-  cfg.engine = rcc::sim::EngineKind::kFibers;
   // Communicator bootstrap at large-job scale (NCCL init is O(seconds)
   // beyond a few hundred ranks); the 12-rank world stands in for it.
   cfg.costs.nccl_init_base = 0.5;

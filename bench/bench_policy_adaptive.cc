@@ -37,11 +37,6 @@ rcc::chaos::Schedule MakeSchedule(uint64_t seed, const Regime& regime,
                                   const std::string& mode) {
   rcc::chaos::Schedule s;
   s.seed = seed;
-  // Fibers replay (format 2): the threads backend's watch-drain grace is
-  // real milliseconds, so its virtual outcomes can wobble by a fraction
-  // of a millisecond around failures; the event-queue backend replays
-  // byte-identically, which keeps mode comparisons exact.
-  s.format = 2;
   s.shape.world = 6;
   s.shape.epochs = 8;
   s.shape.steps_per_epoch = 6;

@@ -1,13 +1,10 @@
 // Engine scaling: Scenario III (upscale) from 12 ranks to N for N up to
-// 4096, run under both rank-execution backends. For each configuration
-// the bench reports wall-clock, peak RSS, and both amortised per
-// simulated rank. The threads backend is measured only at the modest
-// sizes where thousands of OS threads are not required; the fibers
-// backend covers the full ladder — the point of the engine layer is
-// that 4096 cooperative ranks fit in one process on one core.
+// 4096. For each size the bench reports wall-clock, peak RSS, and both
+// amortised per simulated rank — the point of the fiber engine is that
+// 4096 cooperative ranks fit in one process on one core.
 //
-// Each configuration runs in a forked child (re-exec of this binary
-// with `--one <engine> <ranks>`) so peak RSS is per-run rather than the
+// Each size runs in a forked child (re-exec of this binary with
+// `--one <ranks>`) so peak RSS is per-run rather than the
 // monotone process-wide high-water mark, and the parent reads it from
 // wait4()'s rusage. The child prints a single RESULT line on stdout.
 #include <sys/resource.h>
@@ -18,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "core/ulfm_elastic.h"
@@ -50,10 +46,10 @@ struct OneResult {
   long maxrss_kb = 0;
 };
 
-// Child mode: one engine x size configuration. Scenario III shape: 12
-// workers train epoch 0, `ranks - 12` cold joiners are admitted at the
-// epoch-1 boundary, epoch 1 runs at the full size.
-int RunOne(sim::EngineKind engine, int ranks) {
+// Child mode: one size. Scenario III shape: 12 workers train epoch 0,
+// `ranks - 12` cold joiners are admitted at the epoch-1 boundary, epoch
+// 1 runs at the full size.
+int RunOne(int ranks) {
   horovod::SyntheticPlan plan;
   plan.spec = ScaleProbeSpec();
   plan.initial_world = 12;
@@ -66,14 +62,11 @@ int RunOne(sim::EngineKind engine, int ranks) {
                           /*cold=*/true});
   }
 
-  sim::SimConfig cfg;
-  cfg.engine = engine;
-
   trace::Recorder rec;
   horovod::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   {
-    sim::Cluster cluster(cfg);
+    sim::Cluster cluster;
     stats = core::RunUlfmElastic(cluster, plan, &rec);
   }
   const double wall =
@@ -89,7 +82,7 @@ int RunOne(sim::EngineKind engine, int ranks) {
 
 // Parent mode: fork + re-exec `--one`, parse the child's RESULT line,
 // take peak RSS from wait4's rusage.
-OneResult Dispatch(const char* self, sim::EngineKind engine, int ranks) {
+OneResult Dispatch(const char* self, int ranks) {
   OneResult r;
   int fds[2];
   if (pipe(fds) != 0) return r;
@@ -104,10 +97,8 @@ OneResult Dispatch(const char* self, sim::EngineKind engine, int ranks) {
     dup2(fds[1], STDOUT_FILENO);
     close(fds[0]);
     close(fds[1]);
-    const char* engine_name =
-        engine == sim::EngineKind::kFibers ? "fibers" : "threads";
     const std::string ranks_str = std::to_string(ranks);
-    execl(self, self, "--one", engine_name, ranks_str.c_str(),
+    execl(self, self, "--one", ranks_str.c_str(),
           static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -146,51 +137,26 @@ OneResult Dispatch(const char* self, sim::EngineKind engine, int ranks) {
 int main(int argc, char** argv) {
   using namespace rcc;
 
-  if (argc == 4 && std::strcmp(argv[1], "--one") == 0) {
-    const sim::EngineKind engine = std::strcmp(argv[2], "fibers") == 0
-                                       ? sim::EngineKind::kFibers
-                                       : sim::EngineKind::kThreads;
-    return RunOne(engine, std::atoi(argv[3]));
+  if (argc == 3 && std::strcmp(argv[1], "--one") == 0) {
+    return RunOne(std::atoi(argv[2]));
   }
 
-  struct Config {
-    sim::EngineKind engine;
-    int ranks;
-  };
-  std::vector<Config> configs;
-  // Overlap window: both backends at sizes where an OS thread per rank
-  // is still reasonable.
-  for (int n : {12, 48, 192}) {
-    configs.push_back({sim::EngineKind::kThreads, n});
-  }
-  // Fibers carry on alone to the target scale.
-  for (int n : {12, 48, 192, 1024, 4096}) {
-    configs.push_back({sim::EngineKind::kFibers, n});
-  }
-
-  Table table({"engine", "ranks", "wall (s)", "peak RSS (MB)",
-               "wall/rank (ms)", "RSS/rank (KB)", "virtual completion (s)",
-               "final world"});
-  bool fibers_4096_ok = false;
-  for (const Config& c : configs) {
-    const char* engine_name =
-        c.engine == sim::EngineKind::kFibers ? "fibers" : "threads";
-    std::printf("running %s x %d ...\n", engine_name, c.ranks);
+  Table table({"ranks", "wall (s)", "peak RSS (MB)", "wall/rank (ms)",
+               "RSS/rank (KB)", "virtual completion (s)", "final world"});
+  bool ok_4096 = false;
+  for (int ranks : {12, 48, 192, 1024, 4096}) {
+    std::printf("running %d ranks ...\n", ranks);
     std::fflush(stdout);
-    const OneResult r = Dispatch(argv[0], c.engine, c.ranks);
+    const OneResult r = Dispatch(argv[0], ranks);
     if (!r.ok) {
-      std::fprintf(stderr, "config %s x %d failed\n", engine_name, c.ranks);
+      std::fprintf(stderr, "%d ranks failed\n", ranks);
       continue;
     }
-    if (c.engine == sim::EngineKind::kFibers && c.ranks == 4096 &&
-        r.final_world == 4096) {
-      fibers_4096_ok = true;
-    }
-    table.AddRow({engine_name, std::to_string(c.ranks),
-                  FormatDouble(r.wall_s, 3),
+    if (ranks == 4096 && r.final_world == 4096) ok_4096 = true;
+    table.AddRow({std::to_string(ranks), FormatDouble(r.wall_s, 3),
                   FormatDouble(r.maxrss_kb / 1024.0, 1),
-                  FormatDouble(r.wall_s * 1000.0 / c.ranks, 3),
-                  FormatDouble(static_cast<double>(r.maxrss_kb) / c.ranks, 1),
+                  FormatDouble(r.wall_s * 1000.0 / ranks, 3),
+                  FormatDouble(static_cast<double>(r.maxrss_kb) / ranks, 1),
                   FormatDouble(r.completion_virtual_s, 3),
                   std::to_string(r.final_world)});
   }
@@ -199,5 +165,5 @@ int main(int argc, char** argv) {
                    "Engine scaling, Scenario III upscale 12 -> N "
                    "(ScaleProbe model, 2 epochs x 2 steps)",
                    "scale_ranks.csv");
-  return fibers_4096_ok ? 0 : 1;
+  return ok_4096 ? 0 : 1;
 }

@@ -9,7 +9,6 @@
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/sampling.h"
-#include "sim/engine.h"
 
 namespace rcc::chaos {
 
@@ -84,10 +83,6 @@ GenConfig GenConfig::FromEnv() {
   if (const char* m = std::getenv("RCC_POLICY"); m != nullptr && *m != '\0') {
     cfg.policy_mode = m;
   }
-  cfg.format =
-      sim::ResolveEngineKind(sim::EngineKind::kAuto) == sim::EngineKind::kFibers
-          ? 2
-          : 1;
   return cfg;
 }
 
@@ -95,7 +90,6 @@ Schedule GenerateSchedule(uint64_t seed, const GenConfig& cfg) {
   Rng rng(seed, /*stream=*/0xC4A05);
   Schedule s;
   s.seed = seed;
-  s.format = cfg.format;
   Shape& sh = s.shape;
 
   const int world_span = std::max(1, cfg.max_world - cfg.min_world + 1);

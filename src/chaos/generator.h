@@ -51,16 +51,11 @@ struct GenConfig {
   // pre-pipeline seeds keep generating byte-identical schedules — the
   // pipeline draws happen strictly after every other draw.
   bool allow_pp = false;
-  // Seed format stamped on generated schedules (1 = threads replay,
-  // 2 = fibers replay; see chaos/schedule.h). Does not consume RNG
-  // draws, so format-1 generation stays byte-identical to older builds.
-  int format = 1;
 
   // Reads the RCC_CHAOS_* knobs (MIN_WORLD, MAX_WORLD, MAX_TIMED,
   // MAX_PHASED, RATE, NODE_SCOPE, ASYNC, SERVE, POLICY — the last also
   // honoring RCC_POLICY for the mode — and PP) over the defaults
-  // above, and stamps `format` 2 when RCC_SIM_ENGINE resolves to
-  // fibers.
+  // above.
   static GenConfig FromEnv();
 };
 

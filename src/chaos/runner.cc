@@ -65,11 +65,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
   const Shape& sh = schedule.shape;
   sim::SimConfig cfg;
   cfg.gpus_per_node = sh.gpus_per_node;
-  // The replay engine is pinned by the seed format, NOT by RCC_SIM_ENGINE:
-  // a format-1 reproducer replays byte-identically on the threads backend
-  // forever, and a format-2 one on the fibers event queue.
-  cfg.engine = schedule.format >= 2 ? sim::EngineKind::kFibers
-                                    : sim::EngineKind::kThreads;
   // Serving replicas warm-start: the weights arrive via the admission
   // protocol's background staging, not a full framework cold boot, so a
   // standby can realistically splice inside a serving campaign horizon.
@@ -123,9 +118,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       });
 
   // Timed kills go through the pending-failure list *before* any spawn:
-  // founders are armed at registration (before their threads start) and
-  // late-spawned joiners are armed the moment they register — no
-  // real-time race between arming and victim progress.
+  // founders are armed at registration (before their tasks start) and
+  // late-spawned joiners are armed the moment they register — no race
+  // between arming and victim progress.
   for (const TimedKill& k : schedule.timed) {
     cluster.AddPendingFailure(sim::FailureEvent{k.scope, k.target, k.at});
   }
@@ -146,8 +141,8 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     rec.SetPhaseStartHook(nullptr);
     CampaignOutcome out;
     out.results = std::move(results);
-    // Thread completion order is real-time; pid order is the
-    // deterministic stream the oracles and determinism tests consume.
+    // Results land in task completion order; pid order is the stream
+    // the oracles and determinism tests consume.
     std::sort(out.results.begin(), out.results.end(),
               [](const WorkerResult& a, const WorkerResult& b) {
                 return a.pid < b.pid;
@@ -280,8 +275,8 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
             // picking its admission protocol.
             // Blocking kv wait, NOT a poll: the joiner's virtual clock
             // merges with the members' publication time, so the
-            // rendezvous stays deterministic under the threads engine
-            // (a poll loop would race its own clock ahead in real time).
+            // rendezvous is a pure function of virtual time (a poll
+            // loop would race its own clock ahead of the publication).
             auto path = store.Wait(&ep, "policy/join/" + std::to_string(epoch));
             if (path.ok()) {
               async_path = std::string(path.value().begin(),

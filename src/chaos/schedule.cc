@@ -162,7 +162,7 @@ bool Schedule::FromJson(const std::string& text, Schedule* out,
   bool ok = true;
   Schedule s;
   s.seed = static_cast<uint64_t>(GetNum(root, "seed", &ok));
-  // Optional: absent in reproducers recorded before engine versioning.
+  // Optional: absent in reproducers recorded before format versioning.
   const obs::json::Value* format = root.Find("format");
   if (format != nullptr) {
     if (format->is_number()) {

@@ -12,22 +12,17 @@
 //    fuzzer lands failures inside the recovery machinery itself:
 //    mid-revoke, mid-agree, mid-shrink, mid-replay, mid-join. Phase
 //    kills are process-scope only — killing node peers from another
-//    task's hook would reintroduce real-time races. Under the kNode
+//    task's hook would reintroduce scheduling races. Under the kNode
 //    drop policy the victim's node peers still leave with it.
 //
 // Schedules serialize to JSON (doubles at %.17g, so FromJson(ToJson(s))
 // round-trips exactly) for reproducer artifacts and --replay.
 //
-// Seed-format versioning: `format` names the engine backend the
-// schedule's deterministic replay is pinned to. Format 1 (the original)
-// replays on the `threads` backend and serializes byte-identically to
-// pre-versioned reproducers (no "format" field emitted). Format 2
-// replays on the `fibers` discrete-event backend, whose event ordering
-// (virtual time, pid, spawn sequence) differs from the threads
-// backend's real-time interleavings, so the two formats' outcome
-// streams are each self-deterministic but not comparable across
-// formats. RunSchedule selects the engine from the format, never from
-// the environment, so a reproducer replays identically anywhere.
+// Seed format: `format` is a version stamp, validated on load. Format 1
+// (the original, no "format" field emitted) and format 2 (stamped by
+// builds that also had an OS-thread engine) both replay on the one
+// discrete-event engine, so a reproducer replays identically anywhere
+// whatever its stamp. Any other value is rejected.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +107,8 @@ struct PhaseKill {
 
 struct Schedule {
   uint64_t seed = 0;  // provenance only; the events below are the truth
-  // Engine the replay is pinned to: 1 = threads, 2 = fibers (see the
-  // header comment). Absent in pre-versioned JSON; defaults to 1.
+  // Version stamp, 1 or 2 (see the header comment). Absent in
+  // pre-versioned JSON; defaults to 1.
   int format = 1;
   Shape shape;
   std::vector<TimedKill> timed;

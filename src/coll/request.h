@@ -1,8 +1,7 @@
 // Nonblocking collective requests.
 //
 // A Request is a shared handle onto one in-flight collective op. Each op
-// body runs as an engine task (an OS thread under the `threads` backend,
-// a fiber on the discrete-event queue under `fibers`; see sim/engine.h)
+// body runs as a fiber on the discrete-event engine (see sim/engine.h)
 // over the timestamped fabric with a *private* virtual clock: the
 // fabric's Recv already takes the clock by pointer, which keeps the
 // virtual-time cost model exact while the submitting rank's own clock
@@ -12,9 +11,9 @@
 // max(submit time, predecessor completion)): the modeled engine executes
 // collectives in order, like a NCCL stream, so the in-flight window size
 // controls how far compute can run ahead of communication rather than
-// how many ops transfer concurrently. Under fibers the chain is driven
-// by virtual completion time — a successor parks until its predecessor's
-// completion is known, with no background threads involved.
+// how many ops transfer concurrently. The chain is driven by virtual
+// completion time — a successor parks until its predecessor's completion
+// is known, with no background threads involved.
 #pragma once
 
 #include <atomic>
@@ -104,9 +103,9 @@ class Request {
            state_->done_flag.load(std::memory_order_acquire);
   }
 
-  // Blocks (in real time) until the op completes; idempotent; returns
-  // the op status. Virtual-clock merging is the communicator's job
-  // (mpi::Comm::Wait / nccl::Comm::Wait).
+  // Blocks (in zero virtual time) until the op completes; idempotent;
+  // returns the op status. Virtual-clock merging is the communicator's
+  // job (mpi::Comm::Wait / nccl::Comm::Wait).
   Status Join();
 
  private:

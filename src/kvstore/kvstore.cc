@@ -104,10 +104,10 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
     if (ep != nullptr && !ep->alive()) {
       return Status(Code::kAborted, "kv wait: caller died");
     }
-    // Threads backend: real-time poll so a killed waiter unblocks (the
+    // Timed park so a killed waiter unblocks: it is woken by the next
+    // write, by Fabric::Kill, or at quiescence (the 2ms ladder rung). The
     // virtual time is merged from the writer's publication stamp, not
-    // from this poll interval). Fibers backend: the park is woken by the
-    // next write, by Fabric::Kill, or at quiescence.
+    // from this rung.
     wp_.WaitFor(lock, 2e-3);
   }
 }

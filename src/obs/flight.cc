@@ -331,8 +331,8 @@ std::vector<std::string> DumpAll(const std::string& reason,
     rings.reserve(st.rings.size());
     for (auto& [pid, ring] : st.rings) rings.push_back(ring.get());
   }
-  // Serialize dumps: concurrent aborts (threads engine) must not write
-  // the same files at once.
+  // Serialize dumps: aborts on different OS threads (the main thread and
+  // a raw std::thread) must not write the same files at once.
   static std::mutex dump_mu;
   std::lock_guard<std::mutex> dump_lock(dump_mu);
   const std::string dir = DumpDir(dir_override);

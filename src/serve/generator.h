@@ -3,8 +3,8 @@
 // drawn from the shared audited samplers in common/sampling.h.
 //
 // GenerateArrivals is a *pure function* of its config — no clocks, no
-// engine state — so the stream is identical on every rank, under both
-// engine backends (threads/fibers), and on a joiner admitted mid-run.
+// engine state — so the stream is identical on every rank and on a
+// joiner admitted mid-run.
 // The serving driver replays the stream against virtual time instead of
 // generating online; open-loop means arrivals never backpressure.
 #pragma once

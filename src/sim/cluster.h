@@ -1,6 +1,6 @@
 // Cluster: task lifecycle for simulated ranks, node slot allocation,
 // dynamic worker admission and failure-plan application. Ranks run as
-// engine tasks (OS threads or fibers, per the fabric's engine).
+// fibers on the fabric's engine.
 #pragma once
 
 #include <functional>
@@ -55,8 +55,8 @@ class Cluster {
   void AddPendingFailure(const FailureEvent& ev);
 
   // Waits for every rank task spawned so far (including ones admitted
-  // while joining) to finish. Under the fibers backend this is where the
-  // calling thread pumps the event loop.
+  // while joining) to finish. This is where the calling thread pumps the
+  // event loop.
   void Join();
 
   int nodes_allocated() const;

@@ -1,38 +1,35 @@
-// Rank-execution engine: the scheduler layer between simulated ranks and
-// the OS. Every blocking point in the simulator (fabric receives, KV
-// waits, ULFM agreement states, request chaining) parks on a WaitPoint
-// instead of a raw std::condition_variable, which lets the same code run
-// on either backend:
+// Rank-execution engine: the discrete-event scheduler every simulated
+// rank runs on. Tasks are cooperative stackful contexts (ucontext) driven
+// by a run queue ordered by (virtual time, pid, sequence). No OS threads
+// are created: the external caller's thread pumps the scheduler inside
+// blocking calls (Cluster::Join, TaskHandle::Join). 10k+ ranks fit in one
+// process, and the whole simulation is single-threaded, hence
+// deterministic.
 //
-//  * kThreads — every task is a real OS thread and a WaitPoint is exactly
-//    a condition variable. This is today's behavior, bit-for-bit: chaos
-//    seeds recorded before the engine existed replay identically.
-//  * kFibers — tasks are cooperative stackful contexts (ucontext) driven
-//    by a discrete-event run queue ordered by (virtual time, pid,
-//    sequence). No OS threads are created: the external caller's thread
-//    pumps the scheduler inside blocking calls (Cluster::Join,
-//    TaskHandle::Join). 10k+ ranks fit in one process, and the whole
-//    simulation is single-threaded, hence deterministic.
-//
-// Real-time waits (WaitFor) have no meaning under fibers; they map onto
-// *quiescence*: when the run queue drains and nothing can make progress,
-// timeout-parked fibers are woken with a timeout verdict. That is the
-// fiber-mode equivalent of "the grace period passed and nobody spoke" —
-// deterministic, and it fires exactly when the drain the grace period was
-// waiting for has provably finished. Expiry respects the waits' relative
-// time scales: at each quiescence the scheduler expires only the waiters
-// parked with the smallest not-yet-expired timeout value (a 0s
+// Every blocking point in the simulator (fabric receives, KV waits, ULFM
+// agreement states, request chaining) parks on a WaitPoint instead of a
+// raw std::condition_variable. Timed waits (WaitFor) have no real-clock
+// meaning; they map onto *quiescence*: when the run queue drains and
+// nothing can make progress, timeout-parked fibers are woken with a
+// timeout verdict. That is the deterministic image of "the grace period
+// passed and nobody spoke": it fires exactly when the drain the grace
+// was waiting for has provably finished. The timeout values form a
+// *quiescence ladder*: at each quiescence the scheduler expires only the
+// waiters parked with the smallest not-yet-expired timeout value (a 0s
 // death-watch grace before a 200us protocol poll before a 2ms kv poll),
-// and any progress restarts that ladder from the bottom. A drained queue
-// with the ladder exhausted is a stall — the deterministic image of a
-// deadlock that would hang the threads backend.
+// and any progress restarts the ladder from the bottom. A drained queue
+// with the ladder exhausted is a stall: a proven deadlock.
 #pragma once
+
+#include <ucontext.h>
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "sim/params.h"
@@ -40,21 +37,13 @@
 namespace rcc::sim {
 
 class Engine;
-class FiberEngine;
 struct FiberTask;
 
-// Resolves kAuto against the RCC_SIM_ENGINE environment variable
-// ("threads" | "fibers"; default threads). Explicit kinds pass through.
-EngineKind ResolveEngineKind(EngineKind requested);
-
-std::unique_ptr<Engine> MakeEngine(EngineKind kind);
-
-// Process-wide handler invoked when the fibers scheduler proves a stall
-// (run queue drained, quiescence ladder exhausted, tasks still parked)
-// right before the fatal check aborts. CLI smokes install one to exit
-// with a distinct status code instead of a generic abort; pass nullptr
-// to clear. Threads-backend deadlocks simply hang and cannot be proven
-// here — callers pair the handler with a real-time watchdog.
+// Process-wide handler invoked when the scheduler proves a stall (run
+// queue drained, quiescence ladder exhausted, tasks still parked) right
+// before the fatal check aborts. CLI smokes install one to exit with a
+// distinct status code instead of a generic abort; pass nullptr to
+// clear.
 void SetStallHandler(std::function<void(const std::string& report)> handler);
 
 // Secondary stall hook invoked just before the stall handler (and before
@@ -65,17 +54,12 @@ void SetStallHandler(std::function<void(const std::string& report)> handler);
 // whatever the handler then does. Pass nullptr to clear.
 void SetStallObserver(std::function<void(const std::string& report)> observer);
 
-// True when the calling context is a fiber task (cooperative backend).
-// Blocking code uses this to pick quiescence semantics over real-clock
-// deadlines.
-bool OnFiberTask();
-
 // Cooperative yield for busy-wait loops (spinning on a flag another rank
-// sets). Under threads this is std::this_thread::yield(); under fibers
-// the calling fiber re-queues itself *behind* every runnable peer at the
-// same virtual time (deterministically: yields sort after normal entries,
-// then by yield sequence) so the peer being spun on can actually run.
-// Code that can park on a WaitPoint should do that instead.
+// sets). The calling fiber re-queues itself *behind* every runnable peer
+// at the same virtual time (deterministically: yields sort after normal
+// entries, then by yield sequence) so the peer being spun on can
+// actually run. Off a fiber it is std::this_thread::yield(). Code that
+// can park on a WaitPoint should do that instead.
 void YieldTask();
 
 struct TaskOptions {
@@ -89,41 +73,21 @@ struct TaskOptions {
 };
 
 // A joinable handle onto one engine task. Copyable (shared); Join is
-// idempotent. Under fibers, Join pumps the scheduler when called from the
-// external thread and parks when called from another fiber.
+// idempotent. Join pumps the scheduler when called from an external
+// thread and parks when called from another fiber.
 class TaskHandle {
  public:
   TaskHandle() = default;
 
-  bool joinable() const { return impl_ != nullptr; }
+  bool joinable() const { return task_ != nullptr; }
   void Join();
 
  private:
-  friend class ThreadsEngine;
-  friend class FiberEngine;
-  struct Impl {
-    virtual ~Impl() = default;
-    virtual void Join() = 0;
-  };
-  explicit TaskHandle(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
-  std::shared_ptr<Impl> impl_;
-};
-
-class Engine {
- public:
-  virtual ~Engine() = default;
-  virtual EngineKind kind() const = 0;
-
-  // Starts a task. Under threads this is std::thread; under fibers the
-  // task is queued at *opts.clock and runs when the scheduler reaches it.
-  virtual TaskHandle Spawn(TaskOptions opts, std::function<void()> fn) = 0;
-
-  // Wakes every fiber parked with a timeout (WaitFor) so it re-checks its
-  // predicate, exactly as a quiescence round would. Used by Fabric::Kill:
-  // a death must interrupt real-time-style poll loops (KV waiters on a
-  // key that will now never be written) even while other fibers still
-  // have work. No-op under threads (real timeouts fire on their own).
-  virtual void WakeAllTimeoutParked() = 0;
+  friend class Engine;
+  TaskHandle(Engine* engine, std::shared_ptr<FiberTask> task)
+      : engine_(engine), task_(std::move(task)) {}
+  Engine* engine_ = nullptr;
+  std::shared_ptr<FiberTask> task_;
 };
 
 // A parkable wait primitive replacing raw condition_variable waits.
@@ -134,15 +98,13 @@ class Engine {
 //   while (!pred()) wp.Wait(lock);
 //
 // Semantics by calling context:
-//  * pure threads (no live fiber engine in the process): Wait is exactly
-//    cv.wait(lock), WaitFor exactly cv.wait_for(lock, dur) — preserving
-//    the legacy backend bit-for-bit;
 //  * a fiber task: the fiber parks on its engine, releasing the external
 //    lock across the park; NotifyAll unparks it back onto the run queue
 //    at its virtual clock;
-//  * an external OS thread while a fiber engine is live: the thread pumps
-//    the scheduler between predicate checks (fibers can only run on a
-//    thread that lends them time).
+//  * any other thread (the main thread, or a raw std::thread in a unit
+//    test): the thread pumps every live engine (fibers can only run on a
+//    thread that lends them time), then, if nothing progressed, waits on
+//    a condition variable for at most a millisecond.
 //
 // Spurious wakeups are allowed in every mode; callers must re-check their
 // predicate (they all already do — that is the cv contract).
@@ -155,13 +117,15 @@ class WaitPoint {
 
   void Wait(std::unique_lock<std::mutex>& lock);
 
-  // Returns false when the wait "timed out": a real-clock expiry under
-  // threads, a quiescence wake under fibers (see file comment). Returns
-  // true when notified (or on a spurious wake).
-  bool WaitFor(std::unique_lock<std::mutex>& lock, double real_seconds);
+  // Returns false when the wait "timed out": on a fiber, a quiescence
+  // wake at the ladder rung `timeout_seconds` (see file comment); off a
+  // fiber, a bounded wait in which nothing progressed and nobody
+  // notified. Returns true when notified (or on a spurious wake).
+  bool WaitFor(std::unique_lock<std::mutex>& lock, double timeout_seconds);
 
-  // Wakes every waiter (threads and fibers). Does not require any lock
-  // to be held, but callers conventionally hold their predicate lock.
+  // Wakes every waiter (fibers and external threads). Does not require
+  // any lock to be held, but callers conventionally hold their predicate
+  // lock.
   void NotifyAll();
 
  private:
@@ -170,9 +134,89 @@ class WaitPoint {
     uint64_t park_epoch;
   };
 
-  std::condition_variable cv_;       // thread-backed waiters
+  // Parks the calling fiber; see WaitFor for the return value.
+  bool Park(std::unique_lock<std::mutex>& lock, bool timeout_park,
+            double timeout_seconds);
+  // The one non-fiber path: pump, then a bounded cv wait.
+  bool PumpOrWait(std::unique_lock<std::mutex>& lock);
+
+  std::condition_variable cv_;       // external-thread waiters
   std::mutex waiters_mu_;            // guards fiber_waiters_
   std::vector<FiberWaiter> fiber_waiters_;
+};
+
+// The fiber scheduler. A Fabric owns one; every task of that simulation
+// runs on it.
+class Engine {
+ public:
+  Engine();
+  ~Engine();
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  // Starts a task: it is queued at *opts.clock and runs when the
+  // scheduler reaches it.
+  TaskHandle Spawn(TaskOptions opts, std::function<void()> fn);
+
+  // Wakes every fiber parked with a timeout (WaitFor) so it re-checks its
+  // predicate. Used by Fabric::Kill: a death must interrupt poll loops
+  // (KV waiters on a key that will now never be written) even while
+  // other fibers still have work.
+  void WakeAllTimeoutParked();
+
+ private:
+  friend class TaskHandle;
+  friend class WaitPoint;
+  friend void YieldTask();
+
+  struct RunEntry {
+    Seconds t;
+    int pid;
+    uint64_t seq;
+    FiberTask* task;
+    bool operator>(const RunEntry& o) const {
+      if (t != o.t) return t > o.t;
+      if (pid != o.pid) return pid > o.pid;
+      return seq > o.seq;
+    }
+  };
+
+  bool ParkCurrent(bool timeout_park, double timeout_seconds);
+  void YieldCurrent();
+  void Unpark(FiberTask* t, uint64_t park_epoch);
+  uint64_t CurrentParkEpoch(FiberTask* t);
+  bool TaskDone(FiberTask* t);
+  void JoinTask(FiberTask* t);
+  bool TryPump();
+
+  void AllocStack(FiberTask* t);
+  void PushLocked(FiberTask* t);
+  void PushYieldedLocked(FiberTask* t);
+  void ProgressLocked();
+  static void FiberMain(unsigned hi, unsigned lo);
+  void SwitchToScheduler(FiberTask* t);
+  void RunTask(FiberTask* t);
+  void RunScheduler(const std::function<bool()>& stop);
+  std::string StallReport(const char* where);
+
+  std::mutex mu_;  // engine state (tasks, queue, pool)
+  std::vector<std::shared_ptr<FiberTask>> tasks_;
+  std::priority_queue<RunEntry, std::vector<RunEntry>, std::greater<RunEntry>>
+      queue_;
+  uint64_t next_seq_ = 0;
+  uint64_t next_task_id_ = 0;
+  uint64_t progress_counter_ = 0;
+  bool quiesce_armed_ = false;
+  double quiesce_level_ = -1.0;  // largest timeout rung expired this round
+  std::vector<void*> stack_pool_;
+  std::vector<void*> all_stacks_;
+
+  std::mutex pump_mu_;  // one scheduler pumper at a time
+  ucontext_t sched_ctx_{};
+  void* sched_tsan_fiber_ = nullptr;  // used only under ThreadSanitizer
+
+  std::mutex join_mu_;  // predicate lock for fiber-context JoinTask
+  WaitPoint done_wp_;   // notified on every task completion
 };
 
 }  // namespace rcc::sim

@@ -1,5 +1,4 @@
 #include "sim/fabric.h"
-#include <chrono>
 
 #include <algorithm>
 
@@ -43,7 +42,7 @@ void Fabric::Kill(int pid) {
   // death watch) must re-evaluate. Fibers parked in timeout waits (KV
   // poll loops) are woken too — their predicate may now never hold.
   for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
-  engine_->WakeAllTimeoutParked();
+  engine_.WakeAllTimeoutParked();
 }
 
 void Fabric::KillNode(int node) {
@@ -59,7 +58,7 @@ void Fabric::KillNode(int node) {
   }
   if (any) {
     for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
-    engine_->WakeAllTimeoutParked();
+    engine_.WakeAllTimeoutParked();
   }
 }
 
@@ -140,9 +139,7 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
     return Status(Code::kNotFound, "recv from unregistered pid");
   }
   Mailbox& mbox = *procs_[self].mbox;
-  bool watch_armed = false;
   bool watch_expired = false;
-  std::chrono::steady_clock::time_point watch_deadline{};  // threads backend
   for (;;) {
     if (!procs_[self].alive) return Status(Code::kAborted, "receiver is dead");
     // Delivered data is consumed even when the context is about to be
@@ -169,33 +166,15 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
       }
       if (!dead.empty()) {
         // Grace period: let drainable in-flight chains complete so every
-        // survivor fails in the same logical op (see
-        // NetParams::watch_drain_grace_real_ms). Under threads this is a
-        // real-time deadline; under fibers the grace runs to quiescence
-        // (WaitFor reports timeout exactly when nothing else can run, so
-        // everything drainable has provably drained).
-        if (!watch_armed) {
-          watch_armed = true;
-          if (!OnFiberTask()) {
-            watch_deadline = std::chrono::steady_clock::now() +
-                             std::chrono::microseconds(static_cast<int64_t>(
-                                 cfg_.net.watch_drain_grace_real_ms * 1000));
-          }
-        } else if (watch_expired) {
+        // survivor fails in the same logical op. The grace is the bottom
+        // rung (0s) of the quiescence ladder: WaitFor reports a timeout
+        // only when nothing else can run, so everything drainable has
+        // provably drained.
+        if (watch_expired) {
           *now += cfg_.net.failure_detect_latency;
           return Status::ProcFailed(std::move(dead), "watched peer failed");
         }
-        if (OnFiberTask()) {
-          if (!mbox.wp.WaitFor(lock, 0.0)) watch_expired = true;
-        } else {
-          const double remaining =
-              std::chrono::duration<double>(
-                  watch_deadline - std::chrono::steady_clock::now())
-                  .count();
-          if (remaining <= 0.0 || !mbox.wp.WaitFor(lock, remaining)) {
-            watch_expired = true;
-          }
-        }
+        if (!mbox.wp.WaitFor(lock, 0.0)) watch_expired = true;
         continue;
       }
     }

@@ -1,15 +1,13 @@
 // The message fabric: the simulated interconnect all communication
 // libraries (MPI-like, Gloo-like, NCCL-like) are built on.
 //
-// Every simulated rank is an engine task with its own *virtual clock*:
-// a real OS thread under the `threads` backend, a cooperative fiber on a
-// discrete-event run queue under `fibers` (see sim/engine.h; selected by
-// SimConfig::engine / RCC_SIM_ENGINE). Messages carry the sender's
-// departure time; a receive merges
+// Every simulated rank is a fiber on the fabric's discrete-event engine
+// (see sim/engine.h) with its own *virtual clock*. Messages carry the
+// sender's departure time; a receive merges
 //   arrival = depart + latency + cost_bytes / bandwidth
 // into the receiver's clock (LogGP-style). Intra-node and inter-node
 // links use distinct latency/bandwidth parameters. Blocked receives park
-// on a WaitPoint, so the same code runs on either backend.
+// on a WaitPoint.
 //
 // Failure semantics:
 //  * Kill(pid) / KillNode(node) mark processes dead and wake all blocked
@@ -20,7 +18,8 @@
 //    error).
 //  * A receive may carry a DeathWatch (the Gloo-like layer watches its
 //    whole membership: any member death is context-fatal, like a TCP RST
-//    tearing down the process group).
+//    tearing down the process group). The watch fires on the bottom rung
+//    of the quiescence ladder, once every drainable chain has run.
 //  * A receive may carry a CancelToken (ULFM revoke: interrupting ranks
 //    blocked inside a broken collective).
 #pragma once
@@ -71,10 +70,7 @@ class CancelToken {
 
 class Fabric {
  public:
-  explicit Fabric(SimConfig cfg) : cfg_(cfg), id_(NextFabricId()) {
-    cfg_.engine = ResolveEngineKind(cfg.engine);
-    engine_ = MakeEngine(cfg_.engine);
-  }
+  explicit Fabric(SimConfig cfg) : cfg_(cfg), id_(NextFabricId()) {}
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -82,7 +78,7 @@ class Fabric {
   const SimConfig& config() const { return cfg_; }
 
   // The rank-execution engine every task of this simulation runs on.
-  Engine& engine() const { return *engine_; }
+  Engine& engine() { return engine_; }
 
   // Process-wide unique fabric id: namespaces communicator-group cache
   // keys so distinct simulations never alias (pids restart at 0 per
@@ -167,7 +163,7 @@ class Fabric {
   std::atomic<int> alive_count_{0};
   SimConfig cfg_;
   uint64_t id_;
-  std::unique_ptr<Engine> engine_;
+  Engine engine_;
 };
 
 }  // namespace rcc::sim

@@ -37,15 +37,6 @@ struct NetParams {
   // Time from a process dying to a peer operation observing it (heartbeat /
   // transport error propagation).
   Seconds failure_detect_latency = 5.0e-3;
-
-  // Simulation artifact (real milliseconds, not virtual time): when a
-  // *watched* peer dies, a blocked receive waits this long before the
-  // watch fires, so collectives that are still drainable (the awaited
-  // message comes from a live rank that simply has not executed its send
-  // yet) complete instead of being preempted. This guarantees that all
-  // survivors observe a failure in the same logical operation. A receive
-  // from the dead process itself still fails immediately.
-  double watch_drain_grace_real_ms = 50.0;
 };
 
 // Software-path cost constants for the two stacks' recovery paths.
@@ -78,16 +69,10 @@ struct RuntimeCosts {
   Seconds worker_warmstart = 3.5;
 };
 
-// Rank-execution backend (see sim/engine.h). kAuto resolves from the
-// RCC_SIM_ENGINE environment variable ("threads" | "fibers"), defaulting
-// to kThreads, when the Fabric is constructed.
-enum class EngineKind { kAuto, kThreads, kFibers };
-
 struct SimConfig {
   NetParams net;
   RuntimeCosts costs;
   int gpus_per_node = 6;   // Summit: 6 V100 per node
-  EngineKind engine = EngineKind::kAuto;
 };
 
 }  // namespace rcc::sim

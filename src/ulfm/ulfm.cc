@@ -1,7 +1,6 @@
 #include "ulfm/ulfm.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <limits>
 #include <cmath>
@@ -211,9 +210,9 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
       state->wp.NotifyAll();
       break;
     }
-    // Real-time poll so that deaths (which do not notify this condvar)
-    // are observed; virtual time is taken from finish_time, not from
-    // this polling interval.
+    // Timed park so that deaths (which do not notify this WaitPoint;
+    // Fabric::Kill wakes every timeout-parked fiber) are observed;
+    // virtual time is taken from finish_time, not from this rung.
     state->wp.WaitFor(lock, 200e-6);
   }
 
@@ -308,14 +307,10 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
   state->arrivals[ep.pid()] = ep.now();
   state->wp.NotifyAll();
 
-  const double grace_ms = ExpandGraceMs();
-  const auto real_start = std::chrono::steady_clock::now();
-  // Fibers backend: the real-time grace would break determinism, so the
-  // window "expires" when the event queue quiesces instead — if nothing
-  // in the simulation can make progress, the missing joiner can never
-  // arrive, which is exactly the condition the real-time grace detects.
-  const bool on_fiber = sim::OnFiberTask();
-  bool grace_expired = false;
+  // The arrival window "expires" when the event queue quiesces at the
+  // 200us poll rung: if nothing in the simulation can make progress, the
+  // missing joiner can never arrive.
+  bool window_expired = false;
   while (!state->done) {
     if (!ep.alive()) return Status(Code::kAborted, "caller died in expand");
     // An arrived joiner with a matured kill dies here: it already
@@ -370,14 +365,10 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
     }
     // Deadline: the rendezvous cannot complete (a provisioned joiner
     // died before arriving, or was never launched). The first arrived
-    // participant whose real-time grace expires abandons the expand for
+    // participant whose arrival window expires abandons the expand for
     // everyone; the virtual cost is the admission deadline charged past
     // the latest arrival — survivors "waited it out", then gave up.
-    if (grace_ms > 0 &&
-        (on_fiber ? grace_expired
-                  : std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - real_start)
-                            .count() >= grace_ms)) {
+    if (window_expired) {
       sim::Seconds latest = 0.0;
       for (const auto& [pid, t] : state->arrivals) {
         latest = std::max(latest, t);
@@ -389,7 +380,7 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
       state->wp.NotifyAll();
       break;
     }
-    if (!state->wp.WaitFor(lock, 200e-6)) grace_expired = true;
+    if (!state->wp.WaitFor(lock, 200e-6)) window_expired = true;
   }
 
   if (state->aborted) {
@@ -497,9 +488,9 @@ std::string AsyncKey(sim::Fabric& fabric, const std::string& session) {
 
 // Round k's virtual facts are resolved once every live old-group member
 // has polled it and every announced joiner has staged, withdrawn or
-// died. Each of those is fixed in the respective thread's own program
-// order, so blocking on them (in real time) keeps decisions a pure
-// function of virtual timestamps.
+// died. Each of those is fixed in the respective task's own program
+// order, so blocking on them (in zero virtual time) keeps decisions a
+// pure function of virtual timestamps.
 bool AsyncRoundComplete(const AsyncExpandState& state, size_t round,
                         sim::Fabric& fabric) {
   if (!state.announce_closed) return false;  // Begin still collecting
@@ -612,8 +603,6 @@ sim::Seconds ExpandTimeout() {
   return EnvDouble("RCC_EXPAND_TIMEOUT", 45.0);
 }
 
-double ExpandGraceMs() { return EnvDouble("RCC_EXPAND_GRACE_MS", 2000.0); }
-
 Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
                    const std::string& session, int expected_joiners,
                    sim::Seconds timeout, ExpandOp* op) {
@@ -636,29 +625,20 @@ Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
   state->begin_times[ep.pid()] = ep.now();
   state->wp.NotifyAll();
 
-  // Wait (real time only) for the provisioned joiners to announce.
+  // Wait (zero virtual time) for the provisioned joiners to announce.
   // Healthy joiners announce at spawn, long before any epoch boundary;
-  // the grace binds only when a joiner never launches, and closing the
-  // window then treats it as failed (the poll rounds abort or proceed
-  // with whoever did announce).
-  const double grace_ms = ExpandGraceMs();
-  const auto real_start = std::chrono::steady_clock::now();
-  // Fibers: window closes on event-queue quiescence (see ExpandComm).
-  const bool on_fiber = sim::OnFiberTask();
-  bool grace_expired = false;
+  // the window binds only when a joiner never launches. It closes on
+  // event-queue quiescence (see ExpandComm), and closing it treats the
+  // missing joiner as failed (the poll rounds abort or proceed with
+  // whoever did announce).
+  bool window_expired = false;
   while (!state->announce_closed &&
          static_cast<int>(state->announced.size()) < expected_joiners) {
     if (!ep.alive()) {
       return Status(Code::kAborted, "survivor died opening expand");
     }
-    if (grace_ms > 0 &&
-        (on_fiber ? grace_expired
-                  : std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - real_start)
-                            .count() >= grace_ms)) {
-      break;
-    }
-    if (!state->wp.WaitFor(lock, 200e-6)) grace_expired = true;
+    if (window_expired) break;
+    if (!state->wp.WaitFor(lock, 200e-6)) window_expired = true;
   }
   state->announce_closed = true;
   state->wp.NotifyAll();

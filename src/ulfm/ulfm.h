@@ -79,9 +79,9 @@ void LeaveGracefully(sim::Endpoint& ep, mpi::Comm& comm);
 // 0..S-1; joiners receive ranks S.. ordered by pid.
 //
 // Like MPI_Comm_accept the expand blocks until every expected joiner
-// arrives, but with a deadline: if the rendezvous has not completed
-// within the real-time grace (RCC_EXPAND_GRACE_MS, a misprovision
-// valve), the expand is abandoned on every arrived participant with
+// arrives, but with a deadline: if the rendezvous cannot complete (the
+// engine quiesces with a joiner still missing — a misprovision valve),
+// the expand is abandoned on every arrived participant with
 // Code::kTimeout after charging the virtual deadline (RCC_EXPAND_TIMEOUT
 // past the latest arrival), so a provisioned joiner that dies before
 // arriving no longer stalls the survivors forever.
@@ -123,10 +123,10 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
 //
 // Determinism: every decision is a pure function of virtual timestamps
 // (announce / stage / poll times vs the deadline). Poll rounds block in
-// *real* time until those virtual facts are resolved — the same
-// discipline as Agree — so campaigns replay byte-identically; the only
-// real-time input is the announce grace, which binds only for joiners
-// that never spawn.
+// zero virtual time until those virtual facts are resolved — the same
+// discipline as Agree — so campaigns replay byte-identically. The
+// announce window closes on engine quiescence, which binds only for
+// joiners that never spawn.
 // ---------------------------------------------------------------------
 
 enum class ExpandStatus { kPending, kSpliced, kAborted };
@@ -151,28 +151,22 @@ struct SpliceOutcome {
   int64_t agreed_counter = 0;  // survivors' resilient-op counter
 };
 
-// Env knobs (read per call so tests can pin them):
-//   RCC_EXPAND_TIMEOUT   virtual seconds a joiner has to finish staging,
-//                        measured from the survivors' ExpandBegin
-//                        (default 45; above the cold-start cost).
-//   RCC_EXPAND_GRACE_MS  real-time grace for rendezvous arrival before
-//                        the expand is abandoned (default 2000; <= 0
-//                        disables). A misprovision valve: healthy
-//                        joiners announce at spawn, long before it.
+// RCC_EXPAND_TIMEOUT (read per call so tests can pin it): virtual
+// seconds a joiner has to finish staging, measured from the survivors'
+// ExpandBegin (default 45; above the cold-start cost).
 sim::Seconds ExpandTimeout();
-double ExpandGraceMs();
 
 // Survivor side. Opens the nonblocking expand over `comm`'s membership.
-// Waits (real time, grace-bounded, zero virtual cost beyond the
-// errhandler dispatch) until the provisioned joiners have announced,
-// then closes the announce window — joiners that never announced are
-// treated as failed. Never blocks on co-survivors.
+// Waits (zero virtual cost beyond the errhandler dispatch) until the
+// provisioned joiners have announced or the engine quiesces, then closes
+// the announce window — joiners that never announced are treated as
+// failed. Never blocks on co-survivors.
 Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
                    const std::string& session, int expected_joiners,
                    sim::Seconds timeout, ExpandOp* op);
 
-// Survivor side, collective at a step boundary. Blocks (real time only)
-// until this round's virtual facts are known, then returns the round's
+// Survivor side, collective at a step boundary. Blocks (zero virtual
+// time) until this round's virtual facts are known, then returns the round's
 // decision. On kSpliced: `*merged` receives the merged communicator
 // (surviving old ranks in order, then admitted joiners by pid), the
 // caller's clock advances to the splice time, and `*outcome` is filled.

@@ -97,34 +97,33 @@ TEST(ChaosSmoke, SameSeedIsByteDeterministic) {
   EXPECT_GT(x.repairs_metric, 0.0);
 }
 
-TEST(ChaosSmoke, FormatTwoReplaysOnFibersAndIsSelfDeterministic) {
-  // Seed format 2 pins the replay to the fibers event queue. Two runs of
-  // the same format-2 schedule must agree on the full outcome stream,
-  // the schedule must round-trip through JSON with the format field
-  // intact, and a legacy (format 1) schedule must keep serializing with
-  // no format field at all.
+TEST(ChaosSmoke, BothSeedFormatsReplayIdentically) {
+  // The seed format is a validated version stamp. A format-1 schedule
+  // serializes with no format field and a format-2 one with it; both
+  // round-trip exactly through JSON, any other format is rejected on
+  // load, and both formats replay to the same outcome stream on the one
+  // engine.
   const uint64_t seed = 2;
-  GenConfig cfg;
-  cfg.format = 2;
-  Schedule s = GenerateSchedule(seed, cfg);
-  ASSERT_EQ(s.format, 2);
+  Schedule legacy = GenerateSchedule(seed);
+  EXPECT_EQ(legacy.format, 1);
+  EXPECT_EQ(legacy.ToJson().find("format"), std::string::npos);
+  Schedule s = legacy;
+  s.format = 2;
   const std::string json = s.ToJson();
   EXPECT_NE(json.find("\"format\": 2"), std::string::npos);
   Schedule rt;
   std::string err;
   ASSERT_TRUE(Schedule::FromJson(json, &rt, &err)) << err;
   ASSERT_TRUE(rt == s);
+  Schedule rt_legacy;
+  ASSERT_TRUE(Schedule::FromJson(legacy.ToJson(), &rt_legacy, &err)) << err;
+  ASSERT_TRUE(rt_legacy == legacy);
+  std::string unknown = json;
+  unknown.replace(unknown.find("\"format\": 2"), 11, "\"format\": 3");
+  EXPECT_FALSE(Schedule::FromJson(unknown, &rt, &err));
 
-  Schedule legacy = GenerateSchedule(seed);  // default format 1
-  EXPECT_EQ(legacy.format, 1);
-  EXPECT_EQ(legacy.ToJson().find("format"), std::string::npos);
-  // Same seed, same events: only the pinned engine differs.
-  EXPECT_TRUE(legacy.shape == s.shape);
-  EXPECT_TRUE(legacy.timed == s.timed);
-  EXPECT_TRUE(legacy.phased == s.phased);
-
-  CampaignOutcome x = RunSchedule(s);
-  CampaignOutcome y = RunSchedule(rt);
+  CampaignOutcome x = RunSchedule(rt_legacy);
+  CampaignOutcome y = RunSchedule(s);
   auto violations = CheckOracles(s, x);
   EXPECT_TRUE(violations.empty()) << FormatViolations(violations);
   ASSERT_EQ(x.results.size(), y.results.size());
@@ -468,15 +467,13 @@ TEST(ChaosSmoke, PolicyDrawsAreGatedAndSchedulesRoundTrip) {
   EXPECT_EQ(parsed.shape.replacements, 0);
 }
 
-TEST(ChaosSmoke, PolicyDecisionLogIsByteDeterministicOnFibers) {
-  // Format 2 pins the campaign to the fibers engine; the decision log —
-  // the canonical %.17g rendering included — must replay byte for byte,
-  // which is what makes shrunk policy reproducers trustworthy.
+TEST(ChaosSmoke, PolicyDecisionLogIsByteDeterministic) {
+  // The decision log — the canonical %.17g rendering included — must
+  // replay byte for byte, which is what makes shrunk policy reproducers
+  // trustworthy.
   GenConfig cfg;
   cfg.allow_policy = true;
-  cfg.format = 2;
   Schedule s = GenerateSchedule(302, cfg);
-  ASSERT_EQ(s.format, 2);
   ASSERT_FALSE(s.shape.policy_mode.empty());
   CampaignOutcome x = RunSchedule(s);
   CampaignOutcome y = RunSchedule(s);

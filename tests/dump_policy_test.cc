@@ -55,7 +55,6 @@ class DumpPolicy : public ::testing::Test {
 
 TEST_F(DumpPolicy, ScheduledKillsInAChaosCampaignWriteNoDumps) {
   chaos::Schedule s;
-  s.format = 2;  // fibers: deterministic kill placement
   s.shape.world = 6;
   s.shape.epochs = 2;
   s.shape.steps_per_epoch = 4;

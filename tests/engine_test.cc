@@ -1,7 +1,7 @@
 // Engine-seam coverage: the fabric blocking points (TryRecv, any-source
 // receives, context purges, death-watch and cancel-token wakeups) and the
-// cluster's pending-failure arming, exercised under BOTH scheduler
-// backends; plus fibers-only determinism and scheduling-order tests.
+// cluster's pending-failure arming; plus determinism and scheduling-order
+// tests of the fiber scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,27 +17,12 @@
 namespace rcc::sim {
 namespace {
 
-class EngineBackends : public ::testing::TestWithParam<EngineKind> {
- protected:
-  SimConfig Config() const {
-    SimConfig cfg;
-    cfg.engine = GetParam();
-    return cfg;
-  }
-};
-
 std::vector<uint8_t> Payload(size_t n, uint8_t fill = 0xAB) {
   return std::vector<uint8_t>(n, fill);
 }
 
-TEST_P(EngineBackends, EngineKindResolved) {
-  Fabric fabric(Config());
-  EXPECT_EQ(fabric.engine().kind(), GetParam());
-  EXPECT_EQ(fabric.config().engine, GetParam());
-}
-
-TEST_P(EngineBackends, TryRecvNeverBlocks) {
-  Cluster cluster(Config());
+TEST(EngineSeam, TryRecvNeverBlocks) {
+  Cluster cluster;
   std::atomic<int> probes_empty{0};
   std::atomic<bool> delivered{false};
   cluster.Spawn(2, [&](Endpoint& ep) {
@@ -46,7 +31,7 @@ TEST_P(EngineBackends, TryRecvNeverBlocks) {
       return;
     }
     Message msg;
-    // Unmatched channel: must return immediately, both backends.
+    // Unmatched channel: must return immediately.
     if (ep.TryRecv(0, 99, 0, &msg).code() == Code::kUnavailable) {
       probes_empty++;
     }
@@ -59,8 +44,8 @@ TEST_P(EngineBackends, TryRecvNeverBlocks) {
   EXPECT_TRUE(delivered.load());
 }
 
-TEST_P(EngineBackends, AnySourceRecvMatchesEitherSender) {
-  Cluster cluster(Config());
+TEST(EngineSeam, AnySourceRecvMatchesEitherSender) {
+  Cluster cluster;
   std::atomic<int> received{0};
   cluster.Spawn(3, [&](Endpoint& ep) {
     if (ep.pid() != 2) {
@@ -77,8 +62,8 @@ TEST_P(EngineBackends, AnySourceRecvMatchesEitherSender) {
   EXPECT_EQ(received.load(), 2);
 }
 
-TEST_P(EngineBackends, PurgeContextDropsOnlyThatContext) {
-  Cluster cluster(Config());
+TEST(EngineSeam, PurgeContextDropsOnlyThatContext) {
+  Cluster cluster;
   std::atomic<bool> purged_gone{false};
   std::atomic<bool> other_kept{false};
   cluster.Spawn(2, [&](Endpoint& ep) {
@@ -87,8 +72,7 @@ TEST_P(EngineBackends, PurgeContextDropsOnlyThatContext) {
       ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Payload(1)).ok());
       return;
     }
-    // Wait until both messages are queued (they are sent back to back,
-    // but under threads the sender races us).
+    // Wait until both messages are queued.
     Message msg;
     ASSERT_TRUE(ep.Recv(0, ChannelKey(8, 1), 0, &msg).ok());
     ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Payload(1)).ok());  // requeue
@@ -102,8 +86,8 @@ TEST_P(EngineBackends, PurgeContextDropsOnlyThatContext) {
   EXPECT_TRUE(other_kept.load());
 }
 
-TEST_P(EngineBackends, DeathWatchWakesBlockedReceiver) {
-  Cluster cluster(Config());
+TEST(EngineSeam, DeathWatchWakesBlockedReceiver) {
+  Cluster cluster;
   std::vector<int> watch{0, 2};
   std::atomic<int> failed_pid{-1};
   cluster.Spawn(3, [&](Endpoint& ep) {
@@ -126,8 +110,8 @@ TEST_P(EngineBackends, DeathWatchWakesBlockedReceiver) {
   EXPECT_EQ(failed_pid.load(), 2);
 }
 
-TEST_P(EngineBackends, CancelTokenWakesBlockedReceiver) {
-  Cluster cluster(Config());
+TEST(EngineSeam, CancelTokenWakesBlockedReceiver) {
+  Cluster cluster;
   CancelToken token;
   std::atomic<bool> got_revoked{false};
   std::atomic<bool> receiver_parked{false};
@@ -148,11 +132,11 @@ TEST_P(EngineBackends, CancelTokenWakesBlockedReceiver) {
   EXPECT_TRUE(got_revoked.load());
 }
 
-TEST_P(EngineBackends, PendingFailureArmsLateRegisteredPid) {
+TEST(EngineSeam, PendingFailureArmsLateRegisteredPid) {
   // Regression for the pending-kill bookkeeping: a failure scheduled for
   // a pid that does not exist yet must arm the victim when it finally
-  // registers (joiner case), on both backends.
-  Cluster cluster(Config());
+  // registers (joiner case).
+  Cluster cluster;
   cluster.AddPendingFailure(FailureEvent{FailScope::kProcess, 2, 0.5});
   std::atomic<bool> founder_done{false};
   std::atomic<bool> joiner_died{false};
@@ -173,8 +157,8 @@ TEST_P(EngineBackends, PendingFailureArmsLateRegisteredPid) {
   EXPECT_TRUE(joiner_died.load());
 }
 
-TEST_P(EngineBackends, NodeScopedPendingFailureArmsWholeLateNode) {
-  Cluster cluster(Config());
+TEST(EngineSeam, NodeScopedPendingFailureArmsWholeLateNode) {
+  Cluster cluster;
   // Node 1 is not populated yet: the event must sit pending and arm
   // every process later placed there.
   cluster.AddPendingFailure(FailureEvent{FailScope::kNode, 1, 0.25});
@@ -192,26 +176,15 @@ TEST_P(EngineBackends, NodeScopedPendingFailureArmsWholeLateNode) {
   EXPECT_EQ(dead.load(), 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EngineBackends,
-                         ::testing::Values(EngineKind::kThreads,
-                                           EngineKind::kFibers),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kFibers
-                                      ? "fibers"
-                                      : "threads";
-                         });
-
 // --------------------------------------------------------------------
-// Fibers-only: determinism and scheduling order.
+// Determinism and scheduling order.
 // --------------------------------------------------------------------
 
 // A small messaging workload with a mid-run death, phase-traced. Returns
-// the recorder's event stream in record order, which under fibers is the
-// scheduler's deterministic execution order.
+// the recorder's event stream in record order, which is the scheduler's
+// deterministic execution order.
 std::vector<trace::Event> TracedWorkload() {
-  SimConfig cfg;
-  cfg.engine = EngineKind::kFibers;
-  Cluster cluster(cfg);
+  Cluster cluster;
   cluster.AddPendingFailure(FailureEvent{FailScope::kProcess, 3, 0.02});
   trace::Recorder rec;
   const int world = 4;
@@ -247,11 +220,9 @@ TEST(FiberDeterminism, IdenticalRunsProduceIdenticalTraceStreams) {
 }
 
 TEST(FiberScheduler, RunsReadyTasksInVirtualTimeOrder) {
-  // Ranks go busy for different durations and then record; the fibers
+  // Ranks go busy for different durations and then record; the
   // run queue must interleave them by virtual time, not spawn order.
-  SimConfig cfg;
-  cfg.engine = EngineKind::kFibers;
-  Cluster cluster(cfg);
+  Cluster cluster;
   std::vector<int> order;
   std::mutex mu;
   cluster.Spawn(3, [&](Endpoint& ep) {
@@ -268,9 +239,9 @@ TEST(FiberScheduler, RunsReadyTasksInVirtualTimeOrder) {
   cluster.Join();
   // Completion times are start + busy + recv merge: the slowest sender
   // gates its receiver. Recv merges the sender's clock, so completion
-  // order is deterministic under fibers; just assert determinism against
+  // order is deterministic; just assert determinism against
   // a second identical run rather than a hand-derived order.
-  Cluster cluster2(cfg);
+  Cluster cluster2;
   std::vector<int> order2;
   cluster2.Spawn(3, [&](Endpoint& ep) {
     const double busy[] = {30e-3, 10e-3, 20e-3};
@@ -286,9 +257,7 @@ TEST(FiberScheduler, RunsReadyTasksInVirtualTimeOrder) {
 }
 
 TEST(FiberScheduler, YieldLetsSameTimePeersRun) {
-  SimConfig cfg;
-  cfg.engine = EngineKind::kFibers;
-  Cluster cluster(cfg);
+  Cluster cluster;
   std::atomic<bool> done{false};
   cluster.Spawn(2, [&](Endpoint& ep) {
     if (ep.pid() == 1) {
@@ -306,9 +275,7 @@ TEST(FiberScheduler, YieldLetsSameTimePeersRun) {
 TEST(FiberScheduler, ManyCheapRanksComplete) {
   // A quick scale probe: 512 fibers ping-pong once; far past the point
   // where one-thread-per-rank starts thrashing a small machine.
-  SimConfig cfg;
-  cfg.engine = EngineKind::kFibers;
-  Cluster cluster(cfg);
+  Cluster cluster;
   const int world = 512;
   std::atomic<int> finished{0};
   cluster.Spawn(world, [&](Endpoint& ep) {

@@ -1,10 +1,9 @@
 // Deadline / abort semantics of joiner admission: the blocking
 // ExpandComm and the asynchronous ExpandBegin/ExpandTest protocol under
 // missing, late and dying joiners. The ctest registration (see
-// tests/CMakeLists.txt) runs this binary with a short
-// RCC_EXPAND_GRACE_MS / RCC_EXPAND_TIMEOUT so the abandon paths resolve
-// in milliseconds of real time; every decision below is still a pure
-// function of virtual timestamps.
+// tests/CMakeLists.txt) runs this binary with a short RCC_EXPAND_TIMEOUT;
+// the abandon paths resolve on engine quiescence, and every decision
+// below is a pure function of virtual timestamps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +20,7 @@ namespace {
 using horovod::DropPolicy;
 
 // A provisioned joiner that never arrives must not hang the blocking
-// expand: the rendezvous aborts with kTimeout after the announce grace
+// expand: the rendezvous aborts with kTimeout once the engine quiesces
 // and the survivors keep operating on the unchanged membership.
 TEST(ExpandTimeout, BlockingExpandAbandonsMissingJoiner) {
   sim::Cluster cluster;

@@ -114,11 +114,11 @@ TEST(Metrics, QuantileSingleObservationIsExact) {
 // different instruments concurrently (the TSan preset runs this).
 TEST(Metrics, ConcurrentRecording) {
   auto& reg = Registry::Global();
-  constexpr int kThreads = 8;
+  constexpr int kWriters = 8;
   constexpr int kIters = 2000;
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  threads.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&reg, t] {
       Counter* shared = reg.GetCounter("obs_test_conc_shared");
       Histogram* hist = reg.GetHistogram("obs_test_conc_hist");
@@ -135,15 +135,15 @@ TEST(Metrics, ConcurrentRecording) {
   }
   for (auto& t : threads) t.join();
   EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_conc_shared"),
-                   kThreads * kIters);
+                   kWriters * kIters);
   double labeled = 0;
   for (int k = 0; k < 4; ++k) {
     labeled += reg.CounterValue("obs_test_conc_labeled",
                                 {{"t", std::to_string(k)}});
   }
-  EXPECT_DOUBLE_EQ(labeled, kThreads * kIters);
+  EXPECT_DOUBLE_EQ(labeled, kWriters * kIters);
   const auto s = reg.HistogramSnapshot("obs_test_conc_hist");
-  EXPECT_EQ(s.count, static_cast<uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(s.count, static_cast<uint64_t>(kWriters) * kIters);
   EXPECT_DOUBLE_EQ(s.min, 1e-6);
   EXPECT_DOUBLE_EQ(s.max, 1e-6 * kIters);
 }

@@ -27,11 +27,8 @@ struct PipeOutcome {
 };
 
 PipeOutcome RunPipeline(int world, const PipelineOptions& opts,
-                        double kill_at = -1.0, int victim = -1,
-                        sim::EngineKind engine = sim::EngineKind::kThreads) {
-  sim::SimConfig cfg;
-  cfg.engine = engine;
-  sim::Cluster cluster(cfg);
+                        double kill_at = -1.0, int victim = -1) {
+  sim::Cluster cluster;
   if (kill_at >= 0.0 && victim >= 0) {
     cluster.AddPendingFailure(
         sim::FailureEvent{sim::FailScope::kProcess, victim, kill_at});
@@ -240,34 +237,26 @@ TEST(PipelineTrainer, RestoreRollsBackToTheLastCheckpoint) {
   EXPECT_TRUE(rolled_back);
 }
 
-TEST(PipelineTrainer, MidScheduleKillReplaysByteIdenticallyOnFibers) {
+TEST(PipelineTrainer, MidScheduleKillReplaysByteIdentically) {
   PipelineOptions opts = SmallOptions();
   const double horizon = RunPipeline(4, opts).horizon;
-  // Replay identity holds on the fibers engine only: the threads
-  // engine's death-watch drain grace is measured in real milliseconds,
-  // so two identical runs under scheduler load can admit different
-  // drain outcomes and shift virtual time by microseconds. The threads
-  // engine's cross-RANK agreement invariants are covered by the other
-  // kill tests in this suite.
-  for (sim::EngineKind engine : {sim::EngineKind::kFibers}) {
-    PipeOutcome x = RunPipeline(4, opts, 0.5 * horizon, 3, engine);
-    PipeOutcome y = RunPipeline(4, opts, 0.5 * horizon, 3, engine);
-    EXPECT_EQ(x.horizon, y.horizon);
-    for (int pid = 0; pid < 4; ++pid) {
-      const PipelineReport& a = x.reports[static_cast<size_t>(pid)];
-      const PipelineReport& b = y.reports[static_cast<size_t>(pid)];
-      EXPECT_EQ(a.aborted, b.aborted) << "pid " << pid;
-      EXPECT_EQ(a.steps_run, b.steps_run);
-      EXPECT_EQ(a.rollback_steps, b.rollback_steps);
-      EXPECT_EQ(a.reroutes, b.reroutes);
-      EXPECT_EQ(a.reforms, b.reforms);
-      EXPECT_EQ(a.restores, b.restores);
-      EXPECT_EQ(a.adopted_microbatches, b.adopted_microbatches);
-      EXPECT_EQ(FormatCommitLog(a.commits), FormatCommitLog(b.commits));
-      EXPECT_EQ(FormatExecLog(a.execs), FormatExecLog(b.execs));
-      EXPECT_EQ(policy::FormatDecisionLog(a.decisions),
-                policy::FormatDecisionLog(b.decisions));
-    }
+  PipeOutcome x = RunPipeline(4, opts, 0.5 * horizon, 3);
+  PipeOutcome y = RunPipeline(4, opts, 0.5 * horizon, 3);
+  EXPECT_EQ(x.horizon, y.horizon);
+  for (int pid = 0; pid < 4; ++pid) {
+    const PipelineReport& a = x.reports[static_cast<size_t>(pid)];
+    const PipelineReport& b = y.reports[static_cast<size_t>(pid)];
+    EXPECT_EQ(a.aborted, b.aborted) << "pid " << pid;
+    EXPECT_EQ(a.steps_run, b.steps_run);
+    EXPECT_EQ(a.rollback_steps, b.rollback_steps);
+    EXPECT_EQ(a.reroutes, b.reroutes);
+    EXPECT_EQ(a.reforms, b.reforms);
+    EXPECT_EQ(a.restores, b.restores);
+    EXPECT_EQ(a.adopted_microbatches, b.adopted_microbatches);
+    EXPECT_EQ(FormatCommitLog(a.commits), FormatCommitLog(b.commits));
+    EXPECT_EQ(FormatExecLog(a.execs), FormatExecLog(b.execs));
+    EXPECT_EQ(policy::FormatDecisionLog(a.decisions),
+              policy::FormatDecisionLog(b.decisions));
   }
 }
 

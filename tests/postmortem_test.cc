@@ -257,15 +257,12 @@ TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
 constexpr const char* kStallDumpDir = "postmortem_stall_dumps";
 
 // Child body for the death test: rank 1 silently never enters the
-// collective while staying alive; on the fibers engine the scheduler
-// proves quiescence, the flight stall observer dumps every ring, and
+// collective while staying alive; the scheduler proves quiescence, the flight stall observer dumps every ring, and
 // the stall handler exits 3.
 void RunPlantedStall() {
   ::setenv("RCC_FLIGHT_DIR", kStallDumpDir, 1);
   sim::SetStallHandler([](const std::string&) { std::_Exit(3); });
-  sim::SimConfig cfg;
-  cfg.engine = sim::EngineKind::kFibers;
-  sim::Cluster cluster(cfg);
+  sim::Cluster cluster;
   std::vector<int> pids{0, 1, 2};
   cluster.Spawn(3, [&](sim::Endpoint& ep) {
     core::ResilientComm rc(ep, pids, horovod::DropPolicy::kProcess,

@@ -340,14 +340,11 @@ TEST(Serving, SustainedLowLoadTriggersVoluntaryShrink) {
   o.autoscale.low_steps = 6;
   o.autoscale.cooldown_steps = 4;
   o.autoscale.min_world = 2;
-  // Deterministic engine: whether a survivor reaches its own shrink
-  // decision before the leaver's departure repairs the world down to
-  // min_world (turning the decision into a hold) is a scheduling race
-  // under the threads backend; fibers pin the order so the survivors'
-  // shrink count is stable.
-  sim::SimConfig cfg;
-  cfg.engine = sim::EngineKind::kFibers;
-  RunOut out = RunServe(3, o, nullptr, cfg);
+  // The deterministic engine orders each survivor's own shrink decision
+  // against the leaver's departure repair (which can bring the world
+  // down to min_world and turn the decision into a hold), so the
+  // survivors' shrink count is stable.
+  RunOut out = RunServe(3, o, nullptr);
   ASSERT_EQ(out.left.size(), 1u) << "no rank left voluntarily";
   ASSERT_EQ(out.finished.size(), 2u);
   ExpectNoDropsNoDoubles(out, 24);
@@ -357,27 +354,17 @@ TEST(Serving, SustainedLowLoadTriggersVoluntaryShrink) {
   }
 }
 
-TEST(Serving, DeterministicAcrossEngineBackends) {
+TEST(Serving, DeterministicAcrossRuns) {
+  // Two identical runs with a mid-decode kill agree exactly: served
+  // data, completion count and virtual timing.
   const ServeOptions o = SmallServe(40, 200.0);
-  sim::SimConfig threads;
-  threads.engine = sim::EngineKind::kThreads;
-  sim::SimConfig fibers;
-  fibers.engine = sim::EngineKind::kFibers;
-  RunOut a = RunServe(3, o, nullptr, threads, 0.05, 2);
-  RunOut b = RunServe(3, o, nullptr, fibers, 0.05, 2);
-  RunOut c = RunServe(3, o, nullptr, fibers, 0.05, 2);
+  RunOut a = RunServe(3, o, nullptr, sim::SimConfig{}, 0.05, 2);
+  RunOut b = RunServe(3, o, nullptr, sim::SimConfig{}, 0.05, 2);
   ASSERT_FALSE(a.finished.empty());
   ASSERT_FALSE(b.finished.empty());
-  ASSERT_FALSE(c.finished.empty());
-  // Threads backend: OS scheduling can shift how the mid-decode kill
-  // interleaves with the survivors' repair, moving virtual completion
-  // time — but the served data must be identical regardless.
   EXPECT_EQ(a.finished[0].digest, b.finished[0].digest);
+  EXPECT_EQ(a.finished[0].end_time, b.finished[0].end_time);
   EXPECT_EQ(a.finished[0].completed, b.finished[0].completed);
-  // Fibers backend: fully deterministic, timing included.
-  EXPECT_EQ(b.finished[0].digest, c.finished[0].digest);
-  EXPECT_EQ(b.finished[0].end_time, c.finished[0].end_time);
-  EXPECT_EQ(b.finished[0].completed, c.finished[0].completed);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "sim/cluster.h"
 #include "sim/endpoint.h"
+#include "sim/engine.h"
 #include "sim/fabric.h"
 #include "sim/failure.h"
 
@@ -146,87 +147,122 @@ TEST(Fabric, DeadReceiverGetsAborted) {
 }
 
 TEST(Fabric, CancelTokenInterruptsBlockedRecv) {
-  Fabric fabric(TestConfig());
-  fabric.RegisterProcess(0);
-  fabric.RegisterProcess(0);
+  Cluster cluster(TestConfig());
   CancelToken token;
+  std::atomic<bool> parked{false};
   std::atomic<bool> got_revoked{false};
-  std::thread receiver([&] {
-    Endpoint b(&fabric, 1);
-    Message msg;
-    Status s = b.Recv(0, 1, 0, &msg, &token);
-    got_revoked = (s.code() == Code::kRevoked);
+  cluster.Spawn(2, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, &token);
+      got_revoked = (s.code() == Code::kRevoked);
+      return;
+    }
+    // pid 0 never sends: it revokes once pid 1 is blocked.
+    while (!parked.load()) YieldTask();
+    token.Cancel();
+    ep.fabric().WakeAll();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  token.Cancel();
-  fabric.WakeAll();
-  receiver.join();
+  cluster.Join();
   EXPECT_TRUE(got_revoked.load());
 }
 
 TEST(Fabric, DeathWatchTriggersOnAnyWatchedDeath) {
-  Fabric fabric(TestConfig());
-  for (int i = 0; i < 4; ++i) fabric.RegisterProcess(0);
+  Cluster cluster(TestConfig());
   std::vector<int> watch{0, 2, 3};
+  std::atomic<bool> parked{false};
   std::atomic<int> failed_pid{-1};
-  std::thread receiver([&] {
-    Endpoint b(&fabric, 1);
-    Message msg;
-    Status s = b.Recv(0, 1, 0, &msg, nullptr, &watch);
-    if (s.code() == Code::kProcFailed && !s.failed_pids().empty()) {
-      failed_pid = s.failed_pids()[0];
+  cluster.Spawn(4, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      if (s.code() == Code::kProcFailed && !s.failed_pids().empty()) {
+        failed_pid = s.failed_pids()[0];
+      }
+      return;
+    }
+    // pids 0 and 2 stay alive and silent; pid 3 dies once pid 1 waits.
+    if (ep.pid() == 3) {
+      while (!parked.load()) YieldTask();
+      ep.fabric().Kill(ep.pid());
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fabric.Kill(3);
-  receiver.join();
+  cluster.Join();
   EXPECT_EQ(failed_pid.load(), 3);
 }
 
 TEST(Fabric, WatchGraceLetsDrainableMessagesThrough) {
   // pid 1 awaits a message from ALIVE pid 0 while watched pid 2 is dead;
-  // pid 0 sends shortly after the death. The grace period must let the
+  // pid 0 sends only after the death. The grace period must let the
   // message through instead of preempting the op.
-  Fabric fabric(TestConfig());
-  for (int i = 0; i < 3; ++i) fabric.RegisterProcess(0);
+  Cluster cluster(TestConfig());
   std::vector<int> watch{0, 1, 2};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> killed{false};
   std::atomic<bool> delivered{false};
-  std::thread receiver([&] {
-    Endpoint b(&fabric, 1);
-    Message msg;
-    Status s = b.Recv(0, 1, 0, &msg, nullptr, &watch);
-    delivered = s.ok();
+  cluster.Spawn(3, [&](Endpoint& ep) {
+    if (ep.pid() == 0) {
+      while (!killed.load()) YieldTask();
+      ASSERT_TRUE(ep.Send(1, 1, 0, Payload(4)).ok());
+    } else if (ep.pid() == 1) {
+      parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      delivered = s.ok();
+    } else {
+      while (!parked.load()) YieldTask();
+      ep.fabric().Kill(ep.pid());
+      killed = true;
+    }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fabric.Kill(2);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  Endpoint a(&fabric, 0);
-  ASSERT_TRUE(a.Send(1, 1, 0, Payload(4)).ok());
-  receiver.join();
+  cluster.Join();
   EXPECT_TRUE(delivered.load());
 }
 
 TEST(Fabric, WatchFiresAfterGraceWhenTrulyStalled) {
-  Fabric fabric(TestConfig());
-  for (int i = 0; i < 3; ++i) fabric.RegisterProcess(0);
+  // pid 1 awaits ALIVE pid 0, which never sends to it but runs a
+  // drainable ping-pong chain with pid 3 while watched pid 2 is dead.
+  // The watch fires on quiescence: only after every chain step ran.
+  constexpr int kRounds = 5;
+  Cluster cluster(TestConfig());
   std::vector<int> watch{0, 1, 2};
+  std::atomic<int> chain_steps{0};
+  std::atomic<int> steps_at_fire{-1};
   std::atomic<bool> failed{false};
-  const auto start = std::chrono::steady_clock::now();
-  std::thread receiver([&] {
-    Endpoint b(&fabric, 1);
+  cluster.Spawn(4, [&](Endpoint& ep) {
     Message msg;
-    Status s = b.Recv(0, 1, 0, &msg, nullptr, &watch);
-    failed = (s.code() == Code::kProcFailed);
+    switch (ep.pid()) {
+      case 0:
+      case 3: {
+        const int peer = 3 - ep.pid();
+        for (int r = 0; r < kRounds; ++r) {
+          if (ep.pid() == 0) {
+            ASSERT_TRUE(ep.Send(peer, 2, r, Payload(1)).ok());
+            ASSERT_TRUE(ep.Recv(peer, 2, r, &msg).ok());
+          } else {
+            ASSERT_TRUE(ep.Recv(peer, 2, r, &msg).ok());
+            ASSERT_TRUE(ep.Send(peer, 2, r, Payload(1)).ok());
+          }
+          chain_steps++;
+        }
+        break;
+      }
+      case 1: {
+        Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+        steps_at_fire = chain_steps.load();
+        failed = (s.code() == Code::kProcFailed);
+        break;
+      }
+      case 2:
+        ep.fabric().Kill(ep.pid());
+        break;
+    }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fabric.Kill(2);
-  receiver.join();
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
+  cluster.Join();
   EXPECT_TRUE(failed.load());
-  // Fired no earlier than the configured grace.
-  EXPECT_GE(elapsed.count(),
-            static_cast<long>(TestConfig().net.watch_drain_grace_real_ms));
+  EXPECT_EQ(steps_at_fire.load(), 2 * kRounds);
 }
 
 TEST(Fabric, KillNodeKillsAllResidents) {

@@ -3,29 +3,22 @@
 // repair/shrink, and keep reducing. Verifies every survivor saw the
 // repair, ends at world N-1, and holds bit-identical final reductions.
 //
-//   ./tools/scale_smoke [--ranks N] [--engine threads|fibers]
-//                       [--max-rss-mb M] [--stall-timeout-s S]
-//
-// --engine pins the rank-execution backend directly (no RCC_SIM_ENGINE
-// needed in CI matrices); unset keeps the env-resolved default.
+//   ./tools/scale_smoke [--ranks N] [--max-rss-mb M]
 //
 // Distinct exit codes so CI can tell failure classes apart:
 //   0  pass
 //   1  resource budget exceeded (peak RSS above --max-rss-mb)
 //   2  verification mismatch (divergent replicas, wrong membership, or
 //      a survivor that missed the repair)
-//   3  stall — the fibers scheduler proved a deadlock (via the
-//      sim::SetStallHandler hook), or the real-time watchdog expired
-//      (threads-backend hangs can only be caught by wall clock).
+//   3  stall — the scheduler proved a deadlock (via the
+//      sim::SetStallHandler hook)
 #include <sys/resource.h>
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/resilient.h"
@@ -43,50 +36,23 @@ struct Report {
   std::vector<float> last;
 };
 
-void WatchdogExpired(int) {
-  // Async-signal-safe: raw write + immediate exit.
-  const char msg[] = "scale_smoke: STALL (real-time watchdog expired)\n";
-  ssize_t ignored = write(STDERR_FILENO, msg, sizeof(msg) - 1);
-  (void)ignored;
-  _exit(3);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int ranks = 1024;
   double max_rss_mb = 0;       // 0 = no budget check
-  int stall_timeout_s = 300;   // 0 = no watchdog
-  sim::SimConfig cfg;          // engine defaults to env-resolved kAuto
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--ranks") == 0) ranks = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--max-rss-mb") == 0)
       max_rss_mb = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--stall-timeout-s") == 0)
-      stall_timeout_s = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--engine") == 0) {
-      if (std::strcmp(argv[i + 1], "fibers") == 0) {
-        cfg.engine = sim::EngineKind::kFibers;
-      } else if (std::strcmp(argv[i + 1], "threads") == 0) {
-        cfg.engine = sim::EngineKind::kThreads;
-      } else {
-        std::fprintf(stderr, "unknown --engine %s\n", argv[i + 1]);
-        return 2;
-      }
-    }
   }
 
-  // Stall detection, both backends: the fibers scheduler proves a
-  // deadlock deterministically and calls the handler; a threads-backend
-  // deadlock just hangs, so a wall-clock watchdog backstops it.
+  // The scheduler proves a deadlock deterministically and calls the
+  // handler instead of aborting.
   sim::SetStallHandler([](const std::string& report) {
     std::fprintf(stderr, "scale_smoke: STALL: %s\n", report.c_str());
     std::exit(3);
   });
-  if (stall_timeout_s > 0) {
-    std::signal(SIGALRM, WatchdogExpired);
-    alarm(static_cast<unsigned>(stall_timeout_s));
-  }
 
   constexpr int kRounds = 8;
   constexpr size_t kCount = 256;
@@ -101,7 +67,7 @@ int main(int argc, char** argv) {
   std::mutex mu;
   std::vector<Report> reports;
 
-  sim::Cluster cluster(cfg);
+  sim::Cluster cluster;
   cluster.AddPendingFailure(
       {sim::FailScope::kProcess, victim, kKillAt});
   cluster.Spawn(ranks, [&](sim::Endpoint& ep) {
@@ -126,7 +92,6 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(rep));
   });
   cluster.Join();
-  alarm(0);
   sim::SetStallHandler(nullptr);
 
   int survivors = 0, aborted = 0, repaired = 0;
@@ -155,13 +120,9 @@ int main(int argc, char** argv) {
                         repaired == survivors && world_ok && identical;
   const bool rss_ok = max_rss_mb <= 0 || rss_mb <= max_rss_mb;
   std::printf(
-      "scale_smoke: ranks=%d engine=%s survivors=%d aborted=%d repaired=%d "
+      "scale_smoke: ranks=%d survivors=%d aborted=%d repaired=%d "
       "world_ok=%d identical=%d peak_rss_mb=%.1f -> %s\n",
-      ranks,
-      sim::ResolveEngineKind(cfg.engine) == sim::EngineKind::kFibers
-          ? "fibers"
-          : "threads",
-      survivors, aborted, repaired, static_cast<int>(world_ok),
+      ranks, survivors, aborted, repaired, static_cast<int>(world_ok),
       static_cast<int>(identical), rss_mb,
       verified && rss_ok ? "PASS" : "FAIL");
   if (!verified) return 2;

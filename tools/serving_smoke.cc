@@ -1,5 +1,4 @@
-// Serving smoke for CI: N simulated ranks (default 64, fibers via
-// --engine) serve a 10k-request continuous-batching stream over the
+// Serving smoke for CI: N simulated ranks (default 64) serve a 10k-request continuous-batching stream over the
 // resilient collectives, lose one rank mid-service, repair/shrink, and
 // keep decoding. Verifies the serving plane's P8 guarantee at scale —
 // zero admitted requests dropped or double-completed, replicated-state
@@ -7,23 +6,19 @@
 // the TTFT p999 quantile exported by the obs registry.
 //
 //   ./tools/serving_smoke [--ranks N] [--requests R] [--rps RPS]
-//                         [--engine threads|fibers] [--p999-ms B]
-//                         [--stall-timeout-s S]
+//                         [--p999-ms B]
 //
 // Distinct exit codes so CI can tell failure classes apart:
 //   0  pass
 //   2  verification mismatch (dropped/double-completed requests,
 //      divergent digests, or a missed repair)
-//   3  stall — fibers scheduler proved a deadlock, or the real-time
-//      watchdog expired
+//   3  stall — the scheduler proved a deadlock
 //   4  SLO breach (TTFT p999 above --p999-ms)
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/resilient.h"
@@ -35,17 +30,6 @@
 
 using namespace rcc;
 
-namespace {
-
-void WatchdogExpired(int) {
-  const char msg[] = "serving_smoke: STALL (real-time watchdog expired)\n";
-  ssize_t ignored = write(STDERR_FILENO, msg, sizeof(msg) - 1);
-  (void)ignored;
-  _exit(3);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   int ranks = 64;
   int requests = 10000;
@@ -56,9 +40,6 @@ int main(int argc, char** argv) {
   // at repair-blip scale — a regression to teardown-style recovery
   // (tens of seconds of outage) trips it immediately.
   double p999_ms = 2000.0;
-  int stall_timeout_s = 300;
-  sim::SimConfig cfg;
-  cfg.engine = sim::EngineKind::kFibers;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--ranks") == 0) ranks = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--requests") == 0)
@@ -66,28 +47,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--rps") == 0) rps = std::atof(argv[i + 1]);
     if (std::strcmp(argv[i], "--p999-ms") == 0)
       p999_ms = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--stall-timeout-s") == 0)
-      stall_timeout_s = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--engine") == 0) {
-      if (std::strcmp(argv[i + 1], "threads") == 0) {
-        cfg.engine = sim::EngineKind::kThreads;
-      } else if (std::strcmp(argv[i + 1], "fibers") == 0) {
-        cfg.engine = sim::EngineKind::kFibers;
-      } else {
-        std::fprintf(stderr, "unknown --engine %s\n", argv[i + 1]);
-        return 2;
-      }
-    }
   }
 
   sim::SetStallHandler([](const std::string& report) {
     std::fprintf(stderr, "serving_smoke: STALL: %s\n", report.c_str());
     std::exit(3);
   });
-  if (stall_timeout_s > 0) {
-    std::signal(SIGALRM, WatchdogExpired);
-    alarm(static_cast<unsigned>(stall_timeout_s));
-  }
 
   serve::ServeOptions o;
   o.traffic.seed = 29;
@@ -111,7 +76,7 @@ int main(int argc, char** argv) {
   std::vector<serve::ServeReport> finished;
   int aborted = 0;
 
-  sim::Cluster cluster(cfg);
+  sim::Cluster cluster;
   cluster.AddPendingFailure({sim::FailScope::kProcess, victim, kill_at});
   cluster.Spawn(ranks, [&](sim::Endpoint& ep) {
     core::ResilientComm rc(ep, pids, horovod::DropPolicy::kProcess, nullptr);
@@ -126,7 +91,6 @@ int main(int argc, char** argv) {
     }
   });
   cluster.Join();
-  alarm(0);
   sim::SetStallHandler(nullptr);
 
   bool verified = static_cast<int>(finished.size()) == ranks - 1 &&
@@ -148,13 +112,9 @@ int main(int argc, char** argv) {
   const bool slo_ok = p999 <= p999_ms;
 
   std::printf(
-      "serving_smoke: ranks=%d engine=%s requests=%d survivors=%zu "
+      "serving_smoke: ranks=%d requests=%d survivors=%zu "
       "aborted=%d repaired=%d ttft_p999_ms=%.2f (bound %.2f) -> %s\n",
-      ranks,
-      sim::ResolveEngineKind(cfg.engine) == sim::EngineKind::kFibers
-          ? "fibers"
-          : "threads",
-      requests, finished.size(), aborted, repaired, p999, p999_ms,
+      ranks, requests, finished.size(), aborted, repaired, p999, p999_ms,
       verified && slo_ok ? "PASS" : "FAIL");
   // Failure classes 2 (verification) and 4 (SLO breach) leave the black
   // box behind: one flight dump per rank in RCC_FLIGHT_DIR, for
