@@ -16,13 +16,17 @@ int main() {
   sim::Cluster cluster;
   horovod::RunElasticHorovod(cluster, plan, &rec);
 
-  // One surviving rank's recovery episode, ordered by virtual time.
+  // One rank's recovery episode, ordered by virtual time: the rank that
+  // finished catching the exception first (lowest pid on a tie).
   auto events = rec.events();
   int witness = -1;
-  for (const auto& e : events) {
-    if (e.phase == std::string("recovery/") + horovod::phase::kCatchException) {
+  double witness_end = 0.0;
+  for (const auto& e : rec.EventsForPhase(std::string("recovery/") +
+                                          horovod::phase::kCatchException)) {
+    if (witness < 0 || e.end < witness_end ||
+        (e.end == witness_end && e.pid < witness)) {
       witness = e.pid;
-      break;
+      witness_end = e.end;
     }
   }
   std::vector<trace::Event> mine;

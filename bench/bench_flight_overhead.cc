@@ -67,7 +67,6 @@ double CpuSeconds() {
 
 double TimeOnce(const std::function<void()>& run, bool flight_on) {
   obs::flight::SetEnabled(flight_on);
-  obs::flight::ResetAll();
   const double t0 = CpuSeconds();
   for (int i = 0; i < kRunsPerSample; ++i) run();
   return CpuSeconds() - t0;

@@ -94,10 +94,13 @@ double SumRecoveryGroup(const trace::Recorder& rec,
   // participants (e.g. a joiner blocks until the survivors reach the
   // epoch boundary); the fastest participant's duration is the pure
   // reconstruction work. Waiting shows up - correctly - in the
-  // end-to-end overhead instead.
+  // end-to-end overhead instead. One table for the whole group: each
+  // table is a pass over the run's event log.
+  const auto by_min = rec.MinByPhase();
   double total = 0;
   for (const std::string& name : names) {
-    total += RecoveryPhaseMin(rec, name);
+    auto it = by_min.find("recovery/" + name);
+    if (it != by_min.end()) total += it->second;
   }
   return total;
 }
@@ -124,8 +127,9 @@ ScenarioCosts RunScenario(Stack stack, const dnn::ModelSpec& spec,
   clean.failures.clear();
   clean.joins.clear();
 
-  trace::Recorder clean_rec;
-  auto clean_stats = RunPlan(stack, clean, &clean_rec);
+  // Only the faulty run's phases are read; the clean run needs no
+  // recorder (its logs then keep only the always-on window).
+  auto clean_stats = RunPlan(stack, clean, nullptr);
   trace::Recorder rec;
   auto stats = RunPlan(stack, faulty, &rec);
 

@@ -13,6 +13,46 @@ namespace rcc::chaos {
 
 namespace {
 
+// P6 and P7 over the run's event log, shared by every campaign shape
+// (they all recover through the same resilient substrate).
+//   P6: every replayed op is at or above the MIN its repair agreed on.
+//   P7: the registry counters, the repair spans and the worker reports
+//       cohere. Every Repair() increments the counter once and records
+//       >= 1 span (extra spans come from gpu-rebuild retry rounds), and
+//       every replayed-op increment has its replay event.
+void CheckRecoveryAudit(const CampaignOutcome& o, int max_worker_repairs,
+                        std::vector<Violation>* out) {
+  auto violate = [out](const char* oracle, const std::string& detail) {
+    out->push_back(Violation{oracle, detail});
+  };
+  for (const trace::ReplayEvent& e : o.replay_events) {
+    if (e.op_id < e.min_id) {
+      std::ostringstream os;
+      os << "pid " << e.pid << " replayed op " << e.op_id
+         << " below agreed MIN " << e.min_id;
+      violate("P6", os.str());
+    }
+  }
+  std::ostringstream os;
+  os << "repairs counter " << o.repairs_metric << ", repair spans "
+     << o.repair_span_count << ", max worker repairs " << max_worker_repairs
+     << ", replayed counter " << o.replayed_metric << ", replay events "
+     << o.replay_events.size();
+  const std::string ctx = os.str();
+  if (o.repair_span_count < static_cast<int>(o.repairs_metric)) {
+    violate("P7", "spans fewer than repair increments (" + ctx + ")");
+  }
+  if (static_cast<int>(o.repairs_metric) < max_worker_repairs) {
+    violate("P7", "counter below a worker's repair count (" + ctx + ")");
+  }
+  if ((o.repairs_metric > 0) != (o.repair_span_count > 0)) {
+    violate("P7", "repairs counter and spans disagree on >0 (" + ctx + ")");
+  }
+  if (static_cast<size_t>(o.replayed_metric) != o.replay_events.size()) {
+    violate("P7", "replayed counter != replay events (" + ctx + ")");
+  }
+}
+
 // Serving-campaign oracles. P0/P3/P6/P7 keep their trainer meanings;
 // P8 is the serving plane's core guarantee: across every repair,
 // splice, and voluntary shrink, no admitted request is lost or
@@ -110,38 +150,7 @@ void CheckServingOracles(const Schedule& schedule, const CampaignOutcome& o,
     }
   }
 
-  // P6: every replayed op is at or above the MIN its repair agreed on.
-  for (const trace::ReplayEvent& e : o.replay_events) {
-    if (e.op_id < e.min_id) {
-      std::ostringstream os;
-      os << "pid " << e.pid << " replayed op " << e.op_id
-         << " below agreed MIN " << e.min_id;
-      violate("P6", os.str());
-    }
-  }
-
-  // P7: counters, spans and reports must cohere (same invariants as the
-  // trainer path; the serving plane shares the recovery substrate).
-  {
-    std::ostringstream os;
-    os << "repairs counter " << o.repairs_metric << ", repair spans "
-       << o.repair_span_count << ", max worker repairs "
-       << max_worker_repairs << ", replayed counter " << o.replayed_metric
-       << ", replay events " << o.replay_events.size();
-    const std::string ctx = os.str();
-    if (o.repair_span_count < static_cast<int>(o.repairs_metric)) {
-      violate("P7", "spans fewer than repair increments (" + ctx + ")");
-    }
-    if (static_cast<int>(o.repairs_metric) < max_worker_repairs) {
-      violate("P7", "counter below a worker's repair count (" + ctx + ")");
-    }
-    if ((o.repairs_metric > 0) != (o.repair_span_count > 0)) {
-      violate("P7", "repairs counter and spans disagree on >0 (" + ctx + ")");
-    }
-    if (static_cast<size_t>(o.replayed_metric) != o.replay_events.size()) {
-      violate("P7", "replayed counter != replay events (" + ctx + ")");
-    }
-  }
+  CheckRecoveryAudit(o, max_worker_repairs, out);
 }
 
 // Pipeline-campaign oracles. P0/P3/P6/P7 keep their meanings and P9
@@ -307,38 +316,7 @@ void CheckPipelineOracles(const Schedule& schedule, const CampaignOutcome& o,
     violate("P3", os.str());
   }
 
-  // P6: every replayed op is at or above the MIN its repair agreed on.
-  for (const trace::ReplayEvent& e : o.replay_events) {
-    if (e.op_id < e.min_id) {
-      std::ostringstream os;
-      os << "pid " << e.pid << " replayed op " << e.op_id
-         << " below agreed MIN " << e.min_id;
-      violate("P6", os.str());
-    }
-  }
-
-  // P7: counters, spans and reports must cohere (shared recovery
-  // substrate, same invariants as the trainer path).
-  {
-    std::ostringstream os;
-    os << "repairs counter " << o.repairs_metric << ", repair spans "
-       << o.repair_span_count << ", max worker repairs "
-       << max_worker_repairs << ", replayed counter " << o.replayed_metric
-       << ", replay events " << o.replay_events.size();
-    const std::string ctx = os.str();
-    if (o.repair_span_count < static_cast<int>(o.repairs_metric)) {
-      violate("P7", "spans fewer than repair increments (" + ctx + ")");
-    }
-    if (static_cast<int>(o.repairs_metric) < max_worker_repairs) {
-      violate("P7", "counter below a worker's repair count (" + ctx + ")");
-    }
-    if ((o.repairs_metric > 0) != (o.repair_span_count > 0)) {
-      violate("P7", "repairs counter and spans disagree on >0 (" + ctx + ")");
-    }
-    if (static_cast<size_t>(o.replayed_metric) != o.replay_events.size()) {
-      violate("P7", "replayed counter != replay events (" + ctx + ")");
-    }
-  }
+  CheckRecoveryAudit(o, max_worker_repairs, out);
 
   // P9: decision-oracle soundness over the pipeline recovery decisions
   // (same contract as the trainer path: pure re-derivation, best
@@ -524,39 +502,7 @@ std::vector<Violation> CheckOracles(const Schedule& schedule,
     violate("P3", os.str());
   }
 
-  // P6: every replayed op is at or above the MIN its repair agreed on.
-  for (const trace::ReplayEvent& e : o.replay_events) {
-    if (e.op_id < e.min_id) {
-      std::ostringstream os;
-      os << "pid " << e.pid << " replayed op " << e.op_id
-         << " below agreed MIN " << e.min_id;
-      violate("P6", os.str());
-    }
-  }
-
-  // P7: counters, spans and reports must cohere.
-  {
-    std::ostringstream os;
-    os << "repairs counter " << o.repairs_metric << ", repair spans "
-       << o.repair_span_count << ", max worker repairs "
-       << max_worker_repairs << ", replayed counter " << o.replayed_metric
-       << ", replay events " << o.replay_events.size();
-    const std::string ctx = os.str();
-    // Every Repair() increments the counter once and records >= 1 span
-    // (extra spans come from gpu-rebuild retry rounds).
-    if (o.repair_span_count < static_cast<int>(o.repairs_metric)) {
-      violate("P7", "spans fewer than repair increments (" + ctx + ")");
-    }
-    if (static_cast<int>(o.repairs_metric) < max_worker_repairs) {
-      violate("P7", "counter below a worker's repair count (" + ctx + ")");
-    }
-    if ((o.repairs_metric > 0) != (o.repair_span_count > 0)) {
-      violate("P7", "repairs counter and spans disagree on >0 (" + ctx + ")");
-    }
-    if (static_cast<size_t>(o.replayed_metric) != o.replay_events.size()) {
-      violate("P7", "replayed counter != replay events (" + ctx + ")");
-    }
-  }
+  CheckRecoveryAudit(o, max_worker_repairs, &out);
 
   // P9: decision-oracle soundness (policy campaigns only). Every logged
   // decision must (a) re-derive bitwise-identically from its own

@@ -8,7 +8,7 @@
 #include <numeric>
 
 #include "kvstore/kvstore.h"
-#include "obs/flight.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/failure.h"
 
@@ -54,13 +54,12 @@ serve::ServeOptions ServeOptionsFromSchedule(const Schedule& s) {
 }
 
 CampaignOutcome RunSchedule(const Schedule& schedule) {
-  // Fresh flight rings per schedule: a post-abort dump then holds only
-  // this reproducer's history, not the whole campaign's. The metrics
-  // registry is reset with them: the policy inputs read the failure
-  // counter and the recovery-phase maxima, and those must be
+  // Each schedule runs in a fresh simulation with its own event logs, so
+  // a post-abort dump holds only this reproducer's history. The metrics
+  // registry is process-wide and reset here: the policy inputs read the
+  // failure counter and the recovery-phase maxima, and those must be
   // campaign-local for a schedule to replay to a byte-identical
   // decision log in a process that already ran other campaigns.
-  obs::flight::ResetAll();
   obs::Registry::Global().ResetAll();
   const Shape& sh = schedule.shape;
   sim::SimConfig cfg;
@@ -159,6 +158,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
                            horovod::phase::kUlfmRepair)
             .size());
     out.replay_events = rec.replay_events();
+    out.logs = cluster.fabric().shared_logs();
     std::sort(out.replay_events.begin(), out.replay_events.end(),
               [](const trace::ReplayEvent& a, const trace::ReplayEvent& b) {
                 return a.pid != b.pid ? a.pid < b.pid : a.op_id < b.op_id;
@@ -226,7 +226,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       r.pid = ep.pid();
       r.pipe = trainer.Run();
       r.report.aborted = r.pipe.aborted;
-      if (obs::flight::DumpIfUnexplainedExit(ep, r.pipe.aborted)) {
+      if (obs::DumpIfUnexplainedExit(ep, r.pipe.aborted)) {
         ep.fabric().Kill(ep.pid());
       }
       r.end_time = ep.now();
@@ -248,7 +248,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     // the job (e.g. an unrecoverable state-sync error): it dumps, and
     // peers must observe a process failure, not block forever on a
     // silent leaver.
-    if (obs::flight::DumpIfUnexplainedExit(ep, r.report.aborted)) {
+    if (obs::DumpIfUnexplainedExit(ep, r.report.aborted)) {
       ep.fabric().Kill(ep.pid());
     }
     r.end_time = ep.now();
@@ -325,7 +325,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
           }
           // Same exit-is-a-failure rule as the founders: an aborted
           // joiner still registered in the fabric must die visibly.
-          if (obs::flight::DumpIfUnexplainedExit(ep, r.report.aborted)) {
+          if (obs::DumpIfUnexplainedExit(ep, r.report.aborted)) {
             ep.fabric().Kill(ep.pid());
           }
           r.end_time = ep.now();
@@ -408,8 +408,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
                 // a scheduled joiner admitted there.
                 r.report = trainer.Run(cursor, /*joined_at_epoch=*/-1);
               }
-              if (obs::flight::DumpIfUnexplainedExit(ep,
-                                                     r.report.aborted)) {
+              if (obs::DumpIfUnexplainedExit(ep, r.report.aborted)) {
                 ep.fabric().Kill(ep.pid());
               }
             }

@@ -5,6 +5,7 @@
 // completion order).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "chaos/schedule.h"
@@ -55,6 +56,9 @@ struct CampaignOutcome {
   // Trace-derived evidence.
   int repair_span_count = 0;                      // recovery/ulfm_repair
   std::vector<trace::ReplayEvent> replay_events;  // replays vs agreed MIN
+  // The run's event logs, for a dump after the run (chaos_fuzz parks a
+  // violating reproducer's logs next to its schedule).
+  std::shared_ptr<const obs::flight::Logs> logs;
 };
 
 CampaignOutcome RunSchedule(const Schedule& schedule);

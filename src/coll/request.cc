@@ -27,7 +27,7 @@ void StackMetrics::Record(double latency_s, double op_bytes) {
 }
 
 Request Request::Start(Info info, sim::Seconds submit, Body body,
-                       sim::Engine& engine, int pid, RequestMetrics& metrics,
+                       sim::Endpoint& ep, RequestMetrics& metrics,
                        const Request* after) {
   Request req;
   req.state_ = std::make_shared<State>();
@@ -45,13 +45,13 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   std::shared_ptr<State> pred =
       (after != nullptr) ? after->state_ : nullptr;
   sim::TaskOptions opts;
-  opts.pid = pid;
+  opts.pid = ep.pid();
   // The op task's run-queue position follows its virtual completion
   // clock (== the effective start time while the body runs).
   opts.clock = &st->complete;
-  st->worker = engine.Spawn(
+  st->worker = ep.fabric().engine().Spawn(
       opts,
-      [st, inflight, pid, m = std::move(algo_metrics),
+      [st, inflight, log = ep.log(), m = std::move(algo_metrics),
        pred = std::move(pred), body = std::move(body)]() mutable {
         if (pred) {
           std::unique_lock<std::mutex> lock(pred->mu);
@@ -66,12 +66,9 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
         m->queue_wait->Observe(st->start - st->submit);
         m->service->Observe(st->complete - st->start);
         (s.ok() ? m->ops : m->ops_failed)->Increment();
-        if (obs::flight::Enabled()) {
-          obs::flight::ForRank(pid)->Record(
-              obs::flight::Ev::kCollSvc, st->complete,
-              static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
-              st->complete - st->start);
-        }
+        log->Record(obs::flight::Ev::kCollSvc, st->complete,
+                    static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
+                    st->complete - st->start);
         inflight->Add(-1.0);
         {
           std::lock_guard<std::mutex> lock(st->mu);

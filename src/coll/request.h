@@ -71,15 +71,14 @@ class Request {
 
   Request() = default;
 
-  // Starts the op as a task on `engine`. `submit` is the submitting
-  // rank's clock at submission; `pid` its rank id (the deterministic
-  // run-queue tie-break for the op task); if `after` holds an active
-  // request, the op task first waits for it and starts no earlier than
-  // its completion. The op records into the submitting communicator's
-  // `metrics`.
+  // Starts the op as a task on the submitting rank `ep`'s engine, with
+  // its pid as the deterministic run-queue tie-break. `submit` is the
+  // rank's clock at submission; if `after` holds an active request, the
+  // op task first waits for it and starts no earlier than its
+  // completion. The op records into the submitting communicator's
+  // `metrics` and the rank's event log.
   static Request Start(Info info, sim::Seconds submit, Body body,
-                       sim::Engine& engine, int pid,
-                       RequestMetrics& metrics,
+                       sim::Endpoint& ep, RequestMetrics& metrics,
                        const Request* after = nullptr);
 
   // An already-completed failed request (submission-time errors such as

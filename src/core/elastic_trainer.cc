@@ -298,20 +298,15 @@ bool ElasticTrainer::PolicyExchange(const policy::PolicyInputs& rank0_in,
 
 void ElasticTrainer::RecordDecision(const policy::Decision& d,
                                     double t_start) {
-  const int pid = rc_->endpoint().pid();
+  obs::flight::Ring* ring = rc_->endpoint().log();
   const double now = rc_->endpoint().now();
-  if (obs::flight::Enabled()) {
-    obs::flight::Ring* ring = obs::flight::ForRank(pid);
-    // Recorded back-to-back: the postmortem pairs them by adjacency.
-    ring->Record(obs::flight::Ev::kPolicyInputs, now, d.in.world, d.in.event,
-                 d.in.mtbf_seconds);
-    ring->Record(obs::flight::Ev::kPolicyDecision, now,
-                 static_cast<int64_t>(d.chosen), d.in.seq,
-                 d.cost[static_cast<int>(d.chosen)]);
-  }
-  if (trace::Recorder* rec = rc_->recorder(); rec != nullptr) {
-    rec->Record(pid, "policy/decide", t_start, now);
-  }
+  // Recorded back-to-back: the postmortem pairs them by adjacency.
+  ring->Record(obs::flight::Ev::kPolicyInputs, now, d.in.world, d.in.event,
+               d.in.mtbf_seconds);
+  ring->Record(obs::flight::Ev::kPolicyDecision, now,
+               static_cast<int64_t>(d.chosen), d.in.seq,
+               d.cost[static_cast<int>(d.chosen)]);
+  ring->Record(obs::flight::Ev::kSpan, now, 0, 0, t_start, decide_name_);
 }
 
 bool ElasticTrainer::PolicyTick(int* epoch, int* step, TrainerReport* report,

@@ -174,6 +174,7 @@ class ElasticTrainer {
   int policy_slots_used_ = 0;          // replacement slots consumed
   double policy_step_ewma_ = 0.0;      // measured per-step wall (virtual)
   obs::StepMetrics step_metrics_{"elastic_trainer"};
+  const uint32_t decide_name_ = obs::flight::Intern("policy/decide");
 };
 
 }  // namespace rcc::core

@@ -471,13 +471,11 @@ bool PipelineTrainer::Adapt(int64_t* gstep) {
   ++seq_;
   policy::Decision d = policy::Decide(mode_, in);
   report_.decisions.push_back(d);
-  if (rc_->recorder() != nullptr) {
-    const double now = rc_->endpoint().now();
-    rc_->recorder()->Record(
-        rc_->endpoint().pid(),
-        "policy/pipeline_" + std::string(policy::StrategyName(d.chosen)), now,
-        now);
-  }
+  const double now = rc_->endpoint().now();
+  rc_->endpoint().log()->Record(
+      obs::flight::Ev::kSpan, now, 0, 0, now,
+      obs::flight::Intern("policy/pipeline_" +
+                          std::string(policy::StrategyName(d.chosen))));
 
   adopt_root_ = -1;
 

@@ -1,6 +1,7 @@
 #include "core/resilient.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -45,15 +46,17 @@ ResilientComm::ResilientComm(sim::Endpoint& ep, mpi::Comm comm,
       comm_(std::make_unique<mpi::Comm>(std::move(comm))),
       policy_(policy),
       rec_(rec),
-      flight_(obs::flight::ForRank(ep.pid())) {}
+      flight_(ep.log()) {
+  if (rec_ != nullptr) rec_->Attach(ep);
+}
 
 std::unique_ptr<ResilientComm> ResilientComm::JoinExisting(
     sim::Endpoint& ep, const std::string& session, int expected_joiners,
     horovod::DropPolicy policy, trace::Recorder* rec) {
   int64_t agreed_counter = 0;
   Result<mpi::Comm> joined = [&] {
-    trace::Scope scope(rec, ep,
-                       std::string("recovery/") + horovod::phase::kUlfmExpand);
+    obs::Span span(rec, ep,
+                   std::string("recovery/") + horovod::phase::kUlfmExpand);
     return ulfm::ExpandComm(ep, nullptr, session, expected_joiners,
                             /*op_counter=*/0, &agreed_counter);
   }();
@@ -106,17 +109,14 @@ Status ResilientComm::Repair(const Status& failure) {
   obs::Registry::Global()
       .GetCounter("rcc_recovery_repairs_total")
       ->Increment();
-  const bool fly = obs::flight::Enabled();
   const double repair_t0 = ep_.now();
   const std::vector<int> prior_pids = comm_->pids();
-  std::vector<int> noted_failed;
-  if (fly) {
-    flight_->Record(obs::flight::Ev::kRepairBegin, repair_t0, repair);
-    for (int pid : failure.failed_pids()) {
-      flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
-      obs::flight::NoteFailureDetected(pid, repair_t0);
-      noted_failed.push_back(pid);
-    }
+  const std::vector<int> noted_failed = failure.failed_pids();
+  obs::flight::Logs& logs = ep_.fabric().logs();
+  flight_->Record(obs::flight::Ev::kRepairBegin, repair_t0, repair);
+  for (int pid : noted_failed) {
+    flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
+    logs.NoteFailureDetected(pid, repair_t0);
   }
   RCC_LOG(kDebug) << "pid " << ep_.pid() << " repair start: "
                   << failure.ToString();
@@ -131,10 +131,8 @@ Status ResilientComm::Repair(const Status& failure) {
       comm_->NoteFailedPids(failure.failed_pids());
       ulfm::Revoke(*comm_);
       ulfm::FailureAck(*comm_);
+      revoke.SetRecoveryPhase(obs::flight::Phase::kRevoke, repair);
     }
-    obs::flight::RecordRecoveryPhase(fly ? flight_ : nullptr,
-                                     obs::flight::Phase::kRevoke, ep_.now(),
-                                     repair, ep_.now() - repair_t0);
     if (ShouldLeaveNode()) {
       // Node-drop policy: this process's host lost a member, so it
       // leaves the training job immediately; the survivors' shrink
@@ -146,7 +144,6 @@ Status ResilientComm::Repair(const Status& failure) {
     // die concurrently with the first shrink; the stability check is
     // itself an agreement so every survivor takes the same number of
     // shrink rounds.
-    const double shrink_t0 = ep_.now();
     obs::Span shrink_span(rec_, ep_, "recovery/shrink");
     auto shrunk = ulfm::Shrink(*comm_);
     if (!shrunk.ok()) return shrunk.status();
@@ -165,9 +162,7 @@ Status ResilientComm::Repair(const Status& failure) {
       shrunk = std::move(again);
     }
     comm_ = std::make_unique<mpi::Comm>(shrunk.take());
-    obs::flight::RecordRecoveryPhase(fly ? flight_ : nullptr,
-                                     obs::flight::Phase::kShrink, ep_.now(),
-                                     repair, ep_.now() - shrink_t0);
+    shrink_span.SetRecoveryPhase(obs::flight::Phase::kShrink, repair);
   }
   // Rebuild the GPU communicator, agreeing each round on success: a
   // member dying *during* the rebuild sends every survivor back through
@@ -198,30 +193,26 @@ Status ResilientComm::Repair(const Status& failure) {
     if (!shrunk.ok()) return shrunk.status();
     comm_ = std::make_unique<mpi::Comm>(shrunk.take());
   }
-  obs::flight::RecordRecoveryPhase(fly ? flight_ : nullptr,
-                                   obs::flight::Phase::kRebuild, ep_.now(),
-                                   repair, ep_.now() - rebuild_t0);
-  if (fly) {
-    // The triggering Status often lacks the casualty list (a collective
-    // reports a generic peer failure; the pids only become certain after
-    // the shrink agreement). Attribute every member that dropped out of
-    // the communicator during this repair, stamped at detection time.
-    const std::vector<int>& now_pids = comm_->pids();
-    for (int pid : prior_pids) {
-      if (std::find(now_pids.begin(), now_pids.end(), pid) !=
-          now_pids.end()) {
-        continue;
-      }
-      if (std::find(noted_failed.begin(), noted_failed.end(), pid) !=
-          noted_failed.end()) {
-        continue;
-      }
-      flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
-      obs::flight::NoteFailureDetected(pid, repair_t0);
+  obs::flight::RecordRecoveryPhase(flight_, obs::flight::Phase::kRebuild,
+                                   ep_.now(), repair, ep_.now() - rebuild_t0);
+  // The triggering Status often lacks the casualty list (a collective
+  // reports a generic peer failure; the pids only become certain after
+  // the shrink agreement). Attribute every member that dropped out of
+  // the communicator during this repair, stamped at detection time.
+  const std::vector<int>& now_pids = comm_->pids();
+  for (int pid : prior_pids) {
+    if (std::find(now_pids.begin(), now_pids.end(), pid) != now_pids.end()) {
+      continue;
     }
-    flight_->Record(obs::flight::Ev::kRepairDone, ep_.now(), repair, 0,
-                    ep_.now() - repair_t0);
+    if (std::find(noted_failed.begin(), noted_failed.end(), pid) !=
+        noted_failed.end()) {
+      continue;
+    }
+    flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
+    logs.NoteFailureDetected(pid, repair_t0);
   }
+  flight_->Record(obs::flight::Ev::kRepairDone, ep_.now(), repair, 0,
+                  ep_.now() - repair_t0);
   RCC_LOG(kDebug) << "pid " << ep_.pid() << " repair done";
   return Status::Ok();
 }
@@ -231,10 +222,7 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
                                    bool has_data) {
   const auto op_id = static_cast<int64_t>(++op_counter_);
   const double post_t = ep_.now();
-  if (obs::flight::Enabled()) {
-    flight_->Record(obs::flight::Ev::kCollPost, post_t, op_id,
-                    has_data ? 1 : 0);
-  }
+  flight_->Record(obs::flight::Ev::kCollPost, post_t, op_id, has_data ? 1 : 0);
   bool data_done = !has_data;
   bool repaired = false;
   // Set when the pending data run is a post-repair re-execution; the
@@ -244,10 +232,14 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
   for (;;) {
     Status st;
     if (!data_done) {
-      const double retry_t0 = ep_.now();
       if (repaired) {
+        // A successful re-execution after the agreement is the repair's
+        // replay phase.
         obs::Span span(rec_, ep_, retry_phase_);
         st = data_fn();
+        if (st.ok() && replay_min != kNoIncompleteOp) {
+          span.SetRecoveryPhase(obs::flight::Phase::kReplay, repairs_);
+        }
       } else {
         st = data_fn();
       }
@@ -255,17 +247,8 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
         data_done = true;
         if (replay_min != kNoIncompleteOp) {
           replayed_ops_->Increment();
-          if (rec_ != nullptr) {
-            rec_->RecordReplay(ep_.pid(), op_id, replay_min);
-          }
-          const bool fly = obs::flight::Enabled();
-          if (fly) {
-            flight_->Record(obs::flight::Ev::kCollReplay, ep_.now(), op_id,
-                            replay_min);
-          }
-          obs::flight::RecordRecoveryPhase(
-              fly ? flight_ : nullptr, obs::flight::Phase::kReplay, ep_.now(),
-              repairs_, ep_.now() - retry_t0);
+          flight_->Record(obs::flight::Ev::kCollReplay, ep_.now(), op_id,
+                          replay_min);
           if (replay_hook_) replay_hook_(op_id, replay_min);
           replay_min = kNoIncompleteOp;
         }
@@ -274,10 +257,8 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
     if (data_done) {
       st = sync_fn();
       if (st.ok()) {
-        if (obs::flight::Enabled()) {
-          flight_->Record(obs::flight::Ev::kCollComplete, ep_.now(), op_id,
-                          0, ep_.now() - post_t);
-        }
+        flight_->Record(obs::flight::Ev::kCollComplete, ep_.now(), op_id, 0,
+                        ep_.now() - post_t);
         return Status::Ok();
       }
     }
@@ -294,26 +275,16 @@ Status ResilientComm::RunResilient(const std::function<Status()>& data_fn,
       repaired = true;
       int64_t contribution = FirstIncompleteWindowOp();
       if (contribution == kNoIncompleteOp && !data_done) contribution = op_id;
-      const double agree_t0 = ep_.now();
-      auto verdict = [&] {
-        obs::Span agree(rec_, ep_, "recovery/agree");
-        return ulfm::Agree(*comm_, /*flag=*/1, contribution);
-      }();
+      auto verdict = Agree(contribution);
       if (!verdict.ok()) return verdict.status();
-      obs::flight::RecordRecoveryPhase(
-          obs::flight::Enabled() ? flight_ : nullptr,
-          obs::flight::Phase::kAgree, ep_.now(), repairs_,
-          ep_.now() - agree_t0);
       const int64_t min_id = verdict.value().min_value;
       RCC_LOG(kDebug) << "pid " << ep_.pid() << " resolve op " << op_id
                       << " contrib " << contribution << " min " << min_id;
       if (min_id == kNoIncompleteOp || min_id > op_id) {
         // Every survivor holds the data of this op (and of everything
         // before it) and the repair itself synchronized us: complete.
-        if (obs::flight::Enabled()) {
-          flight_->Record(obs::flight::Ev::kCollComplete, ep_.now(), op_id,
-                          0, ep_.now() - post_t);
-        }
+        flight_->Record(obs::flight::Ev::kCollComplete, ep_.now(), op_id, 0,
+                        ep_.now() - post_t);
         return Status::Ok();
       }
       // Forward recovery: re-execute every op >= MIN in program order on
@@ -362,17 +333,11 @@ Status ResilientComm::WaitOp(WindowOp* op) {
   if (st.ok()) {
     op->done = true;
     comm_service_acc_ += op->req.complete_time() - op->req.start_time();
-    if (rec_ != nullptr) {
-      rec_->RecordOp(ep_.pid(), static_cast<uint64_t>(op->id),
-                     op->req.info().algo, op->req.info().bytes,
-                     op->req.submit_time(), op->req.complete_time());
-      rec_->RecordCounter(ep_.pid(), "in_flight_window", ep_.now(),
-                          static_cast<double>(inflight()));
-    }
-    if (obs::flight::Enabled()) {
-      flight_->Record(obs::flight::Ev::kCollComplete, ep_.now(), op->id, 0,
-                      op->req.complete_time() - op->req.submit_time());
-    }
+    const coll::Request::Info& info = op->req.info();
+    flight_->Record(obs::flight::Ev::kOp, op->req.complete_time(), op->id,
+                    std::llround(info.bytes), op->req.submit_time(),
+                    algo_names_.For(info.algo)->id);
+    RecordWindowDepth();
   }
   return st;
 }
@@ -397,7 +362,6 @@ int64_t ResilientComm::FirstIncompleteWindowOp() const {
 
 Status ResilientComm::ReplayWindowFrom(int64_t min_id) {
   obs::Counter* replayed = replayed_ops_.Get();
-  const bool fly = obs::flight::Enabled();
   const double replay_t0 = ep_.now();
   int64_t depth = 0;
   std::vector<float> scratch;  // planted-fault sink, see below
@@ -423,22 +387,32 @@ Status ResilientComm::ReplayWindowFrom(int64_t min_id) {
       continue;
     }
     replayed->Increment();
-    if (rec_ != nullptr) rec_->RecordReplay(ep_.pid(), op.id, min_id);
-    if (fly) {
-      flight_->Record(obs::flight::Ev::kCollReplay, ep_.now(), op.id, min_id);
-    }
+    flight_->Record(obs::flight::Ev::kCollReplay, ep_.now(), op.id, min_id);
     ++depth;
     if (replay_hook_) replay_hook_(op.id, min_id);
     op.done = true;
     op.req = coll::Request();  // the pre-failure request is retired
   }
-  obs::flight::RecordRecoveryPhase(fly ? flight_ : nullptr,
-                                   obs::flight::Phase::kReplay, ep_.now(),
-                                   repairs_, ep_.now() - replay_t0);
+  obs::flight::RecordRecoveryPhase(flight_, obs::flight::Phase::kReplay,
+                                   ep_.now(), repairs_, ep_.now() - replay_t0);
   obs::Registry::Global()
       .GetHistogram("rcc_recovery_replay_depth")
       ->Observe(static_cast<double>(depth));
   return Status::Ok();
+}
+
+Result<ulfm::AgreeOutcome> ResilientComm::Agree(int64_t contribution) {
+  obs::Span span(rec_, ep_, agree_phase_);
+  auto verdict = ulfm::Agree(*comm_, /*flag=*/1, contribution);
+  if (verdict.ok()) {
+    span.SetRecoveryPhase(obs::flight::Phase::kAgree, repairs_);
+  }
+  return verdict;
+}
+
+void ResilientComm::RecordWindowDepth() {
+  flight_->Record(obs::flight::Ev::kCounter, ep_.now(), 0, 0,
+                  static_cast<double>(inflight()), window_depth_name_);
 }
 
 Status ResilientComm::RecoverWindow(Status failure, bool* need_barrier) {
@@ -447,16 +421,8 @@ Status ResilientComm::RecoverWindow(Status failure, bool* need_barrier) {
     Status drained = DrainRequests();
     if (drained.code() == Code::kAborted) return drained;
     RCC_RETURN_IF_ERROR(Repair(failure));
-    const double agree_t0 = ep_.now();
-    auto verdict = [&] {
-      obs::Span agree(rec_, ep_, "recovery/agree");
-      return ulfm::Agree(*comm_, /*flag=*/1, FirstIncompleteWindowOp());
-    }();
+    auto verdict = Agree(FirstIncompleteWindowOp());
     if (!verdict.ok()) return verdict.status();
-    obs::flight::RecordRecoveryPhase(
-        obs::flight::Enabled() ? flight_ : nullptr,
-        obs::flight::Phase::kAgree, ep_.now(), repairs_,
-        ep_.now() - agree_t0);
     const int64_t min_id = verdict.value().min_value;
     const int64_t last_submitted = window_.empty() ? 0 : window_.back().id;
     if (min_id == kNoIncompleteOp || min_id > last_submitted) {
@@ -500,16 +466,11 @@ Status ResilientComm::IAllreduce(const float* sendbuf, float* recvbuf,
   op.count = count;
   op.cost_scale = cost_scale;
   window_.push_back(std::move(op));
-  if (obs::flight::Enabled()) {
-    flight_->Record(obs::flight::Ev::kCollPost, ep_.now(), window_.back().id,
-                    static_cast<int64_t>(count),
-                    static_cast<double>(count * sizeof(float)) * cost_scale);
-  }
+  flight_->Record(obs::flight::Ev::kCollPost, ep_.now(), window_.back().id,
+                  static_cast<int64_t>(count),
+                  static_cast<double>(count * sizeof(float)) * cost_scale);
   SubmitOp(&window_.back());
-  if (rec_ != nullptr) {
-    rec_->RecordCounter(ep_.pid(), "in_flight_window", ep_.now(),
-                        static_cast<double>(inflight()));
-  }
+  RecordWindowDepth();
   // Bound the in-flight window on the oldest outstanding op.
   while (inflight() > max_inflight_) {
     WindowOp* oldest = nullptr;
@@ -615,8 +576,8 @@ double ResilientComm::TakeCommServiceSeconds() {
 Status ResilientComm::Expand(const std::string& session, int joiner_count) {
   int64_t agreed_counter = 0;
   Result<mpi::Comm> next = [&] {
-    trace::Scope scope(rec_, ep_,
-                       std::string("recovery/") + horovod::phase::kUlfmExpand);
+    obs::Span span(rec_, ep_,
+                   std::string("recovery/") + horovod::phase::kUlfmExpand);
     return ulfm::ExpandComm(ep_, comm_.get(), session, joiner_count,
                             static_cast<int64_t>(op_counter_),
                             &agreed_counter);
@@ -687,9 +648,7 @@ Status ResilientComm::ExpandAsyncBegin(kv::Store* store,
     RCC_RETURN_IF_ERROR(ulfm::ExpandBegin(ep_, *comm_, session, joiner_count,
                                           timeout, &expand_op_));
   }
-  if (obs::flight::Enabled()) {
-    flight_->Record(obs::flight::Ev::kExpandBegin, ep_.now(), joiner_count);
-  }
+  flight_->Record(obs::flight::Ev::kExpandBegin, ep_.now(), joiner_count);
   expand_store_ = store;
   expand_session_ = session;
   expand_begin_time_ = t0;
@@ -740,10 +699,8 @@ ResilientComm::PollResult ResilientComm::ExpandPoll(bool finalize) {
       ->Observe(ep_.now() - expand_begin_time_);
   if (decided.value() == ulfm::ExpandStatus::kAborted) {
     CountAdmission("aborted");
-    if (obs::flight::Enabled()) {
-      flight_->Record(obs::flight::Ev::kExpandAbort, ep_.now(), 0, 0,
-                      ep_.now() - expand_begin_time_);
-    }
+    flight_->Record(obs::flight::Ev::kExpandAbort, ep_.now(), 0, 0,
+                    ep_.now() - expand_begin_time_);
     RCC_LOG(kDebug) << "pid " << ep_.pid() << " expand '" << expand_session_
                     << "' aborted; continuing degraded";
     if (cleaner && expand_store_ != nullptr) {
@@ -763,10 +720,8 @@ ResilientComm::PollResult ResilientComm::ExpandPoll(bool finalize) {
     obs::Span span(rec_, ep_,
                    std::string("recovery/") + horovod::phase::kExpandSplice);
     const int admitted = merged->size() - comm_->size();
-    if (obs::flight::Enabled()) {
-      flight_->Record(obs::flight::Ev::kExpandSplice, ep_.now(), admitted, 0,
-                      ep_.now() - expand_begin_time_);
-    }
+    flight_->Record(obs::flight::Ev::kExpandSplice, ep_.now(), admitted, 0,
+                    ep_.now() - expand_begin_time_);
     comm_ = std::move(merged);
     if (gpu_ != nullptr) gpu_->Abort();
     op_counter_ = std::max(op_counter_,
@@ -792,11 +747,9 @@ std::unique_ptr<ResilientComm> ResilientComm::JoinAsync(
     sim::Endpoint& ep, kv::Store* store, const std::string& session,
     horovod::DropPolicy policy, trace::Recorder* rec,
     const std::function<Status(const std::vector<uint8_t>&)>& restore_fn) {
-  obs::flight::Ring* fly = obs::flight::ForRank(ep.pid());
+  obs::flight::Ring* fly = ep.log();
   if (!ulfm::AnnounceJoiner(ep, session).ok()) return nullptr;
-  if (obs::flight::Enabled()) {
-    fly->Record(obs::flight::Ev::kJoinAnnounce, ep.now());
-  }
+  fly->Record(obs::flight::Ev::kJoinAnnounce, ep.now());
   int candidate_world = 0;
   {
     obs::Span span(rec, ep,
@@ -810,9 +763,7 @@ std::unique_ptr<ResilientComm> ResilientComm::JoinAsync(
     if (!r.ReadI32(&world).ok() || !r.ReadI32(&count).ok() ||
         !r.ReadF64(&declared).ok()) {
       if (ep.alive()) {
-        if (obs::flight::Enabled()) {
-          fly->Record(obs::flight::Ev::kJoinWithdraw, ep.now());
-        }
+        fly->Record(obs::flight::Ev::kJoinWithdraw, ep.now());
         ulfm::WithdrawJoiner(ep, session);
       }
       return nullptr;
@@ -829,9 +780,7 @@ std::unique_ptr<ResilientComm> ResilientComm::JoinAsync(
       // An alive joiner that cannot restore bows out so the survivors'
       // poll round is not left waiting on it until the deadline.
       if (ep.alive()) {
-        if (obs::flight::Enabled()) {
-          fly->Record(obs::flight::Ev::kJoinWithdraw, ep.now());
-        }
+        fly->Record(obs::flight::Ev::kJoinWithdraw, ep.now());
         ulfm::WithdrawJoiner(ep, session);
       }
       return nullptr;
@@ -845,17 +794,12 @@ std::unique_ptr<ResilientComm> ResilientComm::JoinAsync(
                         std::to_string(ep.pid()),
                {1});
     if (!ulfm::MarkJoinerStaged(ep, session).ok()) return nullptr;
-    if (obs::flight::Enabled()) {
-      fly->Record(obs::flight::Ev::kJoinStaged, ep.now());
-    }
+    fly->Record(obs::flight::Ev::kJoinStaged, ep.now());
   }
   ulfm::SpliceOutcome outcome;
   auto joined = ulfm::AwaitSplice(ep, session, &outcome);
   if (!joined.ok()) return nullptr;  // died, excluded, or survivors gone
-  if (obs::flight::Enabled()) {
-    fly->Record(obs::flight::Ev::kJoinSpliced, ep.now(),
-                joined.value().size());
-  }
+  fly->Record(obs::flight::Ev::kJoinSpliced, ep.now(), joined.value().size());
   auto rc = std::unique_ptr<ResilientComm>(
       new ResilientComm(ep, joined.take(), policy, rec));
   // Adopt the survivors' op counter (same reason as JoinExisting).

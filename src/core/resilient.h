@@ -78,9 +78,6 @@ class ResilientComm {
   mpi::Comm& host() { return *comm_; }
   sim::Endpoint& endpoint() { return ep_; }
   int repairs() const { return repairs_; }
-  // The recorder this comm traces into (may be null). The elastic
-  // trainer records its policy/decide spans through it.
-  trace::Recorder* recorder() const { return rec_; }
 
   // Resilient allreduce (sum) over the GPU communicator. Re-executes on
   // the shrunk communicator after failures; `sendbuf` is preserved
@@ -275,6 +272,11 @@ class ResilientComm {
   // barrier must NOT be re-run (ranks past it will not participate).
   Status RecoverWindow(Status failure, bool* need_barrier);
   Status GpuBarrier();
+  // The post-repair agreement on `contribution` (traced as
+  // recovery/agree, this repair's agree phase when it succeeds).
+  Result<ulfm::AgreeOutcome> Agree(int64_t contribution);
+  // Samples the in-flight window depth (the "in_flight_window" series).
+  void RecordWindowDepth();
 
   static std::function<bool(int pid, int64_t op_id)> test_replay_skip_;
 
@@ -283,7 +285,7 @@ class ResilientComm {
   std::unique_ptr<nccl::Comm> gpu_;
   horovod::DropPolicy policy_;
   trace::Recorder* rec_;
-  obs::flight::Ring* flight_;  // this rank's flight-recorder ring
+  obs::flight::Ring* flight_;  // this rank's event log
   Status gpu_init_status_;
   int repairs_ = 0;
   uint64_t op_counter_ = 0;
@@ -294,6 +296,9 @@ class ResilientComm {
   // Instruments of the per-op re-execution path, resolved once.
   obs::SpanPhase retry_phase_{std::string("recovery/") +
                               horovod::phase::kRetryCollective};
+  obs::SpanPhase agree_phase_{"recovery/agree"};
+  const uint32_t window_depth_name_ = obs::flight::Intern("in_flight_window");
+  obs::ByAlgo<obs::flight::Name> algo_names_;
   obs::CounterHandle replayed_ops_{"rcc_recovery_replayed_ops_total"};
 
   // --- async-admission state (one pending expand at a time) ---

@@ -9,6 +9,7 @@
 #include "common/serial.h"
 #include "core/resilient.h"
 #include "kvstore/kvstore.h"
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -46,7 +47,7 @@ struct Session {
   }
 };
 
-// Applies the worker-exit rule (obs::flight::DumpIfUnexplainedExit) on
+// Applies the worker-exit rule (obs::DumpIfUnexplainedExit) on
 // every return path: a worker that returns before finishing while its
 // endpoint is still alive left the job unexplained. A scripted death
 // leaves the endpoint dead and dumps nothing.
@@ -54,7 +55,7 @@ class ExitDumpGuard {
  public:
   ExitDumpGuard(const sim::Endpoint& ep, const bool& finished)
       : ep_(ep), finished_(finished) {}
-  ~ExitDumpGuard() { obs::flight::DumpIfUnexplainedExit(ep_, !finished_); }
+  ~ExitDumpGuard() { obs::DumpIfUnexplainedExit(ep_, !finished_); }
   ExitDumpGuard(const ExitDumpGuard&) = delete;
   ExitDumpGuard& operator=(const ExitDumpGuard&) = delete;
 
@@ -356,10 +357,8 @@ class UlfmWorker {
   void RecordStepMetrics(double wall) {
     step_metrics_.Record(wall, ss_->step_compute_seconds,
                          rc_->TakeCommServiceSeconds(), rc_->size());
-    if (ss_->rec != nullptr) {
-      ss_->rec->RecordCounter(ep_.pid(), "world_size", ep_.now(),
-                              static_cast<double>(rc_->size()));
-    }
+    ep_.log()->Record(obs::flight::Ev::kCounter, ep_.now(), 0, 0,
+                      static_cast<double>(rc_->size()), world_size_name_);
   }
 
   bool TrainStepBlocking() {
@@ -478,6 +477,7 @@ class UlfmWorker {
   bool finished_ = false;           // reached Finish()
   obs::StepMetrics step_metrics_{"ulfm"};
   obs::SpanPhase negotiation_{"negotiation"};
+  const uint32_t world_size_name_ = obs::flight::Intern("world_size");
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <set>
 
@@ -297,12 +298,11 @@ class EhWorker {
     }
     Status st = drain(buckets_.size());
     if (!st.ok()) throw gloo::IoException(st);
-    if (ss_->rec != nullptr) {
-      for (const coll::Request& req : reqs) {
-        ss_->rec->RecordOp(ep_.pid(), req.info().op_id, req.info().algo,
-                           req.info().bytes, req.submit_time(),
-                           req.complete_time());
-      }
+    for (const coll::Request& req : reqs) {
+      ep_.log()->Record(obs::flight::Ev::kOp, req.complete_time(),
+                        static_cast<int64_t>(req.info().op_id),
+                        std::llround(req.info().bytes), req.submit_time(),
+                        algo_names_.For(req.info().algo)->id);
     }
     // Optimizer step after the whole window completed.
     const float inv = 1.0f / static_cast<float>(ctx_->size());
@@ -488,6 +488,7 @@ class EhWorker {
   bool recompute_pending_ = false;
   obs::StepMetrics step_metrics_{"elastic_horovod"};
   obs::SpanPhase negotiation_{"negotiation"};
+  obs::ByAlgo<obs::flight::Name> algo_names_;
 };
 
 }  // namespace

@@ -83,11 +83,9 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
                                          const std::string& key) {
   CountOp(kWait);
   Charge(ep);
-  obs::flight::Ring* fly = nullptr;
-  double wait_begin = 0.0;
-  if (ep != nullptr && obs::flight::Enabled()) {
-    fly = obs::flight::ForRank(ep->pid());
-    wait_begin = ep->now();
+  obs::flight::Ring* fly = ep != nullptr ? ep->log() : nullptr;
+  const double wait_begin = ep != nullptr ? ep->now() : 0.0;
+  if (fly != nullptr) {
     fly->Record(obs::flight::Ev::kKvWaitBegin, wait_begin, KeyHash(key));
   }
   std::unique_lock<std::mutex> lock(mu_);
@@ -115,11 +113,9 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
 Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
   CountOp(kWaitEntry);
   Charge(ep);
-  obs::flight::Ring* fly = nullptr;
-  double wait_begin = 0.0;
-  if (ep != nullptr && obs::flight::Enabled()) {
-    fly = obs::flight::ForRank(ep->pid());
-    wait_begin = ep->now();
+  obs::flight::Ring* fly = ep != nullptr ? ep->log() : nullptr;
+  const double wait_begin = ep != nullptr ? ep->now() : 0.0;
+  if (fly != nullptr) {
     fly->Record(obs::flight::Ev::kKvWaitBegin, wait_begin, KeyHash(key));
   }
   std::unique_lock<std::mutex> lock(mu_);

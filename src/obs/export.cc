@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/log.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
 
@@ -37,9 +38,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
-bool TraceJsonRequested() { return Env("RCC_TRACE_JSON") != nullptr; }
-bool MetricsOutRequested() { return Env("RCC_METRICS_OUT") != nullptr; }
-
 bool WriteMetricsFiles(const std::string& path) {
   Registry& reg = Registry::Global();
   std::string prom_path = path;
@@ -57,12 +55,18 @@ bool DumpIfRequested(const trace::Recorder* rec) {
   bool ok = true;
   if (const char* path = Env("RCC_TRACE_JSON"); path != nullptr &&
                                                 rec != nullptr) {
-    ok = WriteChromeTraceJson(*rec, path) && ok;
+    ok = WriteFileOrLog(path, ToChromeTraceJson(*rec)) && ok;
   }
   if (const char* path = Env("RCC_METRICS_OUT")) {
     ok = WriteMetricsFiles(path) && ok;
   }
   return ok;
+}
+
+bool DumpIfUnexplainedExit(const sim::Endpoint& ep, bool aborted) {
+  if (!aborted || !ep.alive()) return false;
+  if (flight::Enabled()) flight::DumpAll(ep.fabric().logs(), "abort");
+  return true;
 }
 
 }  // namespace rcc::obs

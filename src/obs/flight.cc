@@ -1,19 +1,16 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
+#include <unordered_map>
 
 #include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "sim/endpoint.h"
-#include "sim/engine.h"
 
 namespace rcc::obs::flight {
 namespace {
@@ -36,30 +33,27 @@ uint64_t RingSlots() {
   return slots;
 }
 
-// Pids below kFastPids find their ring with a lock-free indexed load:
-// blocks of kBlockPids ring pointers, each allocated when the first
-// ring of its pid range is created.
-constexpr int kBlockPids = 1024;
-constexpr int kFastBlocks = 64;
-constexpr int kFastPids = kBlockPids * kFastBlocks;
+// Segment s of a ring: segment 0 holds positions [0, kBaseSlots), each
+// later segment [kBaseSlots << (s-1), kBaseSlots << s).
+int SegmentOf(uint64_t p) {
+  return p < Ring::kBaseSlots ? 0 : std::bit_width(p / Ring::kBaseSlots);
+}
+uint64_t SegmentStart(int s) {
+  return s == 0 ? 0 : Ring::kBaseSlots << (s - 1);
+}
+uint64_t SegmentSize(int s) {
+  return s == 0 ? Ring::kBaseSlots : Ring::kBaseSlots << (s - 1);
+}
 
-// Ring registry. Rings are created on first use and live for the whole
-// process (call sites may cache the pointer); ResetAll empties them in
-// place instead of deallocating.
-struct State {
+struct NameTable {
   std::mutex mu;
-  std::map<int, std::unique_ptr<Ring>> rings;
-  // Lock-free index over `rings` for pids < kFastPids (written under mu).
-  std::atomic<std::atomic<Ring*>*> fast[kFastBlocks] = {};
-  // Failure observations (deduped by pid) for the MTBF estimator.
-  std::set<int> failed_pids;
-  double first_failure_t = 0.0;
-  double last_failure_t = 0.0;
+  std::deque<std::string> names{std::string()};
+  std::unordered_map<std::string_view, uint32_t> ids{{names.front(), 0}};
 };
 
-State& GlobalState() {
-  static State* s = new State();
-  return *s;
+NameTable& Names() {
+  static NameTable* table = new NameTable();
+  return *table;
 }
 
 void AppendJsonDouble(std::string* out, double v) {
@@ -71,6 +65,15 @@ void AppendJsonDouble(std::string* out, double v) {
   } else {
     out->append(buf);
   }
+}
+
+void AppendJsonString(std::string* out, const std::string& s) {
+  out->push_back('"');
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out->push_back('\\');
+    if (static_cast<unsigned char>(ch) >= 0x20) out->push_back(ch);
+  }
+  out->push_back('"');
 }
 
 }  // namespace
@@ -105,6 +108,9 @@ const char* EvName(Ev kind) {
     case Ev::kKvWaitEnd: return "kv_wait_end";
     case Ev::kPolicyInputs: return "policy_inputs";
     case Ev::kPolicyDecision: return "policy_decision";
+    case Ev::kSpan: return "span";
+    case Ev::kOp: return "op";
+    case Ev::kCounter: return "counter";
   }
   return "unknown";
 }
@@ -120,63 +126,81 @@ const char* PhaseName(Phase p) {
   return "unknown";
 }
 
-Ring::Ring(int pid, uint64_t slots)
-    : pid_(pid),
-      slots_(slots),
-      nchunks_((slots + kChunkSlots - 1) / kChunkSlots),
-      chunks_(new std::atomic<Slot*>[nchunks_]) {
-  for (uint64_t j = 0; j < nchunks_; ++j) {
-    chunks_[j].store(nullptr, std::memory_order_relaxed);
-  }
+uint32_t Intern(std::string_view name) {
+  NameTable& table = Names();
+  std::lock_guard<std::mutex> lock(table.mu);
+  auto it = table.ids.find(name);
+  if (it != table.ids.end()) return it->second;
+  const auto id = static_cast<uint32_t>(table.names.size());
+  table.names.emplace_back(name);
+  table.ids.emplace(table.names.back(), id);
+  return id;
 }
+
+const std::string& NameOf(uint32_t id) {
+  NameTable& table = Names();
+  std::lock_guard<std::mutex> lock(table.mu);
+  return id < table.names.size() ? table.names[id] : table.names.front();
+}
+
+Ring::Ring(int pid, uint64_t slots) : pid_(pid), slots_(slots) {}
 
 Ring::~Ring() {
-  for (uint64_t j = 0; j < nchunks_; ++j) {
-    delete[] chunks_[j].load(std::memory_order_relaxed);
+  for (auto& segment : segments_) {
+    delete[] segment.load(std::memory_order_relaxed);
   }
 }
 
-Ring::Slot& Ring::WriteSlot(uint64_t k) {
-  std::atomic<Slot*>& chunk = chunks_[k / kChunkSlots];
-  Slot* c = chunk.load(std::memory_order_acquire);
-  if (c == nullptr) {
-    // First write into this chunk: commit it. Racing writers (threads
-    // engine) keep whichever chunk was published first.
-    Slot* fresh = new Slot[kChunkSlots];
-    if (chunk.compare_exchange_strong(c, fresh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      c = fresh;
+Ring::Slot& Ring::WriteSlot(uint64_t p) {
+  const int s = SegmentOf(p);
+  std::atomic<Slot*>& segment = segments_[s];
+  Slot* seg = segment.load(std::memory_order_acquire);
+  if (seg == nullptr) {
+    // First write into this segment: commit it. Racing writers keep
+    // whichever segment was published first.
+    Slot* fresh = new Slot[SegmentSize(s)];
+    if (segment.compare_exchange_strong(seg, fresh, std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+      seg = fresh;
     } else {
       delete[] fresh;
     }
   }
-  return c[k % kChunkSlots];
+  return seg[p - SegmentStart(s)];
 }
 
-const Ring::Slot* Ring::ReadSlot(uint64_t k) const {
-  const Slot* c = chunks_[k / kChunkSlots].load(std::memory_order_acquire);
-  return c == nullptr ? nullptr : &c[k % kChunkSlots];
+const Ring::Slot* Ring::ReadSlot(uint64_t p) const {
+  const int s = SegmentOf(p);
+  const Slot* seg = segments_[s].load(std::memory_order_acquire);
+  return seg == nullptr ? nullptr : &seg[p - SegmentStart(s)];
 }
 
 uint64_t Ring::committed_slots() const {
   uint64_t n = 0;
-  for (uint64_t j = 0; j < nchunks_; ++j) {
-    if (chunks_[j].load(std::memory_order_acquire) != nullptr) {
-      n += kChunkSlots;
+  for (int s = 0; s < kSegments; ++s) {
+    if (segments_[s].load(std::memory_order_acquire) != nullptr) {
+      n += SegmentSize(s);
     }
   }
   return n;
 }
 
-void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c) {
+uint64_t Ring::FirstHeld(uint64_t head) const {
+  return !keeps_all() && head > slots_ ? head - slots_ : 0;
+}
+
+void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c,
+                  uint32_t name) {
+  if (!keeps_all() && !Enabled()) return;
   const uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = WriteSlot(i % slots_);
+  Slot& s = WriteSlot(Position(i));
   // Seqlock publication: odd while the fields are being replaced, then
   // 2*i+2 (even, index-stamped) once the event is whole. A reader that
   // sees any other value skips the slot.
   s.seq.store(2 * i + 1, std::memory_order_relaxed);
   s.t.store(t, std::memory_order_relaxed);
   s.kind.store(static_cast<uint16_t>(kind), std::memory_order_relaxed);
+  s.name.store(name, std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);
   s.c.store(c, std::memory_order_relaxed);
@@ -185,18 +209,19 @@ void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c) {
 
 std::vector<Event> Ring::Snapshot() const {
   const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first = head > slots_ ? head - slots_ : 0;
+  const uint64_t first = FirstHeld(head);
   std::vector<Event> out;
   out.reserve(head - first);
   for (uint64_t i = first; i < head; ++i) {
-    const Slot* slot = ReadSlot(i % slots_);
-    if (slot == nullptr) continue;  // claimed, chunk not yet committed
+    const Slot* slot = ReadSlot(Position(i));
+    if (slot == nullptr) continue;  // claimed, segment not yet committed
     const Slot& s = *slot;
     if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
     Event e;
     e.index = i;
     e.t = s.t.load(std::memory_order_relaxed);
     e.kind = static_cast<Ev>(s.kind.load(std::memory_order_relaxed));
+    e.name = s.name.load(std::memory_order_relaxed);
     e.a = s.a.load(std::memory_order_relaxed);
     e.b = s.b.load(std::memory_order_relaxed);
     e.c = s.c.load(std::memory_order_relaxed);
@@ -208,8 +233,14 @@ std::vector<Event> Ring::Snapshot() const {
 }
 
 uint64_t Ring::dropped() const {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  return head > slots_ ? head - slots_ : 0;
+  return FirstHeld(head_.load(std::memory_order_relaxed));
+}
+
+void Ring::KeepAll() {
+  RCC_CHECK(dropped() == 0)
+      << "flight: rank " << pid_ << " already wrapped its " << slots_
+      << "-event ring; attach the Recorder before the run records";
+  keep_all_.store(true, std::memory_order_relaxed);
 }
 
 std::string Ring::ToJson(const std::string& reason) const {
@@ -218,13 +249,10 @@ std::string Ring::ToJson(const std::string& reason) const {
   out.reserve(96 + events.size() * 80);
   out.append("{\"schema\":\"rcc-flight-v1\",\"pid\":");
   out.append(std::to_string(pid_));
-  out.append(",\"reason\":\"");
-  for (char ch : reason) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) >= 0x20) out.push_back(ch);
-  }
-  out.append("\",\"ring\":");
-  out.append(std::to_string(slots_));
+  out.append(",\"reason\":");
+  AppendJsonString(&out, reason);
+  out.append(",\"ring\":");
+  out.append(std::to_string(keeps_all() ? 0 : slots_));
   out.append(",\"recorded\":");
   out.append(std::to_string(recorded()));
   out.append(",\"dropped\":");
@@ -245,25 +273,60 @@ std::string Ring::ToJson(const std::string& reason) const {
     out.append(std::to_string(e.b));
     out.append(",\"c\":");
     AppendJsonDouble(&out, e.c);
+    if (e.name != 0) {
+      out.append(",\"name\":");
+      AppendJsonString(&out, NameOf(e.name));
+    }
     out.push_back('}');
   }
   out.append("\n]}\n");
   return out;
 }
 
-void Ring::Reset() {
-  // Only safe between runs (no concurrent writers): unpublish the slots
-  // written since the last reset (the first min(head, capacity)), then
-  // rewind the head.
-  const uint64_t written =
-      std::min(head_.load(std::memory_order_relaxed), slots_);
-  for (uint64_t k = 0; k < written; ++k) {
-    Slot* c = chunks_[k / kChunkSlots].load(std::memory_order_relaxed);
-    if (c != nullptr) {
-      c[k % kChunkSlots].seq.store(0, std::memory_order_relaxed);
-    }
+Ring* Logs::For(int pid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<Ring>& ring = rings_[pid];
+  if (ring == nullptr) {
+    ring = std::make_unique<Ring>(pid, RingSlots());
+    if (keep_all_) ring->KeepAll();
   }
-  head_.store(0, std::memory_order_relaxed);
+  return ring.get();
+}
+
+std::vector<const Ring*> Logs::rings() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<const Ring*> out;
+  out.reserve(rings_.size());
+  for (const auto& [pid, ring] : rings_) out.push_back(ring.get());
+  return out;
+}
+
+void Logs::KeepAll() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (keep_all_) return;
+  keep_all_ = true;
+  for (auto& [pid, ring] : rings_) ring->KeepAll();
+}
+
+void Logs::NoteFailureDetected(int failed_pid, double t) {
+  static const CounterHandle failures("rcc_failures_observed_total");
+  static const GaugeHandle mtbf("rcc_mtbf_seconds");
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!failed_pids_.insert(failed_pid).second) return;
+  const size_t n = failed_pids_.size();
+  if (n == 1) {
+    first_failure_t_ = t;
+    last_failure_t_ = t;
+  } else {
+    first_failure_t_ = std::min(first_failure_t_, t);
+    last_failure_t_ = std::max(last_failure_t_, t);
+  }
+  failures->Increment();
+  // MTBF estimate over the run so far: mean inter-failure virtual time,
+  // or time-to-first-failure while only one failure has been seen.
+  mtbf->Set(n >= 2 ? (last_failure_t_ - first_failure_t_) /
+                         static_cast<double>(n - 1)
+                   : first_failure_t_);
 }
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -272,72 +335,22 @@ void SetEnabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-Ring* ForRank(int pid) {
-  State& st = GlobalState();
-  const bool fast = pid >= 0 && pid < kFastPids;
-  if (fast) {
-    const std::atomic<Ring*>* block =
-        st.fast[pid / kBlockPids].load(std::memory_order_acquire);
-    if (block != nullptr) {
-      Ring* ring = block[pid % kBlockPids].load(std::memory_order_acquire);
-      if (ring != nullptr) return ring;
-    }
-  }
-  InstallStallDump();
-  std::lock_guard<std::mutex> lock(st.mu);
-  auto it = st.rings.find(pid);
-  if (it == st.rings.end()) {
-    it = st.rings.emplace(pid, std::make_unique<Ring>(pid, RingSlots()))
-             .first;
-  }
-  Ring* ring = it->second.get();
-  if (fast) {
-    std::atomic<std::atomic<Ring*>*>& slot = st.fast[pid / kBlockPids];
-    std::atomic<Ring*>* block = slot.load(std::memory_order_relaxed);
-    if (block == nullptr) {
-      block = new std::atomic<Ring*>[kBlockPids];
-      for (int k = 0; k < kBlockPids; ++k) {
-        block[k].store(nullptr, std::memory_order_relaxed);
-      }
-      slot.store(block, std::memory_order_release);
-    }
-    block[pid % kBlockPids].store(ring, std::memory_order_release);
-  }
-  return ring;
-}
-
-void ResetAll() {
-  State& st = GlobalState();
-  std::lock_guard<std::mutex> lock(st.mu);
-  for (auto& [pid, ring] : st.rings) ring->Reset();
-  st.failed_pids.clear();
-  st.first_failure_t = 0.0;
-  st.last_failure_t = 0.0;
-}
-
 std::string DumpDir(const std::string& dir_override) {
   if (!dir_override.empty()) return dir_override;
   if (const char* v = Env("RCC_FLIGHT_DIR")) return v;
   return ".";
 }
 
-std::vector<std::string> DumpAll(const std::string& reason,
+std::vector<std::string> DumpAll(const Logs& logs, const std::string& reason,
                                  const std::string& dir_override,
                                  const std::string& prefix) {
-  State& st = GlobalState();
-  std::vector<Ring*> rings;
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    rings.reserve(st.rings.size());
-    for (auto& [pid, ring] : st.rings) rings.push_back(ring.get());
-  }
   // Serialize dumps: aborts on different OS threads (the main thread and
   // a raw std::thread) must not write the same files at once.
   static std::mutex dump_mu;
   std::lock_guard<std::mutex> dump_lock(dump_mu);
   const std::string dir = DumpDir(dir_override);
   std::vector<std::string> paths;
-  for (Ring* ring : rings) {
+  for (const Ring* ring : logs.rings()) {
     const std::string path = dir + "/" + prefix + "flight_rank" +
                              std::to_string(ring->pid()) + ".json";
     std::ofstream out(path, std::ios::trunc);
@@ -360,49 +373,9 @@ std::vector<std::string> DumpAll(const std::string& reason,
   return paths;
 }
 
-bool DumpIfUnexplainedExit(const sim::Endpoint& ep, bool aborted) {
-  if (!aborted || !ep.alive()) return false;
-  if (Enabled()) DumpAll("abort");
-  return true;
-}
-
-void InstallStallDump() {
-  static const bool installed = [] {
-    sim::SetStallObserver([](const std::string& report) {
-      if (!Enabled()) return;
-      DumpAll("stall: " + report);
-    });
-    return true;
-  }();
-  (void)installed;
-}
-
-void NoteFailureDetected(int failed_pid, double t) {
-  State& st = GlobalState();
-  std::lock_guard<std::mutex> lock(st.mu);
-  if (!st.failed_pids.insert(failed_pid).second) return;
-  const size_t n = st.failed_pids.size();
-  if (n == 1) {
-    st.first_failure_t = t;
-    st.last_failure_t = t;
-  } else {
-    st.first_failure_t = std::min(st.first_failure_t, t);
-    st.last_failure_t = std::max(st.last_failure_t, t);
-  }
-  static Counter* failures =
-      Registry::Global().GetCounter("rcc_failures_observed_total");
-  static Gauge* mtbf = Registry::Global().GetGauge("rcc_mtbf_seconds");
-  failures->Increment();
-  // MTBF estimate over the run so far: mean inter-failure virtual time,
-  // or time-to-first-failure while only one failure has been seen.
-  mtbf->Set(n >= 2 ? (st.last_failure_t - st.first_failure_t) /
-                         static_cast<double>(n - 1)
-                   : st.first_failure_t);
-}
-
 void RecordRecoveryPhase(Ring* ring, Phase phase, double t_end,
                          int64_t repair_ordinal, double duration) {
-  if (ring != nullptr && Enabled()) {
+  if (ring != nullptr) {
     ring->Record(Ev::kRecoveryPhase, t_end, static_cast<int64_t>(phase),
                  repair_ordinal, duration);
   }

@@ -1,26 +1,31 @@
-// Always-on flight recorder: a per-rank, fixed-size ring buffer of
-// structured binary events recorded from the hot paths of the resilient
-// stack — collective post/complete/replay (op ids), every ULFM state
-// transition (revoke/agree/shrink/expand/splice, with round numbers),
-// admission-protocol rounds, serving batcher admits/completions, and
-// kvstore waits.
+// The per-rank event log (flight recorder): a ring of structured binary
+// events per rank, owned by the simulation (sim::Fabric holds a Logs,
+// sim::Endpoint::log() reaches the rank's Ring). It is the one record of
+// what each rank did — collective post/complete/replay (op ids), every
+// ULFM state transition (revoke/agree/shrink/expand/splice, with round
+// numbers), admission-protocol rounds, serving batcher admits/
+// completions, kvstore waits, policy decisions, phase spans, traced
+// windowed ops and counter samples — and the trace::Recorder tables, the
+// Chrome trace, the chaos oracles and the postmortem all read it.
+//
+// A log wraps at RCC_FLIGHT_RING events unless a trace::Recorder is
+// attached to its run; then it keeps every event, because the tables and
+// oracles need the whole history, and records even under RCC_FLIGHT=0.
 //
 // Recording costs a few relaxed atomics per event (one fetch_add to
 // claim a slot, relaxed field stores, one release store publishing the
-// slot's sequence number), so it stays on by default even in chaos
-// campaigns and scale smokes. Readers (DumpAll, postmortem tests)
-// snapshot a ring seqlock-style: a slot whose sequence is odd or moved
-// during the copy is being overwritten and is skipped.
+// slot's sequence number). Readers snapshot a ring seqlock-style: a slot
+// whose sequence is odd or moved during the copy is being overwritten
+// and is skipped.
 //
 // Dumps — one JSON file per rank, flight_rank<pid>.json — are written
 // only when something unexplained happened: a worker that exits aborted
-// while its endpoint is still alive (DumpIfUnexplainedExit), a proven
-// fiber-scheduler stall (sim stall observer, installed by
-// InstallStallDump), an oracle violation in the chaos runner, and a
-// serving verify failure or SLO breach. A death the failure schedule
-// delivered is the experiment and never dumps. tools/postmortem merges
-// the per-rank dumps into one causal timeline and names the root-cause
-// rank (see obs/postmortem.h).
+// while its endpoint is still alive (obs::DumpIfUnexplainedExit), a
+// proven fiber-scheduler stall (the fabric's stall observer), an oracle
+// violation in the chaos runner, and a serving verify failure or SLO
+// breach. A death the failure schedule delivered is the experiment and
+// never dumps. tools/postmortem merges the per-rank dumps into one
+// causal timeline and names the root-cause rank (see obs/postmortem.h).
 //
 // Knobs: RCC_FLIGHT (0 disables, default on), RCC_FLIGHT_RING (events
 // per rank, default 4096), RCC_FLIGHT_DIR (dump directory, default ".").
@@ -28,17 +33,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
-
-namespace rcc::sim {
-class Endpoint;
-}  // namespace rcc::sim
 
 namespace rcc::obs::flight {
 
-// Event kinds. The a/b/c payload fields are kind-specific:
+// Event kinds. The a/b/c payload fields are kind-specific; `name` is an
+// interned string (see Intern) for the kinds that carry one:
 //
 //   kCollPost       a=op id          b=element count   c=declared bytes
 //   kCollComplete   a=op id                            c=latency (s)
@@ -73,10 +79,19 @@ namespace rcc::obs::flight {
 //   kPolicyDecision a=chosen strategy b=decision seq   c=chosen modeled
 //                     (policy::                          cost (worker-s)
 //                      Strategy)
+//   kSpan           a=Phase code     b=repair ordinal  c=start time;
+//                     (0: none)                          t=end, name=phase
+//   kOp             a=op id          b=bytes (whole)   c=submit time;
+//                                                        t=complete,
+//                                                        name=algorithm
+//   kCounter                                           c=value;
+//                                                        name=series
 //
 // kPolicyInputs/kPolicyDecision are recorded back-to-back by the same
 // rank for every policy decision; tools/postmortem pairs them by
-// adjacency to print the POLICY attribution lines.
+// adjacency to print the POLICY attribution lines. A kSpan with a Phase
+// code is a completed recovery phase (duration t - c, as observed into
+// rcc_recovery_phase_seconds). A kOp also completes its op.
 enum class Ev : uint16_t {
   kCollPost = 1,
   kCollComplete,
@@ -106,14 +121,19 @@ enum class Ev : uint16_t {
   kKvWaitEnd,
   kPolicyInputs,
   kPolicyDecision,
+  kSpan,
+  kOp,
+  kCounter,
 };
+inline constexpr Ev kLastEv = Ev::kCounter;
 
 const char* EvName(Ev kind);
 
-// Recovery critical-path phases (kRecoveryPhase's `a` field). The same
-// durations are observed into the rcc_recovery_phase_seconds{phase=...}
-// histograms at the recording site, so a postmortem's per-phase sums
-// match the metric deltas exactly.
+// Recovery critical-path phases (the `a` field of kRecoveryPhase and of
+// recovery kSpans). The same durations are observed into the
+// rcc_recovery_phase_seconds{phase=...} histograms at the recording
+// site, so a postmortem's per-phase sums match the metric deltas
+// exactly.
 enum class Phase : int64_t {
   kRevoke = 1,
   kAgree = 2,
@@ -124,20 +144,30 @@ enum class Phase : int64_t {
 
 const char* PhaseName(Phase p);
 
+// Process-wide table of event names (phases, algorithms, series); id 0
+// is "". Hot-path owners intern once and keep the id.
+uint32_t Intern(std::string_view name);
+const std::string& NameOf(uint32_t id);
+
+// An interned name built from its string: the entry type of an owner's
+// obs::ByAlgo cache of algorithm names.
+struct Name {
+  explicit Name(const char* s) : id(Intern(s)) {}
+  uint32_t id;
+};
+
 struct Event {
-  uint64_t index = 0;  // global record index on this rank (monotonic)
+  uint64_t index = 0;  // record index on this rank (monotonic)
   double t = 0.0;      // virtual time
   Ev kind = Ev::kCollPost;
+  uint32_t name = 0;   // interned name, 0 if the kind carries none
   int64_t a = 0;
   int64_t b = 0;
   double c = 0.0;
 };
 
-// One rank's ring. Obtained via ForRank (a lock-free indexed load once
-// the ring exists); never deallocated while the process lives. Slot
-// storage is committed in chunks as events land, so a ring costs memory
-// in proportion to what it recorded (up to its capacity), not its
-// capacity.
+// One rank's log. Storage is committed in doubling segments as events
+// land, so a log costs memory in proportion to what it recorded.
 class Ring {
  public:
   Ring(int pid, uint64_t slots);
@@ -147,108 +177,107 @@ class Ring {
 
   int pid() const { return pid_; }
 
-  // Hot path: claims a slot and publishes the event. Safe from any
-  // task/thread; a concurrent snapshot skips slots caught mid-write.
+  // Hot path: claims a slot and publishes the event, unless recording is
+  // off (RCC_FLIGHT=0 and no Recorder attached). Safe from any thread.
   void Record(Ev kind, double t, int64_t a = 0, int64_t b = 0,
-              double c = 0.0);
+              double c = 0.0, uint32_t name = 0);
 
-  // Events still in the ring, oldest first. Lock-free readers: events
+  // Events still held, oldest first. Lock-free readers: events
   // overwritten or in-flight during the copy are dropped.
   std::vector<Event> Snapshot() const;
 
   uint64_t recorded() const { return head_.load(std::memory_order_relaxed); }
-  // Events pushed out of the ring by wraparound.
+  // Events pushed out by wraparound.
   uint64_t dropped() const;
 
-  // JSON dump of this ring ({"schema":"rcc-flight-v1",...}).
+  // Keeps every event from now on, even under RCC_FLIGHT=0. Only valid
+  // before the ring first wraps.
+  void KeepAll();
+  bool keeps_all() const { return keep_all_.load(std::memory_order_relaxed); }
+
+  // JSON dump ({"schema":"rcc-flight-v1",...}; "ring" 0 keeps all).
   std::string ToJson(const std::string& reason) const;
 
-  // Empties the ring in place, touching only the slots ever written.
-  // Only safe between runs (no concurrent writers); cached Ring pointers
-  // and committed storage stay valid. Used by ResetAll.
-  void Reset();
-
-  // Capacity in events, and the slots whose storage is committed (a
-  // multiple of kChunkSlots, at most the capacity rounded up to one).
+  // Capacity in events while the log wraps; slots committed.
   uint64_t capacity() const { return slots_; }
   uint64_t committed_slots() const;
 
-  // Slots committed together on a chunk's first write (48 B each).
-  static constexpr uint64_t kChunkSlots = 64;
+  static constexpr uint64_t kBaseSlots = 64;
 
  private:
   struct Slot {
     std::atomic<uint64_t> seq{0};  // 2*index+1 while writing, 2*index+2 done
     std::atomic<double> t{0.0};
     std::atomic<uint16_t> kind{0};
+    std::atomic<uint32_t> name{0};
     std::atomic<int64_t> a{0};
     std::atomic<int64_t> b{0};
     std::atomic<double> c{0.0};
   };
+  static constexpr int kSegments = 59;  // covers every uint64_t position
 
-  // Slot k (0 <= k < slots_) for a writer, committing its chunk first.
-  Slot& WriteSlot(uint64_t k);
-  // Slot k for a reader, or null while its chunk is uncommitted.
-  const Slot* ReadSlot(uint64_t k) const;
+  // Slot at position p for a writer, committing its segment first.
+  Slot& WriteSlot(uint64_t p);
+  // Slot at position p for a reader, or null while uncommitted.
+  const Slot* ReadSlot(uint64_t p) const;
+  // Position of record index i, and the first index still held.
+  uint64_t Position(uint64_t i) const { return keeps_all() ? i : i % slots_; }
+  uint64_t FirstHeld(uint64_t head) const;
 
   int pid_;
   uint64_t slots_;
-  uint64_t nchunks_;
+  std::atomic<bool> keep_all_{false};
   std::atomic<uint64_t> head_{0};
-  std::unique_ptr<std::atomic<Slot*>[]> chunks_;
+  std::atomic<Slot*> segments_[kSegments] = {};
 };
 
-// Global on/off. Initialized from RCC_FLIGHT (default on); SetEnabled
-// overrides at runtime (the overhead bench toggles it). Call sites
-// guard Record with Enabled() — one relaxed atomic load.
+// One simulation's logs, one Ring per rank (created on first use,
+// listed in pid order), plus the failure observations the MTBF gauge
+// reads.
+class Logs {
+ public:
+  Ring* For(int pid);
+  std::vector<const Ring*> rings() const;
+  // Makes every ring, present and future, keep all its events.
+  void KeepAll();
+
+  // Failure observations feeding the Chameleon-facing live metrics:
+  // called once per failed pid per repair by the recovery path. The first
+  // observation of a pid in this simulation updates
+  // rcc_failures_observed_total and the rcc_mtbf_seconds gauge (mean
+  // inter-failure virtual time across the run so far). Duplicate
+  // detections of the same pid (every survivor repairs the same failure)
+  // are ignored.
+  void NoteFailureDetected(int failed_pid, double t);
+
+ private:
+  mutable std::mutex mu_;
+  std::map<int, std::unique_ptr<Ring>> rings_;
+  bool keep_all_ = false;
+  std::set<int> failed_pids_;
+  double first_failure_t_ = 0.0;
+  double last_failure_t_ = 0.0;
+};
+
+// Global on/off for always-on recording. Initialized from RCC_FLIGHT
+// (default on); SetEnabled overrides at runtime (the overhead bench
+// toggles it).
 bool Enabled();
 void SetEnabled(bool on);
-
-// The ring for `pid`, created on first use (RCC_FLIGHT_RING slots,
-// default 4096). Never null, valid for the process lifetime.
-Ring* ForRank(int pid);
-
-// Empties every ring and clears the MTBF failure set. The chaos runner
-// calls this at run start so each run's dumps are self-contained.
-void ResetAll();
 
 // Dump directory: `dir_override` if non-empty, else RCC_FLIGHT_DIR,
 // else ".".
 std::string DumpDir(const std::string& dir_override = "");
 
-// Writes every rank's ring as <dir>/<prefix>flight_rank<pid>.json and
+// Writes every ring of `logs` as <dir>/<prefix>flight_rank<pid>.json and
 // returns the paths. `reason` is stamped into each file.
-std::vector<std::string> DumpAll(const std::string& reason,
+std::vector<std::string> DumpAll(const Logs& logs, const std::string& reason,
                                  const std::string& dir_override = "",
                                  const std::string& prefix = "");
 
-// The worker-exit rule, shared by every driver that runs workers (chaos
-// runner, serving driver, ULFM figure driver). A worker that exits
-// aborted while its endpoint is still alive left the job for a reason
-// nothing scheduled: every rank's ring is dumped (reason "abort"; a
-// later unexplained exit overwrites with more history) and the call
-// returns true, so the caller can make the exit visible to its peers. A
-// death delivered by the failure schedule (FailurePlan, ScriptedFailure,
-// ArmKillAt, node kills) leaves the endpoint dead: that is the
-// experiment, not a failure, and it never dumps. Only the dump respects
-// Enabled().
-bool DumpIfUnexplainedExit(const sim::Endpoint& ep, bool aborted);
-
-// Installs a sim stall observer that dumps all rings (reason "stall")
-// right before the stall handler / fatal abort fires. Idempotent.
-void InstallStallDump();
-
-// Failure observations feeding the Chameleon-facing live metrics:
-// called once per failed pid per repair by the recovery path. The first
-// observation of a pid updates rcc_failures_observed_total and the
-// rcc_mtbf_seconds gauge (mean inter-failure virtual time across the
-// run so far). Duplicate detections of the same pid (every survivor
-// repairs the same failure) are ignored. ResetAll clears the set.
-void NoteFailureDetected(int failed_pid, double t);
-
-// Records one recovery phase: a kRecoveryPhase flight event on `ring`
-// plus an observation into rcc_recovery_phase_seconds{phase=...} with
-// the identical duration value.
+// Records one recovery phase: a kRecoveryPhase event on `ring` (skipped
+// when null) plus an observation into rcc_recovery_phase_seconds{phase}
+// with the identical duration value.
 void RecordRecoveryPhase(Ring* ring, Phase phase, double t_end,
                          int64_t repair_ordinal, double duration);
 

@@ -22,7 +22,7 @@ flight::Ev EvFromName(const std::string& name) {
   static const std::unordered_map<std::string, flight::Ev>* map = [] {
     auto* m = new std::unordered_map<std::string, flight::Ev>();
     for (uint16_t k = 1;
-         k <= static_cast<uint16_t>(flight::Ev::kPolicyDecision); ++k) {
+         k <= static_cast<uint16_t>(flight::kLastEv); ++k) {
       const auto ev = static_cast<flight::Ev>(k);
       (*m)[flight::EvName(ev)] = ev;
     }
@@ -45,10 +45,20 @@ int64_t OpKey(const flight::Event& e) {
     case flight::Ev::kCollComplete:
     case flight::Ev::kCollSvc:
     case flight::Ev::kCollReplay:
+    case flight::Ev::kOp:
       return e.a;
     default:
       return std::numeric_limits<int64_t>::min();
   }
+}
+
+// Duration of a recovery-phase event (kRecoveryPhase, or a kSpan with a
+// Phase code), or -1 for any other event.
+double RecoveryPhaseSeconds(const flight::Event& e) {
+  if (e.a < 1 || e.a > 5) return -1.0;
+  if (e.kind == flight::Ev::kRecoveryPhase) return e.c;
+  if (e.kind == flight::Ev::kSpan) return e.t - e.c;
+  return -1.0;
 }
 
 void AppendDouble(std::string* out, double v) {
@@ -99,6 +109,8 @@ bool ParseDumpJson(const std::string& text, RankDump* out,
     e.a = static_cast<int64_t>(NumberOr(ev.Find("a"), 0));
     e.b = static_cast<int64_t>(NumberOr(ev.Find("b"), 0));
     e.c = NumberOr(ev.Find("c"), 0.0);
+    const json::Value* n = ev.Find("name");
+    if (n != nullptr && n->is_string()) e.name = flight::Intern(n->AsString());
     out->events.push_back(e);
   }
   return true;
@@ -166,7 +178,8 @@ Report Analyze(std::vector<RankDump> dumps) {
         l.posted_by.push_back(te.pid);
         break;
       }
-      case flight::Ev::kCollComplete: {
+      case flight::Ev::kCollComplete:
+      case flight::Ev::kOp: {
         OpLifecycle& l = touch(e.a);
         l.completed_by.push_back(te.pid);
         l.last_complete_t = std::max(l.last_complete_t, e.t);
@@ -184,27 +197,19 @@ Report Analyze(std::vector<RankDump> dumps) {
     l.stalled = !l.posted_by.empty() && l.completed_by.empty();
   }
 
-  // Per-repair recovery attribution.
+  // Per-repair recovery attribution, from kRecoveryPhase events and
+  // recovery spans (a kSpan carrying a Phase code).
   for (const TimelineEntry& te : rep.timeline) {
-    if (te.e.kind != flight::Ev::kRecoveryPhase) continue;
+    const double duration = RecoveryPhaseSeconds(te.e);
+    if (duration < 0) continue;
     const int phase = static_cast<int>(te.e.a);
-    if (phase < 1 || phase > 5) continue;
     RepairBreakdown& rb = rep.repairs[te.e.b];
     rb.repair = te.e.b;
-    rb.critical[phase] = std::max(rb.critical[phase], te.e.c);
-    rb.total[phase] += te.e.c;
-  }
-  for (auto& [repair, rb] : rep.repairs) {
-    // Count distinct reporting ranks via the replay-phase events (every
-    // rank emits each phase once per repair; any phase would do).
-    int ranks = 0;
-    for (const TimelineEntry& te : rep.timeline) {
-      if (te.e.kind == flight::Ev::kRecoveryPhase && te.e.b == repair &&
-          te.e.a == static_cast<int64_t>(flight::Phase::kRevoke)) {
-        ++ranks;
-      }
-    }
-    rb.ranks = ranks;
+    rb.critical[phase] = std::max(rb.critical[phase], duration);
+    rb.total[phase] += duration;
+    // Every rank reports each phase once per repair: count the ranks
+    // by their revoke phase.
+    if (phase == static_cast<int>(flight::Phase::kRevoke)) ++rb.ranks;
   }
 
   // Policy-decision attribution: the controller records kPolicyInputs

@@ -1,66 +1,84 @@
-// Instrumentation span: trace::Scope plus a registry histogram in one
-// RAII object. On destruction the [construction, destruction] interval
-// of the endpoint's virtual clock is (a) recorded into the trace
-// recorder under `phase` (when a recorder is attached, so the interval
-// shows up in the Perfetto export) and (b) observed into the
-// `metric{phase=...}` histogram (always, so metrics work even in
-// recorder-less paths). Spans on per-step or per-op paths take a
-// SpanPhase their owner keeps, so the histogram is resolved once rather
-// than looked up per span.
+// Instrumentation span: on destruction the [construction, destruction]
+// interval of the endpoint's virtual clock is (a) recorded as a kSpan on
+// the rank's event log (read by trace::Recorder and the Perfetto export)
+// and (b) observed into the `metric{phase=...}` histogram. A span marked
+// with SetRecoveryPhase is also that recovery phase (the event carries
+// the code; rcc_recovery_phase_seconds observes it too). Spans on
+// per-step or per-op paths take a SpanPhase their owner keeps, so the
+// name and histogram are resolved once rather than per span.
 #pragma once
 
 #include <string>
 #include <utility>
 
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "sim/endpoint.h"
 #include "trace/trace.h"
 
 namespace rcc::obs {
 
-// A span phase with its histogram handle, kept by the owner of a hot
-// path and passed to every Span of that phase.
+// A span phase with its interned name and histogram handle, kept by the
+// owner of a hot path and passed to every Span of that phase.
 struct SpanPhase {
   // `metric` defaults to the cross-layer phase-duration family.
   explicit SpanPhase(std::string phase,
                      const char* metric = "rcc_phase_seconds")
-      : name(std::move(phase)), hist(metric, {{"phase", name}}) {}
+      : name(flight::Intern(phase)), hist(metric, {{"phase", phase}}) {}
 
-  std::string name;
+  uint32_t name;
   HistogramHandle hist;
 };
 
 class Span {
  public:
-  // `metric` defaults to the cross-layer phase-duration family.
-  Span(trace::Recorder* rec, sim::Endpoint& ep, std::string phase,
+  // `metric` defaults to the cross-layer phase-duration family. A
+  // non-null `rec` is attached to the run and gets the phase-start hook.
+  Span(trace::Recorder* rec, sim::Endpoint& ep, const std::string& phase,
        const char* metric = "rcc_phase_seconds")
-      : rec_(rec), ep_(ep), phase_(std::move(phase)), start_(ep.now()),
-        hist_(Registry::Global().GetHistogram(metric, {{"phase", phase_}})) {
-    if (rec_ != nullptr) rec_->PhaseStarted(ep_, phase_);
-  }
+      : Span(rec, ep, flight::Intern(phase),
+             Registry::Global().GetHistogram(metric, {{"phase", phase}})) {}
 
   Span(trace::Recorder* rec, sim::Endpoint& ep, const SpanPhase& phase)
-      : rec_(rec), ep_(ep), phase_(phase.name), start_(ep.now()),
-        hist_(phase.hist.Get()) {
-    if (rec_ != nullptr) rec_->PhaseStarted(ep_, phase_);
-  }
+      : Span(rec, ep, phase.name, phase.hist.Get()) {}
 
   ~Span() {
     const sim::Seconds end = ep_.now();
-    if (rec_ != nullptr) rec_->Record(ep_.pid(), phase_, start_, end);
+    ep_.log()->Record(flight::Ev::kSpan, end, static_cast<int64_t>(recovery_),
+                      repair_, start_, name_);
     hist_->Observe(end - start_);
+    if (recovery_ != flight::Phase{}) {
+      flight::RecordRecoveryPhase(nullptr, recovery_, end, repair_,
+                                  end - start_);
+    }
+  }
+
+  // Marks this span as recovery phase `phase` of repair `repair`,
+  // completed (call it on the success path only).
+  void SetRecoveryPhase(flight::Phase phase, int64_t repair) {
+    recovery_ = phase;
+    repair_ = repair;
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  trace::Recorder* rec_;
+  Span(trace::Recorder* rec, sim::Endpoint& ep, uint32_t name,
+       Histogram* hist)
+      : ep_(ep), name_(name), start_(ep.now()), hist_(hist) {
+    if (rec != nullptr) {
+      rec->Attach(ep_);
+      rec->PhaseStarted(ep_, flight::NameOf(name_));
+    }
+  }
+
   sim::Endpoint& ep_;
-  std::string phase_;
+  uint32_t name_;
   sim::Seconds start_;
   Histogram* hist_;
+  flight::Phase recovery_{};
+  int64_t repair_ = 0;
 };
 
 }  // namespace rcc::obs

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <cstdio>
 #include <set>
 #include <sstream>
 
-#include "common/log.h"
 #include "obs/json_lite.h"
 
 namespace rcc::obs {
@@ -124,22 +123,6 @@ std::string ToChromeTraceJson(const trace::Recorder& rec) {
 
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
   return os.str();
-}
-
-bool WriteChromeTraceJson(const trace::Recorder& rec,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    RCC_LOG(kError) << "cannot open trace output " << path;
-    return false;
-  }
-  out << ToChromeTraceJson(rec);
-  out.flush();
-  if (!out) {
-    RCC_LOG(kError) << "short write on trace output " << path;
-    return false;
-  }
-  return true;
 }
 
 bool ValidateChromeTraceJson(const std::string& json_text, std::string* error,

@@ -22,10 +22,6 @@ namespace rcc::obs {
 // object ({"traceEvents":[...],"displayTimeUnit":"ms"}).
 std::string ToChromeTraceJson(const trace::Recorder& rec);
 
-// Writes ToChromeTraceJson(rec) to `path`. Returns false (and logs) on
-// I/O failure.
-bool WriteChromeTraceJson(const trace::Recorder& rec, const std::string& path);
-
 // Validates that `json` parses and is a Chrome trace-event document:
 // a traceEvents array whose ph:"X" entries all carry numeric ts, dur,
 // pid, tid and a string name, and whose ph:"C" entries carry a string

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/serial.h"
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "sim/params.h"
 
@@ -62,7 +63,7 @@ ServeReport ServingDriver::RunStandbyJoiner(sim::Endpoint& ep, kv::Store* store,
   // The exits before the serving loop skip Finish, so they apply the
   // exit dump rule here.
   const auto aborted = [&ep] {
-    obs::flight::DumpIfUnexplainedExit(ep, /*aborted=*/true);
+    obs::DumpIfUnexplainedExit(ep, /*aborted=*/true);
     ServeReport r;
     r.aborted = true;
     return r;
@@ -101,7 +102,7 @@ ServeReport ServingDriver::Loop() {
   std::vector<float> send(hidden), recv(hidden);
   size_t exported_completions = 0;
   int64_t exported_replays = 0;
-  obs::flight::Ring* fly = obs::flight::ForRank(ep.pid());
+  obs::flight::Ring* fly = ep.log();
   size_t flight_completions = batcher_.completions().size();
 
   for (;;) {
@@ -109,7 +110,7 @@ ServeReport ServingDriver::Loop() {
 
     int prompt_tokens = 0;
     const int scheduled = batcher_.Admit(stream_, t_sync_, &prompt_tokens);
-    if (scheduled > 0 && obs::flight::Enabled()) {
+    if (scheduled > 0) {
       fly->Record(obs::flight::Ev::kServeAdmit, t_sync_, scheduled,
                   batcher_.waiting(), static_cast<double>(prompt_tokens));
     }
@@ -183,12 +184,10 @@ ServeReport ServingDriver::Loop() {
     batcher_.CommitStep(stream_, t_sync_, recv[0], step_seconds);
 
     const std::vector<Completion>& done_list = batcher_.completions();
-    if (obs::flight::Enabled()) {
-      for (size_t i = flight_completions; i < done_list.size(); ++i) {
-        const Completion& c = done_list[i];
-        fly->Record(obs::flight::Ev::kServeComplete, c.done, c.id, c.tokens,
-                    c.done - c.admit);
-      }
+    for (size_t i = flight_completions; i < done_list.size(); ++i) {
+      const Completion& c = done_list[i];
+      fly->Record(obs::flight::Ev::kServeComplete, c.done, c.id, c.tokens,
+                  c.done - c.admit);
     }
     flight_completions = done_list.size();
 
@@ -320,11 +319,8 @@ void ServingDriver::ExportStepMetrics(double step_seconds, int committed_tokens,
 
 ServeReport ServingDriver::Finish(bool aborted) {
   sim::Endpoint& ep = rc_->endpoint();
-  if (aborted && obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kSelfAbort,
-                                           ep.now());
-  }
-  obs::flight::DumpIfUnexplainedExit(ep, aborted);
+  if (aborted) ep.log()->Record(obs::flight::Ev::kSelfAbort, ep.now());
+  obs::DumpIfUnexplainedExit(ep, aborted);
   ServeReport r = report_;
   r.aborted = aborted;
   // Repairs that landed after the last step's bookkeeping (e.g. inside

@@ -112,7 +112,7 @@ class ServingDriver {
  private:
   ServeReport Loop();
   // Snapshot of the replicated state into a report for this rank; an
-  // aborted exit also goes through obs::flight::DumpIfUnexplainedExit.
+  // aborted exit also goes through obs::DumpIfUnexplainedExit.
   ServeReport Finish(bool aborted);
   // Agree on the authoritative step clock (resilient MAX-allgather).
   Status AgreeClock();

@@ -1,6 +1,6 @@
 // Endpoint: a simulated rank's handle onto the fabric. Owns the rank's
 // virtual clock and the deterministic self-kill trigger used for failure
-// injection in virtual time.
+// injection in virtual time, and reaches the rank's event log.
 #pragma once
 
 #include <atomic>
@@ -15,7 +15,10 @@ namespace rcc::sim {
 class Endpoint {
  public:
   Endpoint(Fabric* fabric, int pid, Seconds start_time = 0.0)
-      : fabric_(fabric), pid_(pid), now_(start_time) {}
+      : fabric_(fabric),
+        pid_(pid),
+        log_(fabric->logs().For(pid)),
+        now_(start_time) {}
 
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -23,6 +26,8 @@ class Endpoint {
   Fabric& fabric() const { return *fabric_; }
   int pid() const { return pid_; }
   int node() const { return fabric_->NodeOf(pid_); }
+  // This rank's event log, owned by the fabric's simulation.
+  obs::flight::Ring* log() const { return log_; }
   Seconds now() const { return now_; }
   // Stable address of this rank's virtual clock: the engine's run queue
   // orders a parked task by *clock() (read only while the rank is not
@@ -110,6 +115,7 @@ class Endpoint {
  private:
   Fabric* fabric_;
   int pid_;
+  obs::flight::Ring* log_;
   Seconds now_;
   std::atomic<Seconds> kill_at_{std::numeric_limits<Seconds>::infinity()};
 };

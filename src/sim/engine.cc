@@ -57,21 +57,10 @@ std::function<void(const std::string&)>& StallHandlerSlot() {
   return handler;
 }
 
-// Observer storage, same discipline as the handler slot. Invoked before
-// the handler so forensic dumps land even when the handler exits.
-std::function<void(const std::string&)>& StallObserverSlot() {
-  static std::function<void(const std::string&)> observer;
-  return observer;
-}
-
 }  // namespace
 
 void SetStallHandler(std::function<void(const std::string&)> handler) {
   StallHandlerSlot() = std::move(handler);
-}
-
-void SetStallObserver(std::function<void(const std::string&)> observer) {
-  StallObserverSlot() = std::move(observer);
 }
 
 struct FiberTask : std::enable_shared_from_this<FiberTask> {
@@ -270,8 +259,10 @@ void Engine::JoinTask(FiberTask* t) {
     std::unique_lock<std::mutex> pl(pump_mu_, std::try_to_lock);
     if (pl.owns_lock()) {
       RunScheduler([this, t] { return TaskDone(t); });
-      if (!TaskDone(t) && StallObserverSlot()) {
-        StallObserverSlot()(StallReport("JoinTask"));
+      // The observer runs before the handler so forensic dumps land even
+      // when the handler exits.
+      if (!TaskDone(t) && stall_observer_) {
+        stall_observer_(StallReport("JoinTask"));
       }
       if (!TaskDone(t) && StallHandlerSlot()) {
         StallHandlerSlot()(StallReport("JoinTask"));

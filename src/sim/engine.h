@@ -46,14 +46,6 @@ struct FiberTask;
 // clear.
 void SetStallHandler(std::function<void(const std::string& report)> handler);
 
-// Secondary stall hook invoked just before the stall handler (and before
-// the fatal check when no handler is installed). Unlike SetStallHandler
-// — which tools own to pick an exit path — the observer is for passive
-// instrumentation: the obs flight recorder installs one that dumps every
-// rank's event ring so a proven deadlock always leaves forensics behind,
-// whatever the handler then does. Pass nullptr to clear.
-void SetStallObserver(std::function<void(const std::string& report)> observer);
-
 // Cooperative yield for busy-wait loops (spinning on a flag another rank
 // sets). The calling fiber re-queues itself *behind* every runnable peer
 // at the same virtual time (deterministically: yields sort after normal
@@ -164,6 +156,16 @@ class Engine {
   // other fibers still have work.
   void WakeAllTimeoutParked();
 
+  // Stall hook of this engine, invoked just before the stall handler
+  // (and before the fatal check when no handler is installed). Unlike
+  // SetStallHandler — which tools own to pick an exit path — the
+  // observer is passive instrumentation: the owning Fabric dumps its
+  // ranks' event logs so a proven deadlock always leaves forensics
+  // behind, whatever the handler then does.
+  void SetStallObserver(std::function<void(const std::string& report)> fn) {
+    stall_observer_ = std::move(fn);
+  }
+
  private:
   friend class TaskHandle;
   friend class WaitPoint;
@@ -217,6 +219,7 @@ class Engine {
 
   std::mutex join_mu_;  // predicate lock for fiber-context JoinTask
   WaitPoint done_wp_;   // notified on every task completion
+  std::function<void(const std::string&)> stall_observer_;
 };
 
 }  // namespace rcc::sim

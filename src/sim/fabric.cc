@@ -6,6 +6,15 @@
 
 namespace rcc::sim {
 
+Fabric::Fabric(SimConfig cfg)
+    : cfg_(cfg),
+      id_(NextFabricId()),
+      logs_(std::make_shared<obs::flight::Logs>()) {
+  engine_.SetStallObserver([logs = logs_](const std::string& report) {
+    if (obs::flight::Enabled()) obs::flight::DumpAll(*logs, "stall: " + report);
+  });
+}
+
 int Fabric::RegisterProcess(int node) {
   std::lock_guard<std::mutex> lock(mu_);
   Proc proc;

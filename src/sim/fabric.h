@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/flight.h"
 #include "sim/engine.h"
 #include "sim/params.h"
 
@@ -70,7 +71,7 @@ class CancelToken {
 
 class Fabric {
  public:
-  explicit Fabric(SimConfig cfg) : cfg_(cfg), id_(NextFabricId()) {}
+  explicit Fabric(SimConfig cfg);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -79,6 +80,14 @@ class Fabric {
 
   // The rank-execution engine every task of this simulation runs on.
   Engine& engine() { return engine_; }
+
+  // This simulation's per-rank event logs (obs/flight.h). Shared, so a
+  // trace::Recorder attached to the run reads them after the fabric is
+  // gone.
+  obs::flight::Logs& logs() const { return *logs_; }
+  const std::shared_ptr<obs::flight::Logs>& shared_logs() const {
+    return logs_;
+  }
 
   // Process-wide unique fabric id: namespaces communicator-group cache
   // keys so distinct simulations never alias (pids restart at 0 per
@@ -163,6 +172,7 @@ class Fabric {
   std::atomic<int> alive_count_{0};
   SimConfig cfg_;
   uint64_t id_;
+  std::shared_ptr<obs::flight::Logs> logs_;
   Engine engine_;
 };
 

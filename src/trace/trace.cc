@@ -4,130 +4,120 @@
 
 namespace rcc::trace {
 
-void Recorder::Record(int pid, const std::string& phase, sim::Seconds start,
-                      sim::Seconds end) {
+namespace flight = obs::flight;
+
+void Recorder::Attach(const sim::Endpoint& ep) {
+  const std::shared_ptr<flight::Logs>& logs = ep.fabric().shared_logs();
   std::lock_guard<std::mutex> lock(mu_);
-  const double d = end - start;
-  PhaseAgg& agg = by_phase_[phase];
-  if (agg.count == 0) {
-    agg.max = d;
-    agg.min = d;
-  } else {
-    agg.max = std::max(agg.max, d);
-    agg.min = std::min(agg.min, d);
-  }
-  agg.sum += d;
-  agg.count += 1;
-  agg.latest_end = std::max(agg.latest_end, end);
-  agg.event_idx.push_back(events_.size());
-  events_.push_back(Event{pid, phase, start, end});
+  if (std::find(logs_.begin(), logs_.end(), logs) != logs_.end()) return;
+  logs->KeepAll();
+  logs_.push_back(logs);
 }
 
-void Recorder::RecordOp(int pid, uint64_t op_id, const std::string& algo,
-                        double bytes, sim::Seconds submit,
-                        sim::Seconds complete) {
-  std::lock_guard<std::mutex> lock(mu_);
-  op_events_.push_back(OpEvent{pid, op_id, algo, bytes, submit, complete});
-}
-
-void Recorder::RecordReplay(int pid, int64_t op_id, int64_t min_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  replay_events_.push_back(ReplayEvent{pid, op_id, min_id});
-}
-
-std::vector<ReplayEvent> Recorder::replay_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return replay_events_;
-}
-
-void Recorder::RecordCounter(int pid, const std::string& name, sim::Seconds t,
-                             double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counter_samples_.push_back(CounterSample{pid, name, t, value});
-}
-
-std::vector<CounterSample> Recorder::counter_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counter_samples_;
-}
-
-void Recorder::SetPhaseStartHook(PhaseStartHook hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  phase_start_hook_ = std::move(hook);
-  has_hook_.store(static_cast<bool>(phase_start_hook_),
-                  std::memory_order_release);
-}
-
-void Recorder::PhaseStarted(sim::Endpoint& ep, const std::string& phase) {
-  if (!has_hook_.load(std::memory_order_acquire)) return;
-  PhaseStartHook hook;
+template <class T, class Fn>
+std::vector<T> Recorder::Collect(flight::Ev kind, Fn fn) const {
+  std::vector<std::shared_ptr<flight::Logs>> logs;
   {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = phase_start_hook_;
+    std::lock_guard<std::mutex> lock(mu_);
+    logs = logs_;
   }
-  if (hook) hook(ep, phase);
+  std::vector<T> out;
+  for (const auto& run : logs) {
+    for (const flight::Ring* ring : run->rings()) {
+      for (const flight::Event& e : ring->Snapshot()) {
+        if (e.kind == kind) out.push_back(fn(ring->pid(), e));
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<Event> Recorder::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  return Collect<Event>(flight::Ev::kSpan, [](int pid, const flight::Event& e) {
+    return Event{pid, flight::NameOf(e.name), e.c, e.t};
+  });
 }
 
 std::vector<Event> Recorder::EventsForPhase(const std::string& phase) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<Event> out;
-  auto it = by_phase_.find(phase);
-  if (it == by_phase_.end()) return out;
-  out.reserve(it->second.event_idx.size());
-  for (size_t idx : it->second.event_idx) out.push_back(events_[idx]);
+  for (Event& e : events()) {
+    if (e.phase == phase) out.push_back(std::move(e));
+  }
   return out;
 }
 
 std::vector<OpEvent> Recorder::op_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return op_events_;
+  return Collect<OpEvent>(flight::Ev::kOp, [](int pid, const flight::Event& e) {
+    return OpEvent{pid, static_cast<uint64_t>(e.a), flight::NameOf(e.name),
+                   static_cast<double>(e.b), e.c, e.t};
+  });
+}
+
+std::vector<ReplayEvent> Recorder::replay_events() const {
+  return Collect<ReplayEvent>(
+      flight::Ev::kCollReplay, [](int pid, const flight::Event& e) {
+        return ReplayEvent{pid, e.a, e.b};
+      });
+}
+
+std::vector<CounterSample> Recorder::counter_samples() const {
+  return Collect<CounterSample>(
+      flight::Ev::kCounter, [](int pid, const flight::Event& e) {
+        return CounterSample{pid, flight::NameOf(e.name), e.t, e.c};
+      });
+}
+
+std::map<std::string, Recorder::PhaseAgg> Recorder::Aggregate() const {
+  // Keyed by interned name while scanning: no string per span.
+  std::map<uint32_t, PhaseAgg> by_name;
+  for (const flight::Event& e : Collect<flight::Event>(
+           flight::Ev::kSpan, [](int, const flight::Event& e) { return e; })) {
+    const double d = e.t - e.c;
+    PhaseAgg& agg = by_name[e.name];
+    agg.max = agg.count == 0 ? d : std::max(agg.max, d);
+    agg.min = agg.count == 0 ? d : std::min(agg.min, d);
+    agg.sum += d;
+    agg.count += 1;
+    agg.latest_end = std::max(agg.latest_end, e.t);
+  }
+  std::map<std::string, PhaseAgg> out;
+  for (const auto& [name, agg] : by_name) out[flight::NameOf(name)] = agg;
+  return out;
+}
+
+template <class Fn>
+std::map<std::string, double> Recorder::ByPhase(Fn fn) const {
+  std::map<std::string, double> out;
+  for (const auto& [phase, agg] : Aggregate()) out[phase] = fn(agg);
+  return out;
 }
 
 std::map<std::string, double> Recorder::MaxByPhase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [phase, agg] : by_phase_) out[phase] = agg.max;
-  return out;
+  return ByPhase([](const PhaseAgg& a) { return a.max; });
 }
 
 std::map<std::string, double> Recorder::MeanByPhase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [phase, agg] : by_phase_) out[phase] = agg.sum / agg.count;
-  return out;
+  return ByPhase([](const PhaseAgg& a) { return a.sum / a.count; });
 }
 
 std::map<std::string, double> Recorder::MinByPhase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [phase, agg] : by_phase_) out[phase] = agg.min;
-  return out;
+  return ByPhase([](const PhaseAgg& a) { return a.min; });
 }
 
 double Recorder::PhaseEnd(const std::string& phase) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_phase_.find(phase);
-  return it == by_phase_.end() ? 0.0 : it->second.latest_end;
+  const auto aggs = Aggregate();
+  auto it = aggs.find(phase);
+  return it == aggs.end() ? 0.0 : it->second.latest_end;
 }
 
 void Recorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  by_phase_.clear();
-  op_events_.clear();
-  replay_events_.clear();
-  counter_samples_.clear();
+  logs_.clear();
 }
 
 Table Recorder::ToTable() const {
   Table table({"phase", "max (s)", "mean (s)", "events"});
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [phase, agg] : by_phase_) {
+  for (const auto& [phase, agg] : Aggregate()) {
     table.AddRow({phase, FormatDouble(agg.max, 4),
                   FormatDouble(agg.sum / agg.count, 4),
                   std::to_string(agg.count)});

@@ -1,24 +1,21 @@
 // Phase-tagged event tracing: each recovery step (catch exception,
 // shutdown, rendezvous, shrink, state sync, recompute, ...) records its
-// per-rank [start, end] interval in virtual time. Benches aggregate
-// these into the paper's per-phase cost breakdowns.
-//
-// Events are indexed by phase at record time: per-phase aggregates
-// (max/mean/min/latest-end) are maintained incrementally, so queries are
-// O(phases) instead of re-scanning every event under the mutex — per-op
-// tracing (one event per gradient bucket) would otherwise degrade bench
-// runtime quadratically.
+// per-rank [start, end] interval in virtual time as a kSpan on the
+// rank's event log (obs/flight.h). Benches aggregate these into the
+// paper's per-phase cost breakdowns. The Recorder stores nothing: it
+// computes every table from the logs of the runs it is attached to.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
+#include "obs/flight.h"
 #include "sim/endpoint.h"
 
 namespace rcc::trace {
@@ -31,8 +28,9 @@ struct Event {
   double duration() const { return end - start; }
 };
 
-// One collective operation as seen by a rank: submission and completion
-// in virtual time, plus the op identity the resilient layer replays by.
+// One traced windowed collective as seen by a rank: submission and
+// completion in virtual time, plus the op identity the resilient layer
+// replays by.
 struct OpEvent {
   int pid = -1;
   uint64_t op_id = 0;
@@ -62,36 +60,36 @@ struct CounterSample {
 
 class Recorder {
  public:
-  void Record(int pid, const std::string& phase, sim::Seconds start,
-              sim::Seconds end);
-
-  // Per-op tracing for the nonblocking pipeline.
-  void RecordOp(int pid, uint64_t op_id, const std::string& algo,
-                double bytes, sim::Seconds submit, sim::Seconds complete);
-
-  // Replay audit trail for the chaos oracles.
-  void RecordReplay(int pid, int64_t op_id, int64_t min_id);
-  std::vector<ReplayEvent> replay_events() const;
-
-  // Counter time series (world size, in-flight window, ...).
-  void RecordCounter(int pid, const std::string& name, sim::Seconds t,
-                     double value);
-  std::vector<CounterSample> counter_samples() const;
+  // Attaches to the logs of the simulation `ep` runs in and makes them
+  // keep every event; the recorder holds them, so it stays readable
+  // after the simulation is gone. Every obs::Span and ResilientComm
+  // given this recorder calls it; a later simulation is read after the
+  // earlier ones.
+  void Attach(const sim::Endpoint& ep);
 
   // --- phase-start hook -------------------------------------------------
-  // Invoked on the *entering* rank's own thread the moment a trace::Scope
-  // or obs::Span opens, before any phase work runs. The chaos harness uses
-  // this to arm deterministic self-kills phase-locked to protocol spans
-  // (mid-revoke, mid-agree, mid-join, ...). At most one hook; set nullptr
-  // to clear. The hook must be cheap and must not re-enter the recorder.
+  // Invoked on the *entering* rank's own task the moment an obs::Span
+  // opens, before any phase work runs. The chaos harness uses this to
+  // arm deterministic self-kills phase-locked to protocol spans
+  // (mid-revoke, mid-agree, mid-join, ...). At most one hook, set before
+  // the run's ranks start and cleared (nullptr) after they finish. The
+  // hook must be cheap and must not re-enter the recorder.
   using PhaseStartHook =
       std::function<void(sim::Endpoint& ep, const std::string& phase)>;
-  void SetPhaseStartHook(PhaseStartHook hook);
-  void PhaseStarted(sim::Endpoint& ep, const std::string& phase);
+  void SetPhaseStartHook(PhaseStartHook hook) { hook_ = std::move(hook); }
+  void PhaseStarted(sim::Endpoint& ep, const std::string& phase) {
+    if (hook_) hook_(ep, phase);
+  }
 
+  // Every span, in (attached run, pid, record) order.
   std::vector<Event> events() const;
   std::vector<Event> EventsForPhase(const std::string& phase) const;
+  // Traced windowed collectives (the nonblocking pipelines).
   std::vector<OpEvent> op_events() const;
+  // Replay audit trail for the chaos oracles.
+  std::vector<ReplayEvent> replay_events() const;
+  // Counter time series (world size, in-flight window, ...).
+  std::vector<CounterSample> counter_samples() const;
 
   // Critical-path duration: the longest single-rank duration per phase
   // (what an observer of the stalled training job experiences).
@@ -104,54 +102,29 @@ class Recorder {
   // Latest end time recorded for a phase.
   double PhaseEnd(const std::string& phase) const;
 
+  // Detaches from every log: the tables are empty until the next Attach.
   void Clear();
   Table ToTable() const;
 
  private:
-  // Incremental aggregates + the indices of the phase's events in
-  // events_, maintained by Record.
   struct PhaseAgg {
     double max = 0.0;
     double min = 0.0;
     double sum = 0.0;
     int count = 0;
     double latest_end = 0.0;
-    std::vector<size_t> event_idx;
   };
 
+  // fn(pid, event) for each event of `kind` in the attached logs, as T.
+  template <class T, class Fn>
+  std::vector<T> Collect(obs::flight::Ev kind, Fn fn) const;
+  std::map<std::string, PhaseAgg> Aggregate() const;
+  template <class Fn>
+  std::map<std::string, double> ByPhase(Fn fn) const;
+
   mutable std::mutex mu_;
-  std::vector<Event> events_;
-  std::map<std::string, PhaseAgg> by_phase_;
-  std::vector<OpEvent> op_events_;
-  std::vector<ReplayEvent> replay_events_;
-  std::vector<CounterSample> counter_samples_;
-
-  // Hook storage behind its own mutex so PhaseStarted never contends with
-  // Record; has_hook_ lets the common (no hook) case skip the lock.
-  mutable std::mutex hook_mu_;
-  std::atomic<bool> has_hook_{false};
-  PhaseStartHook phase_start_hook_;
-};
-
-// RAII phase scope: records [now at construction, now at destruction] on
-// the endpoint's virtual clock.
-class Scope {
- public:
-  Scope(Recorder* rec, sim::Endpoint& ep, std::string phase)
-      : rec_(rec), ep_(ep), phase_(std::move(phase)), start_(ep.now()) {
-    if (rec_ != nullptr) rec_->PhaseStarted(ep_, phase_);
-  }
-  ~Scope() {
-    if (rec_ != nullptr) rec_->Record(ep_.pid(), phase_, start_, ep_.now());
-  }
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Recorder* rec_;
-  sim::Endpoint& ep_;
-  std::string phase_;
-  sim::Seconds start_;
+  std::vector<std::shared_ptr<obs::flight::Logs>> logs_;
+  PhaseStartHook hook_;
 };
 
 }  // namespace rcc::trace

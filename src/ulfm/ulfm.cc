@@ -131,10 +131,7 @@ void Revoke(mpi::Comm& comm) {
   ep.Busy(fabric.config().costs.ulfm_revoke_propagation);
   comm.group()->revoke.Cancel();
   fabric.WakeAll();
-  if (obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kRevoke,
-                                           ep.now(), comm.context_id());
-  }
+  ep.log()->Record(obs::flight::Ev::kRevoke, ep.now(), comm.context_id());
 }
 
 void LeaveGracefully(sim::Endpoint& ep, mpi::Comm& comm) {
@@ -144,9 +141,7 @@ void LeaveGracefully(sim::Endpoint& ep, mpi::Comm& comm) {
   // transport timeout; the fabric kill makes the departure a normal
   // acked failure for the subsequent agree/shrink.
   Revoke(comm);
-  if (obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kLeave, ep.now());
-  }
+  ep.log()->Record(obs::flight::Ev::kLeave, ep.now());
   ep.fabric().Kill(ep.pid());
 }
 
@@ -223,12 +218,9 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
   const bool last = state->leavers >= state->expected_leavers;
   lock.unlock();
   if (last) ReleaseAgreeState(key);
-  if (obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(
-        obs::flight::Ev::kAgree, ep.now(),
-        static_cast<int64_t>(agree_round), outcome.min_value,
-        ep.now() - agree_enter);
-  }
+  ep.log()->Record(obs::flight::Ev::kAgree, ep.now(),
+                   static_cast<int64_t>(agree_round), outcome.min_value,
+                   ep.now() - agree_enter);
   return outcome;
 }
 
@@ -263,13 +255,10 @@ Result<mpi::Comm> Shrink(mpi::Comm& comm) {
   if (next.rank() == 0) {
     ep.fabric().PurgeContext(comm.context_id());
   }
-  if (obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(
-        obs::flight::Ev::kShrink, ep.now(),
-        static_cast<int64_t>(survivors.size()),
-        static_cast<int64_t>(agreed.value().failed_pids.size()),
-        ep.now() - shrink_enter);
-  }
+  ep.log()->Record(obs::flight::Ev::kShrink, ep.now(),
+                   static_cast<int64_t>(survivors.size()),
+                   static_cast<int64_t>(agreed.value().failed_pids.size()),
+                   ep.now() - shrink_enter);
   return next;
 }
 
@@ -389,11 +378,8 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
     const bool last = state->leavers >= state->expected_leavers;
     lock.unlock();
     if (last) ReleaseExpandState(key);
-    if (obs::flight::Enabled()) {
-      obs::flight::ForRank(ep.pid())->Record(
-          obs::flight::Ev::kExpandAbort, ep.now(), 0, 0,
-          ep.now() - expand_enter);
-    }
+    ep.log()->Record(obs::flight::Ev::kExpandAbort, ep.now(), 0, 0,
+                     ep.now() - expand_enter);
     return Status(Code::kTimeout,
                   "expand timed out waiting for rendezvous arrivals");
   }
@@ -405,12 +391,9 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
   const bool last = state->leavers >= state->expected_leavers;
   lock.unlock();
   if (last) ReleaseExpandState(key);
-  if (obs::flight::Enabled()) {
-    obs::flight::ForRank(ep.pid())->Record(
-        obs::flight::Ev::kExpand, ep.now(),
-        static_cast<int64_t>(group->pids.size()), expected_joiners,
-        ep.now() - expand_enter);
-  }
+  ep.log()->Record(obs::flight::Ev::kExpand, ep.now(),
+                   static_cast<int64_t>(group->pids.size()), expected_joiners,
+                   ep.now() - expand_enter);
 
   mpi::Comm next(&ep, group);
   if (old_comm != nullptr) {
@@ -683,16 +666,12 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
     state->wp.WaitFor(lock, 200e-6);
   }
 
-  if (obs::flight::Enabled()) {
-    // b: round verdict — 0 pending, 1 spliced, 2 aborted.
-    const int64_t verdict = r.status == ExpandStatus::kPending  ? 0
-                            : r.status == ExpandStatus::kSpliced ? 1
-                                                                 : 2;
-    obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kExpandRound,
-                                           ep.now(),
-                                           static_cast<int64_t>(round),
-                                           verdict);
-  }
+  // b: round verdict — 0 pending, 1 spliced, 2 aborted.
+  const int64_t verdict = r.status == ExpandStatus::kPending  ? 0
+                          : r.status == ExpandStatus::kSpliced ? 1
+                                                               : 2;
+  ep.log()->Record(obs::flight::Ev::kExpandRound, ep.now(),
+                   static_cast<int64_t>(round), verdict);
 
   if (r.status == ExpandStatus::kPending) return ExpandStatus::kPending;
 

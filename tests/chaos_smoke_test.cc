@@ -56,6 +56,28 @@ TEST(ChaosSmoke, TenSeededCampaignsViolateNoOracle) {
   EXPECT_GE(high_window, 1);
 }
 
+// P7 audits the registry counters against the run's event log: an
+// outcome whose replayed-op counter disagrees with its replay events (a
+// replay the log never recorded) violates it, and nothing else does.
+TEST(ChaosSmoke, ReplayCounterWithoutReplayEventViolatesP7) {
+  Schedule s;
+  s.shape.world = 4;
+  s.shape.epochs = 2;
+  s.shape.steps_per_epoch = 4;
+  s.shape.grad_buckets = 2;
+  s.shape.inflight_window = 2;
+  CampaignOutcome outcome = RunSchedule(s);
+  const std::vector<Violation> clean = CheckOracles(s, outcome);
+  ASSERT_TRUE(clean.empty()) << FormatViolations(clean);
+  outcome.replayed_metric += 1.0;
+  const std::vector<Violation> violations = CheckOracles(s, outcome);
+  ASSERT_EQ(violations.size(), 1u) << FormatViolations(violations);
+  EXPECT_EQ(violations[0].oracle, "P7");
+  EXPECT_NE(violations[0].detail.find("replayed counter != replay events"),
+            std::string::npos)
+      << violations[0].detail;
+}
+
 TEST(ChaosSmoke, SameSeedIsByteDeterministic) {
   // Seed 2 is a repair-heavy campaign (windowed replay after a kill).
   const uint64_t seed = 2;

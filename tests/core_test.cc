@@ -3,7 +3,9 @@
 // elastic trainer (SPMD consistency across failures and joins).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 
 #include "core/elastic_trainer.h"
@@ -274,6 +276,40 @@ TEST(UlfmElastic, ForwardRecoveryRepairsInPlace) {
   EXPECT_EQ(Phase(rec, "recovery/rendezvous_global"), 0.0);
   EXPECT_EQ(Phase(rec, "recovery/gloo_reinit"), 0.0);
   EXPECT_EQ(Phase(rec, "recovery/recompute"), 0.0);
+}
+
+// Each simulation counts its own failures. Two sequential runs, each
+// with one scripted failure of the same pid at a different step, add two
+// to rcc_failures_observed_total, and the MTBF gauge holds the second
+// run's time to its first failure (failure state is per simulation, not
+// per process).
+TEST(UlfmElastic, SequentialRunsEachCountTheirFailure) {
+  auto& reg = obs::Registry::Global();
+  const double failures0 = reg.CounterValue("rcc_failures_observed_total");
+  // Runs the plan with rank 3 failing at `step`; returns the earliest
+  // failure detection in that run's logs.
+  auto run = [](int step) {
+    SyntheticPlan plan = SmallPlan();
+    plan.drop_policy = DropPolicy::kProcess;
+    plan.failures.push_back({1, step, 0, 3, sim::FailScope::kProcess});
+    sim::Cluster cluster;
+    EXPECT_EQ(RunUlfmElastic(cluster, plan, nullptr).final_world, 11);
+    double first = std::numeric_limits<double>::infinity();
+    for (const obs::flight::Ring* ring : cluster.fabric().logs().rings()) {
+      for (const obs::flight::Event& e : ring->Snapshot()) {
+        if (e.kind == obs::flight::Ev::kFailureDetected) {
+          first = std::min(first, e.t);
+        }
+      }
+    }
+    return first;
+  };
+  const double t1 = run(1);
+  const double t2 = run(2);
+  ASSERT_GT(t2, t1);
+  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total") - failures0,
+                   2.0);
+  EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), t2);
 }
 
 TEST(UlfmElastic, NodePolicyShrinksBySix) {

@@ -16,6 +16,7 @@
 #include "chaos/runner.h"
 #include "chaos/schedule.h"
 #include "core/ulfm_elastic.h"
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "sim/cluster.h"
 
@@ -94,15 +95,13 @@ TEST_F(DumpPolicy, ScriptedFailuresInRunUlfmElasticWriteNoDumps) {
 
 TEST_F(DumpPolicy, WorkerAbortingWhileAliveDumpsEveryRank) {
   constexpr int kRanks = 4;
-  for (int pid = 0; pid < kRanks; ++pid) obs::flight::ForRank(pid)->Reset();
   std::atomic<int> unexplained{0};
   sim::Cluster cluster;
   cluster.Spawn(kRanks, [&](sim::Endpoint& ep) {
-    obs::flight::ForRank(ep.pid())->Record(obs::flight::Ev::kCollPost,
-                                           ep.now(), ep.pid());
+    ep.log()->Record(obs::flight::Ev::kCollPost, ep.now(), ep.pid());
     // Clean exits and scheduled deaths are explained: no dump.
     if (ep.pid() == 1) ep.fabric().Kill(ep.pid());
-    if (obs::flight::DumpIfUnexplainedExit(ep, /*aborted=*/ep.pid() == 1)) {
+    if (obs::DumpIfUnexplainedExit(ep, /*aborted=*/ep.pid() == 1)) {
       ++unexplained;
     }
   });
@@ -111,16 +110,18 @@ TEST_F(DumpPolicy, WorkerAbortingWhileAliveDumpsEveryRank) {
   EXPECT_TRUE(Dumps().empty());
 
   // A worker that gives up while its endpoint is alive left the job
-  // unexplained: every rank's ring is dumped.
+  // unexplained: every rank of its simulation is dumped.
   sim::Cluster cluster2;
-  cluster2.Spawn(1, [&](sim::Endpoint& ep) {
-    if (obs::flight::DumpIfUnexplainedExit(ep, /*aborted=*/true)) {
+  cluster2.Spawn(kRanks, [&](sim::Endpoint& ep) {
+    ep.log()->Record(obs::flight::Ev::kCollPost, ep.now(), ep.pid());
+    if (obs::DumpIfUnexplainedExit(ep, /*aborted=*/ep.pid() == kRanks - 1)) {
       ++unexplained;
     }
   });
   cluster2.Join();
   EXPECT_EQ(unexplained.load(), 1);
   const std::vector<std::string> dumps = Dumps();
+  EXPECT_EQ(dumps.size(), static_cast<size_t>(kRanks));
   for (int pid = 0; pid < kRanks; ++pid) {
     const std::string want = "flight_rank" + std::to_string(pid) + ".json";
     bool found = false;

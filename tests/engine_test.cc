@@ -181,14 +181,15 @@ TEST(EngineSeam, NodeScopedPendingFailureArmsWholeLateNode) {
 // --------------------------------------------------------------------
 
 // A small messaging workload with a mid-run death, phase-traced. Returns
-// the recorder's event stream in record order, which is the scheduler's
-// deterministic execution order.
+// the recorder's event stream: each rank's spans in record order, which
+// the scheduler's deterministic execution order fixes.
 std::vector<trace::Event> TracedWorkload() {
   Cluster cluster;
   cluster.AddPendingFailure(FailureEvent{FailScope::kProcess, 3, 0.02});
   trace::Recorder rec;
   const int world = 4;
   cluster.Spawn(world, [&](Endpoint& ep) {
+    rec.Attach(ep);
     for (int round = 0; round < 3; ++round) {
       const Seconds start = ep.now();
       const int dst = (ep.pid() + 1) % world;
@@ -199,7 +200,8 @@ std::vector<trace::Event> TracedWorkload() {
       if (!ep.Recv(src, 1, round, &msg, nullptr, &watch).ok()) break;
       ep.Busy(5e-3);
       if (ep.MaybeSelfKill()) break;
-      rec.Record(ep.pid(), "round" + std::to_string(round), start, ep.now());
+      ep.log()->Record(obs::flight::Ev::kSpan, ep.now(), 0, 0, start,
+                       obs::flight::Intern("round" + std::to_string(round)));
     }
   });
   cluster.Join();

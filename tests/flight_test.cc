@@ -1,7 +1,8 @@
-// Flight recorder unit tests: seqlock ring semantics (ordering,
-// wraparound, torn-write rejection under concurrency), the JSON dump
-// round-trip through the postmortem parser, and the live-metric feeds
-// (recovery-phase histograms, MTBF estimator).
+// Event log unit tests: seqlock ring semantics (ordering, wraparound,
+// keep-all growth, torn-write rejection under concurrency), the
+// per-simulation Logs, the JSON dump round-trip through the postmortem
+// parser, and the live-metric feeds (recovery-phase histograms, MTBF
+// estimator).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -54,18 +55,20 @@ TEST(FlightRing, WraparoundKeepsNewestAndCountsDropped) {
   }
 }
 
-TEST(FlightRing, ResetEmptiesInPlace) {
+// KeepAll stops wraparound: the ring keeps every event past its
+// capacity, in order, and drops none.
+TEST(FlightRing, KeepAllStopsWraparound) {
   Ring ring(/*pid=*/2, /*slots=*/16);
-  for (int i = 0; i < 20; ++i) ring.Record(Ev::kAgree, 0.0, i);
-  ring.Reset();
-  EXPECT_EQ(ring.recorded(), 0u);
+  ring.KeepAll();
+  for (int i = 0; i < 40; ++i) ring.Record(Ev::kAgree, 0.0, i);
+  EXPECT_EQ(ring.recorded(), 40u);
   EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_TRUE(ring.Snapshot().empty());
-  ring.Record(Ev::kShrink, 5.0, 3, 1);
   const auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].index, 0u);
-  EXPECT_EQ(events[0].kind, Ev::kShrink);
+  ASSERT_EQ(events.size(), 40u);
+  for (size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].index, k);
+    EXPECT_EQ(events[k].a, static_cast<int64_t>(k));
+  }
 }
 
 // Writers hammer a deliberately tiny ring while a reader snapshots
@@ -111,9 +114,9 @@ TEST(FlightRing, ConcurrentSnapshotsNeverSeeTornEvents) {
   EXPECT_EQ(ring.Snapshot().size(), 32u);
 }
 
-// Storage is committed in chunks as events land: an idle ring holds
-// none, and one that recorded k events holds about k slots (rounded up
-// to a chunk), not its whole capacity.
+// Storage is committed in segments as events land: an idle ring holds
+// none, and one that recorded k events holds less than 2k + one base
+// segment, not its whole capacity — whether it wraps or keeps all.
 TEST(FlightRing, CommittedStorageTracksRecordedEvents) {
   Ring ring(/*pid=*/11, /*slots=*/4096);
   EXPECT_EQ(ring.capacity(), 4096u);
@@ -123,49 +126,30 @@ TEST(FlightRing, CommittedStorageTracksRecordedEvents) {
     ring.Record(Ev::kCollPost, static_cast<double>(i), static_cast<int64_t>(i));
   }
   EXPECT_GE(ring.committed_slots(), k);
-  EXPECT_LT(ring.committed_slots(), k + Ring::kChunkSlots);
+  EXPECT_LT(ring.committed_slots(), 2 * k + Ring::kBaseSlots);
   EXPECT_EQ(ring.Snapshot().size(), k);
-  // Reset keeps the committed chunks (no reallocation next run).
-  ring.Reset();
-  EXPECT_GE(ring.committed_slots(), k);
-  EXPECT_LT(ring.committed_slots(), k + Ring::kChunkSlots);
-  // A ring whose capacity is not a chunk multiple commits at most its
-  // capacity rounded up to one chunk, however far it wraps.
+  // A wrapping ring commits at most its capacity's segments, however
+  // far it wraps.
   Ring small(/*pid=*/12, /*slots=*/100);
   for (int i = 0; i < 1000; ++i) small.Record(Ev::kAgree, 0.0, i);
-  EXPECT_EQ(small.committed_slots(), 2 * Ring::kChunkSlots);
+  EXPECT_EQ(small.committed_slots(), 2 * Ring::kBaseSlots);
   EXPECT_EQ(small.Snapshot().size(), 100u);
+  // A ring that keeps every event grows with what it recorded.
+  Ring all(/*pid=*/13, /*slots=*/100);
+  all.KeepAll();
+  constexpr uint64_t n = 5000;
+  for (uint64_t i = 0; i < n; ++i) all.Record(Ev::kAgree, 0.0, 1);
+  EXPECT_GE(all.committed_slots(), n);
+  EXPECT_LT(all.committed_slots(), 2 * n + Ring::kBaseSlots);
+  EXPECT_EQ(all.Snapshot().size(), n);
 }
 
-// Reset only unpublishes the slots it wrote; after a reset the ring must
-// wrap and snapshot exactly as a fresh one: no event from before the
-// reset resurfaces, indices restart at 0, and concurrent writers after
-// the wrap still never expose a torn event.
-TEST(FlightRing, ResetThenWraparoundKeepsSeqlockGuarantees) {
-  Ring ring(/*pid=*/13, /*slots=*/96);
-  for (int i = 0; i < 250; ++i) ring.Record(Ev::kRevoke, 1.0, -1, -1, -1.0);
-  ring.Reset();
-  EXPECT_TRUE(ring.Snapshot().empty());
-  // Partially refill: only the new events show, stale slots beyond the
-  // new head stay invisible.
-  for (int i = 0; i < 10; ++i) ring.Record(Ev::kAgree, 2.0, i);
-  std::vector<Event> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 10u);
-  for (size_t k = 0; k < events.size(); ++k) {
-    EXPECT_EQ(events[k].index, k);
-    EXPECT_EQ(events[k].kind, Ev::kAgree);
-    EXPECT_EQ(events[k].a, static_cast<int64_t>(k));
-  }
-  // Wrap past capacity again.
-  for (int i = 10; i < 300; ++i) ring.Record(Ev::kAgree, 2.0, i);
-  events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 96u);
-  for (size_t k = 0; k < events.size(); ++k) {
-    EXPECT_EQ(events[k].index, 204 + k);
-    EXPECT_EQ(events[k].a, static_cast<int64_t>(204 + k));
-  }
-
-  ring.Reset();
+// Concurrent writers on a ring that keeps every event: segments are
+// committed under contention, a concurrent reader never sees a torn
+// event, and the quiescent snapshot holds every event exactly once.
+TEST(FlightRing, KeepAllGrowsUnderConcurrentWriters) {
+  Ring ring(/*pid=*/14, /*slots=*/96);
+  ring.KeepAll();
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 2000;
   std::atomic<bool> stop{false};
@@ -193,8 +177,14 @@ TEST(FlightRing, ResetThenWraparoundKeepsSeqlockGuarantees) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(ring.recorded(), static_cast<uint64_t>(kWriters) * kPerWriter);
-  EXPECT_EQ(ring.Snapshot().size(), 96u);
+  const std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kWriters) * kPerWriter);
+  std::vector<int> per_writer(kWriters, 0);
+  for (size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].index, k);
+    // Each writer's events appear in its own program order.
+    EXPECT_EQ(events[k].b, per_writer[events[k].a]++);
+  }
 }
 
 TEST(Flight, EnabledToggles) {
@@ -205,75 +195,74 @@ TEST(Flight, EnabledToggles) {
   EXPECT_TRUE(Enabled());
 }
 
-TEST(Flight, ForRankReturnsStablePointer) {
-  Ring* a = ForRank(1234);
-  Ring* b = ForRank(1234);
+TEST(Flight, LogsForReturnsStablePointer) {
+  Logs logs;
+  Ring* a = logs.For(1234);
+  Ring* b = logs.For(1234);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a->pid(), 1234);
-  EXPECT_NE(ForRank(1235), a);
+  EXPECT_NE(logs.For(1235), a);
+  ASSERT_EQ(logs.rings().size(), 2u);
+  EXPECT_EQ(logs.rings()[0], a);
+  // Rings created after KeepAll keep every event too.
+  logs.KeepAll();
+  EXPECT_TRUE(logs.For(1236)->keeps_all());
+  EXPECT_TRUE(a->keeps_all());
 }
 
-// ForRank's lock-free lookup: pids created concurrently (neighbours in
-// one index block, pids in different blocks, and pids past the indexed
-// range) each get their own ring, every later lookup returns it, and
-// events recorded through the lookups stay on their own pid's ring.
-TEST(Flight, ForRankKeepsPidsDistinctUnderConcurrency) {
+// Rings created concurrently each belong to their own pid, every later
+// lookup returns the same ring, and events recorded through the lookups
+// stay on their own pid's ring.
+TEST(Flight, LogsKeepPidsDistinctUnderConcurrency) {
+  Logs logs;
   const std::vector<int> pids = {2000, 2001, 2002, 3071, 3072,
                                  9000, 70000, 70001, 1 << 20};
   std::vector<std::thread> threads;
   std::vector<Ring*> first(pids.size(), nullptr);
   for (size_t k = 0; k < pids.size(); ++k) {
-    ForRank(pids[k])->Reset();
-  }
-  for (size_t k = 0; k < pids.size(); ++k) {
     threads.emplace_back([&, k] {
-      first[k] = ForRank(pids[k]);
+      first[k] = logs.For(pids[k]);
       for (int i = 0; i < 200; ++i) {
-        ForRank(pids[k])->Record(Ev::kCollSvc, 0.0, pids[k], i);
+        logs.For(pids[k])->Record(Ev::kCollSvc, 0.0, pids[k], i);
       }
     });
   }
   for (auto& t : threads) t.join();
   for (size_t k = 0; k < pids.size(); ++k) {
-    Ring* ring = ForRank(pids[k]);
+    Ring* ring = logs.For(pids[k]);
     EXPECT_EQ(ring, first[k]);
     EXPECT_EQ(ring->pid(), pids[k]);
-    for (size_t j = 0; j < k; ++j) EXPECT_NE(ring, ForRank(pids[j]));
+    for (size_t j = 0; j < k; ++j) EXPECT_NE(ring, logs.For(pids[j]));
     const std::vector<Event> events = ring->Snapshot();
     ASSERT_EQ(events.size(), 200u) << "pid " << pids[k];
     for (const Event& e : events) EXPECT_EQ(e.a, pids[k]);
   }
-  // A dense pid range across several index blocks: every lookup finds
-  // its own pid's ring, the same one each time.
-  std::vector<Ring*> dense;
-  for (int pid = 5000; pid < 6200; ++pid) dense.push_back(ForRank(pid));
-  for (int pid = 5000; pid < 6200; ++pid) {
-    ASSERT_EQ(ForRank(pid), dense[pid - 5000]);
-    ASSERT_EQ(ForRank(pid)->pid(), pid);
-  }
+  EXPECT_EQ(logs.rings().size(), pids.size());
 }
 
 // Dump -> parse round-trip through the postmortem reader: every field
 // the recorder wrote must come back bit-identically (%.17g doubles).
 TEST(Flight, DumpJsonRoundTrip) {
-  Ring* ring = ForRank(919);
-  ring->Reset();
-  ring->Record(Ev::kCollPost, 1.25, 17, 4096, 16384.0);
-  ring->Record(Ev::kRecoveryPhase, 2.5, 2, 1, 0.125);
+  Ring ring(/*pid=*/919, /*slots=*/64);
+  ring.Record(Ev::kCollPost, 1.25, 17, 4096, 16384.0);
+  ring.Record(Ev::kRecoveryPhase, 2.5, 2, 1, 0.125);
   // Key hashes are 53-bit by contract: exactly representable as a
   // double, so they survive the JSON round-trip bit-identically.
-  ring->Record(Ev::kKvWaitBegin, 3.0,
-               0x1234567890abcdefLL & ((1LL << 53) - 1));
+  ring.Record(Ev::kKvWaitBegin, 3.0,
+              0x1234567890abcdefLL & ((1LL << 53) - 1));
+  // Named kinds carry their interned name through the dump.
+  ring.Record(Ev::kSpan, 4.0, static_cast<int64_t>(Phase::kRevoke), 1, 3.5,
+              Intern("recovery/revoke"));
 
-  const std::string json = ring->ToJson("unit \"test\" reason");
+  const std::string json = ring.ToJson("unit \"test\" reason");
   postmortem::RankDump dump;
   std::string err;
   ASSERT_TRUE(postmortem::ParseDumpJson(json, &dump, &err)) << err;
   EXPECT_EQ(dump.pid, 919);
   EXPECT_EQ(dump.reason, "unit \"test\" reason");
-  EXPECT_EQ(dump.recorded, 3u);
+  EXPECT_EQ(dump.recorded, 4u);
   EXPECT_EQ(dump.dropped, 0u);
-  ASSERT_EQ(dump.events.size(), 3u);
+  ASSERT_EQ(dump.events.size(), 4u);
   EXPECT_EQ(dump.events[0].kind, Ev::kCollPost);
   EXPECT_EQ(dump.events[0].a, 17);
   EXPECT_EQ(dump.events[0].b, 4096);
@@ -283,17 +272,20 @@ TEST(Flight, DumpJsonRoundTrip) {
   EXPECT_DOUBLE_EQ(dump.events[1].c, 0.125);
   EXPECT_EQ(dump.events[2].kind, Ev::kKvWaitBegin);
   EXPECT_EQ(dump.events[2].a, 0x1234567890abcdefLL & ((1LL << 53) - 1));
+  EXPECT_EQ(dump.events[3].kind, Ev::kSpan);
+  EXPECT_EQ(NameOf(dump.events[3].name), "recovery/revoke");
+  EXPECT_DOUBLE_EQ(dump.events[3].c, 3.5);
 }
 
 // DumpAll writes one file per rank with the prefix; the postmortem
 // lister finds them.
 TEST(Flight, DumpAllWritesPerRankFiles) {
-  Ring* ring = ForRank(7777);
-  ring->Reset();
-  ring->Record(Ev::kSelfAbort, 9.0);
+  Logs logs;
+  logs.For(7777)->Record(Ev::kSelfAbort, 9.0);
+  logs.For(7778);
   const std::vector<std::string> paths =
-      DumpAll("flight_test", ".", "ut7777_");
-  ASSERT_FALSE(paths.empty());
+      DumpAll(logs, "flight_test", ".", "ut7777_");
+  ASSERT_EQ(paths.size(), 2u);
   bool found = false;
   for (const std::string& p : paths) {
     if (p.find("ut7777_flight_rank7777.json") == std::string::npos) continue;
@@ -321,13 +313,12 @@ TEST(Flight, RecoveryPhaseFeedsEventAndHistogramIdentically) {
   const uint64_t count0 =
       reg.HistogramSnapshot("rcc_recovery_phase_seconds", agree).count;
 
-  Ring* ring = ForRank(5555);
-  ring->Reset();
+  Ring ring(/*pid=*/5555, /*slots=*/64);
   const double duration = 0.015625;  // exactly representable
-  RecordRecoveryPhase(ring, Phase::kAgree, /*t_end=*/12.0,
+  RecordRecoveryPhase(&ring, Phase::kAgree, /*t_end=*/12.0,
                       /*repair_ordinal=*/4, duration);
 
-  const auto events = ring->Snapshot();
+  const auto events = ring.Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, Ev::kRecoveryPhase);
   EXPECT_EQ(events[0].a, static_cast<int64_t>(Phase::kAgree));
@@ -340,29 +331,33 @@ TEST(Flight, RecoveryPhaseFeedsEventAndHistogramIdentically) {
   EXPECT_DOUBLE_EQ(snap.sum - sum0, duration);
 }
 
-// MTBF estimator: dedupes by pid (every survivor reports the same
-// victim), estimates mean inter-failure time once two distinct pids
-// have failed.
+// MTBF estimator: dedupes by pid within one simulation (every survivor
+// reports the same victim), estimates mean inter-failure time once two
+// distinct pids have failed.
 TEST(Flight, MtbfEstimatorDedupesAndAverages) {
   auto& reg = Registry::Global();
-  ResetAll();
   const double failures0 = reg.CounterValue("rcc_failures_observed_total");
 
-  NoteFailureDetected(50, 10.0);
-  NoteFailureDetected(50, 11.0);  // duplicate detection, ignored
+  Logs run;
+  run.NoteFailureDetected(50, 10.0);
+  run.NoteFailureDetected(50, 11.0);  // duplicate detection, ignored
   EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
                    failures0 + 1);
   EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 10.0);
 
-  NoteFailureDetected(51, 30.0);
-  NoteFailureDetected(52, 50.0);
+  run.NoteFailureDetected(51, 30.0);
+  run.NoteFailureDetected(52, 50.0);
   EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
                    failures0 + 3);
   // (50 - 10) / (3 - 1)
   EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 20.0);
 
-  ResetAll();
-  NoteFailureDetected(60, 5.0);  // fresh run: time-to-first-failure again
+  // A fresh simulation counts its own failures, even a pid the first
+  // one already reported: time-to-first-failure again.
+  Logs next;
+  next.NoteFailureDetected(50, 5.0);
+  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
+                   failures0 + 4);
   EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 5.0);
 }
 

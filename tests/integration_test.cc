@@ -141,9 +141,16 @@ TEST(CostExtraction, CleanRunHasNoRecoveryPhases) {
 
 TEST(CostExtraction, RecoveryGroupsCoverDisjointPhases) {
   trace::Recorder rec;
-  rec.Record(0, "recovery/ulfm_repair", 0, 1);
-  rec.Record(0, "recovery/nccl_reinit", 1, 3);
-  rec.Record(0, "recovery/retry_collective", 3, 3.5);
+  sim::Fabric fabric(sim::SimConfig{});
+  sim::Endpoint ep(&fabric, fabric.RegisterProcess(0));
+  rec.Attach(ep);
+  auto span = [&](const char* phase, double start, double end) {
+    ep.log()->Record(obs::flight::Ev::kSpan, end, 0, 0, start,
+                     obs::flight::Intern(phase));
+  };
+  span("recovery/ulfm_repair", 0, 1);
+  span("recovery/nccl_reinit", 1, 3);
+  span("recovery/retry_collective", 3, 3.5);
   EXPECT_DOUBLE_EQ(
       SumRecoveryGroup(rec, {horovod::phase::kUlfmRepair,
                              horovod::phase::kNcclReinit}),

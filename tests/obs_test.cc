@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -17,6 +18,30 @@ namespace {
 
 // A private registry per test is not possible (Global() is a process
 // singleton), so tests use uniquely named metrics.
+
+// Ranks of one simulation with a recorder attached, for tests that write
+// kSpan/kOp/kCounter events onto the logs directly.
+struct TracedSim {
+  explicit TracedSim(int ranks) : fabric(sim::SimConfig{}) {
+    for (int i = 0; i < ranks; ++i) {
+      eps.push_back(std::make_unique<sim::Endpoint>(
+          &fabric, fabric.RegisterProcess(0)));
+    }
+    rec.Attach(*eps.front());
+  }
+  flight::Ring& log(int pid) { return *eps[pid]->log(); }
+  void Span(int pid, const char* phase, double start, double end) {
+    log(pid).Record(flight::Ev::kSpan, end, 0, 0, start,
+                    flight::Intern(phase));
+  }
+  void Counter(int pid, const char* series, double t, double value) {
+    log(pid).Record(flight::Ev::kCounter, t, 0, 0, value,
+                    flight::Intern(series));
+  }
+  sim::Fabric fabric;
+  std::vector<std::unique_ptr<sim::Endpoint>> eps;
+  trace::Recorder rec;
+};
 
 TEST(Metrics, CounterGaugeBasics) {
   auto& reg = Registry::Global();
@@ -232,12 +257,13 @@ TEST(JsonLite, ParsesAndRejects) {
 // required fields (ph, ts, dur, pid, tid, name) survive with the values
 // the recorder held.
 TEST(TraceJson, SchemaRoundTrip) {
-  trace::Recorder rec;
-  rec.Record(3, "recovery/ulfm_repair", 1.5, 2.0);
-  rec.Record(4, "init/nccl_reinit", 0.0, 0.25);
-  rec.RecordOp(3, 42, "ring", 64e6, 2.0, 2.5);
+  TracedSim sim(5);
+  sim.Span(3, "recovery/ulfm_repair", 1.5, 2.0);
+  sim.Span(4, "init/nccl_reinit", 0.0, 0.25);
+  sim.log(3).Record(flight::Ev::kOp, 2.5, 42, 64000000, 2.0,
+                    flight::Intern("ring"));
 
-  const std::string json_text = ToChromeTraceJson(rec);
+  const std::string json_text = ToChromeTraceJson(sim.rec);
   std::string err;
   size_t checked = 0;
   ASSERT_TRUE(ValidateChromeTraceJson(json_text, &err, &checked)) << err;
@@ -272,13 +298,13 @@ TEST(TraceJson, SchemaRoundTrip) {
 // Counter samples become ph:"C" events carrying the series value; the
 // validator counts them and the values survive the round-trip.
 TEST(TraceJson, CounterEventsRoundTrip) {
-  trace::Recorder rec;
-  rec.Record(0, "step", 0.0, 1.0);  // at least one complete event
-  rec.RecordCounter(0, "world_size", 0.5, 63.0);
-  rec.RecordCounter(0, "world_size", 1.5, 62.0);
-  rec.RecordCounter(2, "in_flight_window", 0.75, 4.0);
+  TracedSim sim(3);
+  sim.Span(0, "step", 0.0, 1.0);  // at least one complete event
+  sim.Counter(0, "world_size", 0.5, 63.0);
+  sim.Counter(0, "world_size", 1.5, 62.0);
+  sim.Counter(2, "in_flight_window", 0.75, 4.0);
 
-  const std::string json_text = ToChromeTraceJson(rec);
+  const std::string json_text = ToChromeTraceJson(sim.rec);
   std::string err;
   size_t checked = 0;
   size_t counters = 0;
@@ -349,8 +375,8 @@ TEST(TraceJson, ValidatorRejectsBrokenDocuments) {
   EXPECT_EQ(counters, 1u);
 }
 
-// Spans must feed both the recorder (trace export) and the phase
-// histogram on the endpoint's virtual clock.
+// Spans must feed both the event log (the recorder's tables and trace
+// export) and the phase histogram on the endpoint's virtual clock.
 TEST(Span, RecordsTraceAndHistogram) {
   trace::Recorder rec;
   sim::Cluster cluster;

@@ -150,7 +150,6 @@ constexpr const char* kKillDumpDir = "postmortem_kill_dumps";
 
 TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
   ASSERT_TRUE(flight::Enabled());
-  flight::ResetAll();
   ::mkdir(kKillDumpDir, 0755);
   for (const std::string& old : ListDumpFiles(kKillDumpDir)) {
     std::remove(old.c_str());
@@ -194,7 +193,8 @@ TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
   // Every surviving rank dumps its ring (the victim's ring holds what
   // it recorded before dying and rides along).
   const std::vector<std::string> paths =
-      flight::DumpAll("test: mid-allreduce kill", kKillDumpDir);
+      flight::DumpAll(cluster.fabric().logs(), "test: mid-allreduce kill",
+                      kKillDumpDir);
   ASSERT_EQ(paths.size(), static_cast<size_t>(kWorld));
 
   std::vector<RankDump> dumps;
@@ -257,7 +257,8 @@ TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
 constexpr const char* kStallDumpDir = "postmortem_stall_dumps";
 
 // Child body for the death test: rank 1 silently never enters the
-// collective while staying alive; the scheduler proves quiescence, the flight stall observer dumps every ring, and
+// collective while staying alive; the scheduler proves quiescence, the
+// fabric's stall observer dumps every rank's log, and
 // the stall handler exits 3.
 void RunPlantedStall() {
   ::setenv("RCC_FLIGHT_DIR", kStallDumpDir, 1);
@@ -322,7 +323,6 @@ constexpr const char* kPolicyDumpDir = "postmortem_policy_dumps";
 
 TEST(PostmortemEndToEnd, PolicyDecisionLineMatchesFlightEvent) {
   ASSERT_TRUE(flight::Enabled());
-  flight::ResetAll();
   ::mkdir(kPolicyDumpDir, 0755);
   for (const std::string& old : ListDumpFiles(kPolicyDumpDir)) {
     std::remove(old.c_str());
@@ -363,11 +363,10 @@ TEST(PostmortemEndToEnd, PolicyDecisionLineMatchesFlightEvent) {
   ASSERT_FALSE(survivor->decisions.empty());
   const policy::Decision& d = survivor->decisions.front();
 
-  // At least one ring per member: earlier tests in this binary may have
-  // registered additional pids whose (reset, empty) rings dump too.
-  const std::vector<std::string> paths =
-      flight::DumpAll("test: policy decision", kPolicyDumpDir);
-  ASSERT_GE(paths.size(), static_cast<size_t>(kWorld));
+  // One ring per member of this simulation.
+  const std::vector<std::string> paths = flight::DumpAll(
+      cluster.fabric().logs(), "test: policy decision", kPolicyDumpDir);
+  ASSERT_EQ(paths.size(), static_cast<size_t>(kWorld));
   std::vector<RankDump> dumps;
   for (const std::string& p : ListDumpFiles(kPolicyDumpDir)) {
     RankDump dmp;

@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
     // rings next to the schedule JSON: seed<N>_flight_rank<P>.json, ready
     // for tools/postmortem without re-running anything.
     if (rcc::obs::flight::Enabled()) {
-      (void)RunSchedule(repro);
-      rcc::obs::flight::DumpAll("oracle violation seed=" +
+      rcc::obs::flight::DumpAll(*RunSchedule(repro).logs,
+                                "oracle violation seed=" +
                                     std::to_string(seed),
                                 out_dir,
                                 "seed" + std::to_string(seed) + "_");

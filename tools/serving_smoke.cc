@@ -120,11 +120,13 @@ int main(int argc, char** argv) {
   // box behind: one flight dump per rank in RCC_FLIGHT_DIR, for
   // tools/postmortem and the CI artifact upload.
   if (!verified) {
-    obs::flight::DumpAll("serving verification failed");
+    obs::flight::DumpAll(cluster.fabric().logs(),
+                         "serving verification failed");
     return 2;
   }
   if (!slo_ok) {
-    obs::flight::DumpAll("SLO breach: ttft_p999_ms=" + std::to_string(p999));
+    obs::flight::DumpAll(cluster.fabric().logs(),
+                         "SLO breach: ttft_p999_ms=" + std::to_string(p999));
     return 4;
   }
   return 0;
