@@ -128,7 +128,7 @@ Status FabricChannel::SendTo(int dst_rank, int tag, const void* data,
   msg.depart = *now_;
   msg.cost_bytes = static_cast<double>(bytes) * cost_scale_;
   msg.payload.resize(bytes);
-  std::memcpy(msg.payload.data(), data, bytes);
+  if (bytes != 0) std::memcpy(msg.payload.data(), data, bytes);
   return fabric_->Send(std::move(msg));
 }
 
@@ -155,7 +155,7 @@ Status FabricChannel::RecvFrom(int src_rank, int tag, void* data,
   if (msg.payload.size() != bytes) {
     return Status(Code::kInvalid, "payload size mismatch");
   }
-  std::memcpy(data, msg.payload.data(), bytes);
+  if (bytes != 0) std::memcpy(data, msg.payload.data(), bytes);
   return Status::Ok();
 }
 

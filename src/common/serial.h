@@ -92,7 +92,7 @@ class ByteReader {
   Status ReadRaw(void* out, size_t bytes) {
     if (bytes > Remaining())
       return Status(Code::kIoError, "read past end of buffer");
-    std::memcpy(out, data_ + pos_, bytes);
+    if (bytes != 0) std::memcpy(out, data_ + pos_, bytes);
     pos_ += bytes;
     return Status::Ok();
   }

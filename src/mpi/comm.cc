@@ -146,7 +146,7 @@ Status Comm::RecvFrom(int src_rank, int tag, void* data, size_t bytes) {
   if (msg.payload.size() != bytes) {
     return Status(Code::kInternal, "collective step size mismatch");
   }
-  std::memcpy(data, msg.payload.data(), bytes);
+  if (bytes != 0) std::memcpy(data, msg.payload.data(), bytes);
   return Status::Ok();
 }
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -25,6 +26,95 @@
 #ifdef RCC_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
 #endif
+
+// ASan likewise: it must know which stack is live to tell a fiber's
+// frames from overflows, and it keeps one fake stack per fiber.
+#if defined(__SANITIZE_ADDRESS__)
+#define RCC_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RCC_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef RCC_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "src/sim/engine.cc: the fiber switch is written for Linux x86-64 only"
+#endif
+
+// The fiber switch. rcc_sim_switch_fiber(save_sp, load_sp) pushes the
+// SysV callee-saved registers and the floating-point control state
+// (MXCSR, x87 control word) on the current stack, stores the stack
+// pointer to *save_sp, loads load_sp and pops the same set from there:
+// everything else is caller-saved, so no signal mask, no syscall. The
+// floating-point control state is per fiber. A fresh fiber's frame
+// (InitialFrame) "returns" into rcc_sim_fiber_entry, which calls r12(r13)
+// and is the outermost frame unwinders see.
+extern "C" void rcc_sim_switch_fiber(void** save_sp, void* load_sp);
+extern "C" void rcc_sim_fiber_entry();
+asm(R"(
+  .pushsection .text
+  .globl rcc_sim_switch_fiber
+  .hidden rcc_sim_switch_fiber
+  .type rcc_sim_switch_fiber, @function
+  .p2align 4
+rcc_sim_switch_fiber:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size rcc_sim_switch_fiber, .-rcc_sim_switch_fiber
+
+  .globl rcc_sim_fiber_entry
+  .hidden rcc_sim_fiber_entry
+  .type rcc_sim_fiber_entry, @function
+  .p2align 4
+rcc_sim_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r13, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size rcc_sim_fiber_entry, .-rcc_sim_fiber_entry
+  .popsection
+)");
 
 namespace rcc::sim {
 
@@ -50,6 +140,32 @@ size_t FiberStackBytes() {
   return bytes;
 }
 
+// Lowest usable address of a fiber stack mapped at `base` (above the
+// guard page).
+char* StackLow(void* base) { return static_cast<char*>(base) + PageSize(); }
+
+// Builds the frame rcc_sim_switch_fiber pops on its first switch into a
+// fiber, just below the 16-byte-aligned `stack_top`: default MXCSR and
+// x87 control word, r12 = entry, r13 = arg, rbp = 0 (ends frame-pointer
+// walks), and rcc_sim_fiber_entry as the return address. The `ret`
+// leaves rsp 16-byte aligned, so rcc_sim_fiber_entry's call enters
+// `entry` exactly as the ABI requires.
+void* InitialFrame(char* stack_top, void (*entry)(FiberTask*),
+                   FiberTask* arg) {
+  const uintptr_t top =
+      reinterpret_cast<uintptr_t>(stack_top) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<uint64_t*>(top) - 8;
+  frame[0] = uint64_t{0x1F80} | (uint64_t{0x037F} << 32);  // MXCSR, x87 CW
+  frame[1] = 0;                                            // r15
+  frame[2] = 0;                                            // r14
+  frame[3] = reinterpret_cast<uint64_t>(arg);              // r13
+  frame[4] = reinterpret_cast<uint64_t>(entry);            // r12
+  frame[5] = 0;                                            // rbx
+  frame[6] = 0;                                            // rbp
+  frame[7] = reinterpret_cast<uint64_t>(&rcc_sim_fiber_entry);
+  return frame;
+}
+
 // Stall handler storage: written by SetStallHandler before a run, read
 // at the (single-threaded) point the scheduler proves a stall.
 std::function<void(const std::string&)>& StallHandlerSlot() {
@@ -71,10 +187,13 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   const Seconds* clock = nullptr;
   std::function<void()> fn;
 
-  ucontext_t ctx{};
+  void* sp = nullptr;          // saved stack pointer while switched out
   void* stack_base = nullptr;  // mmap base (guard page + usable stack)
 #ifdef RCC_TSAN_FIBERS
   void* tsan_fiber = nullptr;
+#endif
+#ifdef RCC_ASAN_FIBERS
+  void* asan_fake_stack = nullptr;
 #endif
 
   // All fields below are guarded by the engine mutex, except where a
@@ -88,7 +207,10 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   double park_timeout = 0.0;  // WaitFor's timeout value (ladder rung)
   bool wake_pending = false; // NotifyAll raced the park handshake
   bool woke_by_timeout = false;
-  Engine* engine = nullptr;
+  // Nulled (under the engine mutex) when the task finishes or the
+  // engine dies, so stale WaitPoint entries and TaskHandles never touch
+  // an engine that dropped the task. Read without the mutex by them.
+  std::atomic<Engine*> engine{nullptr};
 };
 
 namespace {
@@ -135,14 +257,8 @@ TaskHandle Engine::Spawn(TaskOptions opts, std::function<void()> fn) {
   t->clock = opts.clock;
   t->fn = std::move(fn);
   AllocStack(t.get());
-  getcontext(&t->ctx);
-  t->ctx.uc_stack.ss_sp = static_cast<char*>(t->stack_base) + PageSize();
-  t->ctx.uc_stack.ss_size = FiberStackBytes();
-  t->ctx.uc_link = nullptr;
-  const uintptr_t p = reinterpret_cast<uintptr_t>(t.get());
-  makecontext(&t->ctx, reinterpret_cast<void (*)()>(&Engine::FiberMain), 2,
-              static_cast<unsigned>(p >> 32),
-              static_cast<unsigned>(p & 0xffffffffu));
+  t->sp = InitialFrame(StackLow(t->stack_base) + FiberStackBytes(),
+                       &Engine::FiberMain, t.get());
 #ifdef RCC_TSAN_FIBERS
   t->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -154,7 +270,7 @@ TaskHandle Engine::Spawn(TaskOptions opts, std::function<void()> fn) {
     PushLocked(t.get());
     ProgressLocked();
   }
-  return TaskHandle(this, std::move(t));
+  return TaskHandle(std::move(t));
 }
 
 void Engine::WakeAllTimeoutParked() {
@@ -336,24 +452,52 @@ void Engine::ProgressLocked() {
   quiesce_armed_ = false;
 }
 
-void Engine::FiberMain(unsigned hi, unsigned lo) {
-  auto* t = reinterpret_cast<FiberTask*>((static_cast<uintptr_t>(hi) << 32) |
-                                         static_cast<uintptr_t>(lo));
+// Requires mu_ held. Drops finished tasks from tasks_ once they make up
+// half of it: amortized O(1) per task, and remove_if keeps id order, so
+// quiescence expiry (which walks tasks_) stays deterministic.
+void Engine::ReclaimDoneLocked() {
+  if (done_in_table_ * 2 < tasks_.size()) return;
+  tasks_.erase(std::remove_if(tasks_.begin(), tasks_.end(),
+                              [](const std::shared_ptr<FiberTask>& t) {
+                                return t->state == FiberTask::St::kDone;
+                              }),
+               tasks_.end());
+  reclaimed_ += done_in_table_;
+  done_in_table_ = 0;
+}
+
+void Engine::FiberMain(FiberTask* t) {
+  Engine* e = t->engine;
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &e->sched_stack_bottom_,
+                                  &e->sched_stack_size_);
+#endif
   t->fn();
   t->fn = nullptr;  // run closure destructors on the fiber, in order
   {
-    std::lock_guard<std::mutex> g(t->engine->mu_);
+    std::lock_guard<std::mutex> g(e->mu_);
     t->state = FiberTask::St::kDone;
   }
-  t->engine->SwitchToScheduler(t);
+  e->SwitchToScheduler(t, /*finished=*/true);
   RCC_CHECK(false) << "resumed a completed fiber";
 }
 
-void Engine::SwitchToScheduler(FiberTask* t) {
+void Engine::SwitchToScheduler(FiberTask* t,
+                               [[maybe_unused]] bool finished) {
 #ifdef RCC_TSAN_FIBERS
   __tsan_switch_to_fiber(sched_tsan_fiber_, 0);
 #endif
-  swapcontext(&t->ctx, &sched_ctx_);
+#ifdef RCC_ASAN_FIBERS
+  // A finished fiber passes no fake-stack slot, so ASan frees its fake
+  // stack.
+  __sanitizer_start_switch_fiber(finished ? nullptr : &t->asan_fake_stack,
+                                 sched_stack_bottom_, sched_stack_size_);
+#endif
+  rcc_sim_switch_fiber(&t->sp, sched_sp_);
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(t->asan_fake_stack, &sched_stack_bottom_,
+                                  &sched_stack_size_);
+#endif
 }
 
 // Runs one fiber until it parks or completes. Requires pump_mu_ held,
@@ -367,14 +511,28 @@ void Engine::RunTask(FiberTask* t) {
 #ifdef RCC_TSAN_FIBERS
   __tsan_switch_to_fiber(t->tsan_fiber, 0);
 #endif
-  swapcontext(&sched_ctx_, &t->ctx);
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&sched_fake_stack_, StackLow(t->stack_base),
+                                 FiberStackBytes());
+#endif
+  rcc_sim_switch_fiber(&sched_sp_, t->sp);
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
+#endif
   tls_current_task = nullptr;
   bool done = false;
   {
     std::lock_guard<std::mutex> g(mu_);
     if (t->state == FiberTask::St::kDone) {
       done = true;
+      t->engine = nullptr;
+      ++done_in_table_;
       if (t->stack_base != nullptr) {
+#ifdef RCC_ASAN_FIBERS
+        // The finished fiber's frames leave their redzones poisoned.
+        ASAN_UNPOISON_MEMORY_REGION(StackLow(t->stack_base),
+                                    FiberStackBytes());
+#endif
         stack_pool_.push_back(t->stack_base);
         t->stack_base = nullptr;
       }
@@ -385,6 +543,7 @@ void Engine::RunTask(FiberTask* t) {
       }
 #endif
       ProgressLocked();
+      ReclaimDoneLocked();  // may free `t`; it is not touched below
     } else if (t->pending_yield) {
       t->pending_yield = false;
       t->state = FiberTask::St::kRunnable;
@@ -488,8 +647,8 @@ std::string Engine::StallReport(const char* where) {
   std::string s = "fiber engine stalled in ";
   s += where;
   s += " (deadlock): tasks=";
-  s += std::to_string(tasks_.size());
-  s += " done=" + std::to_string(done);
+  s += std::to_string(reclaimed_ + tasks_.size());
+  s += " done=" + std::to_string(reclaimed_ + done);
   s += " parked=" + std::to_string(parked);
   s += " (timeout=" + std::to_string(timeout_parked) + ")";
   s += " runnable=" + std::to_string(runnable);
@@ -501,13 +660,16 @@ std::string Engine::StallReport(const char* where) {
 // ---------------------------------------------------------------------
 
 void TaskHandle::Join() {
-  if (task_) engine_->JoinTask(task_.get());
+  if (!task_) return;
+  // A null engine means the task finished (or its engine is gone).
+  if (Engine* e = task_->engine) e->JoinTask(task_.get());
 }
 
 void YieldTask() {
   FiberTask* t = tls_current_task;
-  if (t != nullptr && t->engine != nullptr) {
-    t->engine->YieldCurrent();
+  Engine* e = t != nullptr ? t->engine.load() : nullptr;
+  if (e != nullptr) {
+    e->YieldCurrent();
   } else {
     std::this_thread::yield();
   }
@@ -535,14 +697,14 @@ bool WaitPoint::WaitFor(std::unique_lock<std::mutex>& lock,
 bool WaitPoint::Park(std::unique_lock<std::mutex>& lock, bool timeout_park,
                      double timeout_seconds) {
   FiberTask* self = tls_current_task;
+  Engine* e = self->engine;
   {
     std::lock_guard<std::mutex> g(waiters_mu_);
     fiber_waiters_.push_back(
-        {self->shared_from_this(), self->engine->CurrentParkEpoch(self)});
+        {self->shared_from_this(), e->CurrentParkEpoch(self)});
   }
   lock.unlock();
-  const bool notified = self->engine->ParkCurrent(timeout_park,
-                                                  timeout_seconds);
+  const bool notified = e->ParkCurrent(timeout_park, timeout_seconds);
   lock.lock();
   return notified;
 }
@@ -572,7 +734,7 @@ void WaitPoint::NotifyAll() {
     waiters.swap(fiber_waiters_);
   }
   for (const FiberWaiter& w : waiters) {
-    Engine* e = w.task->engine;
+    Engine* e = w.task->engine;  // null once the task finished
     if (e != nullptr) e->Unpark(w.task.get(), w.park_epoch);
   }
 }

@@ -1,10 +1,12 @@
 // Rank-execution engine: the discrete-event scheduler every simulated
-// rank runs on. Tasks are cooperative stackful contexts (ucontext) driven
-// by a run queue ordered by (virtual time, pid, sequence). No OS threads
-// are created: the external caller's thread pumps the scheduler inside
+// rank runs on. Tasks are cooperative stackful fibers, switched by a
+// register-only x86-64 routine (no syscall per switch), driven by a run
+// queue ordered by (virtual time, pid, sequence). No OS threads are
+// created: the external caller's thread pumps the scheduler inside
 // blocking calls (Cluster::Join, TaskHandle::Join). 10k+ ranks fit in one
 // process, and the whole simulation is single-threaded, hence
-// deterministic.
+// deterministic. Finished tasks leave the engine's task table, so a
+// long run holds only its live fibers.
 //
 // Every blocking point in the simulator (fabric receives, KV waits, ULFM
 // agreement states, request chaining) parks on a WaitPoint instead of a
@@ -20,8 +22,6 @@
 // and any progress restarts the ladder from the bottom. A drained queue
 // with the ladder exhausted is a stall: a proven deadlock.
 #pragma once
-
-#include <ucontext.h>
 
 #include <condition_variable>
 #include <cstdint>
@@ -76,9 +76,8 @@ class TaskHandle {
 
  private:
   friend class Engine;
-  TaskHandle(Engine* engine, std::shared_ptr<FiberTask> task)
-      : engine_(engine), task_(std::move(task)) {}
-  Engine* engine_ = nullptr;
+  explicit TaskHandle(std::shared_ptr<FiberTask> task)
+      : task_(std::move(task)) {}
   std::shared_ptr<FiberTask> task_;
 };
 
@@ -195,14 +194,19 @@ class Engine {
   void PushLocked(FiberTask* t);
   void PushYieldedLocked(FiberTask* t);
   void ProgressLocked();
-  static void FiberMain(unsigned hi, unsigned lo);
-  void SwitchToScheduler(FiberTask* t);
+  void ReclaimDoneLocked();
+  static void FiberMain(FiberTask* t);
+  void SwitchToScheduler(FiberTask* t, bool finished = false);
   void RunTask(FiberTask* t);
   void RunScheduler(const std::function<bool()>& stop);
   std::string StallReport(const char* where);
 
   std::mutex mu_;  // engine state (tasks, queue, pool)
+  // Live tasks in id order, plus finished ones not yet compacted away
+  // (at most as many as live ones; see ReclaimDoneLocked).
   std::vector<std::shared_ptr<FiberTask>> tasks_;
+  size_t done_in_table_ = 0;  // finished tasks still in tasks_
+  uint64_t reclaimed_ = 0;    // finished tasks dropped from tasks_
   std::priority_queue<RunEntry, std::vector<RunEntry>, std::greater<RunEntry>>
       queue_;
   uint64_t next_seq_ = 0;
@@ -214,8 +218,13 @@ class Engine {
   std::vector<void*> all_stacks_;
 
   std::mutex pump_mu_;  // one scheduler pumper at a time
-  ucontext_t sched_ctx_{};
+  void* sched_sp_ = nullptr;  // the pumping thread's saved stack pointer
   void* sched_tsan_fiber_ = nullptr;  // used only under ThreadSanitizer
+  // The pumping thread's stack and fake stack, used only under
+  // AddressSanitizer.
+  const void* sched_stack_bottom_ = nullptr;
+  size_t sched_stack_size_ = 0;
+  void* sched_fake_stack_ = nullptr;
 
   std::mutex join_mu_;  // predicate lock for fiber-context JoinTask
   WaitPoint done_wp_;   // notified on every task completion

@@ -1,10 +1,16 @@
 // Engine-seam coverage: the fabric blocking points (TryRecv, any-source
 // receives, context purges, death-watch and cancel-token wakeups) and the
 // cluster's pending-failure arming; plus determinism and scheduling-order
-// tests of the fiber scheduler.
+// tests of the fiber scheduler, and the contract of its context switch
+// and task table.
+#include <execinfo.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -289,6 +295,125 @@ TEST(FiberScheduler, ManyCheapRanksComplete) {
   });
   cluster.Join();
   EXPECT_EQ(finished.load(), world);
+}
+
+// 1/3 under the current SSE rounding mode (volatile: computed at run
+// time, so MXCSR decides it).
+double OneThird() {
+  volatile double one = 1.0, three = 3.0;
+  return one / three;
+}
+
+TEST(FiberSwitch, FloatingPointControlIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = OneThird();
+  Engine engine;
+  std::mutex mu;
+  WaitPoint wp;
+  bool b_ran = false;
+  int a_before = -1, a_after = -1, b_mode = -1;
+  double a_third_before = 0, a_third_after = 0, b_third = 0;
+  // Same time, pid 0 first: A sets FE_UPWARD and parks, B runs, then A
+  // resumes.
+  TaskHandle a = engine.Spawn(TaskOptions{0, nullptr}, [&] {
+    std::fesetround(FE_UPWARD);
+    a_before = std::fegetround();
+    a_third_before = OneThird();
+    std::unique_lock<std::mutex> lock(mu);
+    while (!b_ran) wp.Wait(lock);
+    a_after = std::fegetround();
+    a_third_after = OneThird();
+  });
+  TaskHandle b = engine.Spawn(TaskOptions{1, nullptr}, [&] {
+    b_mode = std::fegetround();
+    b_third = OneThird();
+    std::lock_guard<std::mutex> g(mu);
+    b_ran = true;
+    wp.NotifyAll();
+  });
+  a.Join();
+  b.Join();
+  // x87 control word (fegetround) and MXCSR (the SSE division) both.
+  EXPECT_EQ(a_before, FE_UPWARD);
+  EXPECT_GT(a_third_before, nearest);
+  EXPECT_EQ(b_mode, FE_TONEAREST);
+  EXPECT_EQ(b_third, nearest);
+  EXPECT_EQ(a_after, FE_UPWARD);
+  EXPECT_EQ(a_third_after, a_third_before);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(OneThird(), nearest);
+}
+
+// A 32-byte-aligned local and a varargs double format: both need the
+// ABI's stack alignment on entry.
+[[gnu::noinline]] bool StackFrameIsAbiAligned() {
+  alignas(32) double v[4] = {1.5, 0, 0, 0};
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2f", v[0] + 0.25);
+  return reinterpret_cast<uintptr_t>(v) % 32 == 0 && std::string(buf) == "1.75";
+}
+
+TEST(FiberSwitch, StackIsAlignedOnEntryAndAfterPark) {
+  Cluster cluster;
+  std::atomic<int> checked{0};
+  cluster.Spawn(2, [&](Endpoint& ep) {
+    EXPECT_TRUE(StackFrameIsAbiAligned());
+    const int peer = ep.pid() ^ 1;
+    ASSERT_TRUE(ep.Send(peer, 1, 0, Payload(8)).ok());
+    Message msg;
+    ASSERT_TRUE(ep.Recv(peer, 1, 0, &msg).ok());  // parks until delivered
+    EXPECT_TRUE(StackFrameIsAbiAligned());
+    checked++;
+  });
+  cluster.Join();
+  EXPECT_EQ(checked.load(), 2);
+}
+
+TEST(FiberSwitch, UnwindingStopsAtTheFiberBase) {
+  // The entry trampoline marks the return address undefined: a stack
+  // walk from a fiber ends there instead of reading past the stack top.
+  Engine engine;
+  int frames = 0;
+  engine.Spawn({}, [&] {
+    void* pcs[64];
+    frames = backtrace(pcs, 64);
+  }).Join();
+  EXPECT_GT(frames, 0);
+  EXPECT_LT(frames, 16);
+}
+
+TEST(FiberTaskTableDeathTest, StallReportCountsReclaimedTasks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        for (int i = 0; i < 10000; ++i) engine.Spawn({}, [] {}).Join();
+        std::mutex mu;
+        WaitPoint never_notified;
+        auto park_forever = [&] {
+          std::unique_lock<std::mutex> lock(mu);
+          for (;;) never_notified.Wait(lock);
+        };
+        engine.Spawn({}, park_forever);
+        engine.Spawn({}, park_forever).Join();
+      },
+      "tasks=10002 done=10000 parked=2");
+}
+
+TEST(FiberTaskTable, StaleWaitPointEntryOutlivesItsCluster) {
+  std::mutex mu;
+  WaitPoint wp;  // outlives the cluster below
+  {
+    Cluster cluster;
+    cluster.Spawn(1, [&](Endpoint&) {
+      std::unique_lock<std::mutex> lock(mu);
+      // Nobody notifies: the quiescence wake leaves the entry stale.
+      EXPECT_FALSE(wp.WaitFor(lock, 0.0));
+    });
+    cluster.Join();  // the task finishes and leaves the task table
+  }
+  // The entry's task was reclaimed and its engine is gone.
+  wp.NotifyAll();
 }
 
 }  // namespace
