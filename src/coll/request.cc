@@ -54,8 +54,7 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
       [st, inflight, log = ep.log(), m = std::move(algo_metrics),
        pred = std::move(pred), body = std::move(body)]() mutable {
         if (pred) {
-          std::unique_lock<std::mutex> lock(pred->mu);
-          while (!pred->done) pred->wp.Wait(lock);
+          while (!pred->done) pred->wp.Wait();
           // In-order engine: start no earlier than the predecessor's
           // completion.
           if (pred->complete > st->complete) st->complete = pred->complete;
@@ -70,12 +69,8 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
                     static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
                     st->complete - st->start);
         inflight->Add(-1.0);
-        {
-          std::lock_guard<std::mutex> lock(st->mu);
-          st->status = std::move(s);
-          st->done = true;
-        }
-        st->done_flag.store(true, std::memory_order_release);
+        st->status = std::move(s);
+        st->done = true;
         st->wp.NotifyAll();
       });
   return req;
@@ -91,14 +86,12 @@ Request Request::Failed(Info info, sim::Seconds submit, Status status) {
   st->complete = submit;
   st->status = std::move(status);
   st->done = true;
-  st->done_flag.store(true, std::memory_order_release);
   return req;
 }
 
 Status Request::Join() {
   if (!state_) return Status(Code::kInvalid, "join on empty request");
-  std::unique_lock<std::mutex> lock(state_->mu);
-  while (!state_->done) state_->wp.Wait(lock);
+  while (!state_->done) state_->wp.Wait();
   return state_->status;
 }
 

@@ -16,11 +16,9 @@
 // is known, with no background threads involved.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "coll/transport.h"
@@ -97,10 +95,7 @@ class Request {
   sim::Seconds start_time() const { return state_->start; }
 
   // Nonblocking completion probe.
-  bool Test() const {
-    return state_ != nullptr &&
-           state_->done_flag.load(std::memory_order_acquire);
-  }
+  bool Test() const { return state_ != nullptr && state_->done; }
 
   // Blocks (in zero virtual time) until the op completes; idempotent;
   // returns the op status. Virtual-clock merging is the communicator's
@@ -114,10 +109,8 @@ class Request {
     sim::Seconds start = 0.0;
     sim::Seconds complete = 0.0;
     Status status;
-    std::mutex mu;
     sim::WaitPoint wp;
-    bool done = false;  // guarded by mu
-    std::atomic<bool> done_flag{false};
+    bool done = false;
     sim::TaskHandle worker;
     ~State() {
       if (worker.joinable()) worker.Join();

@@ -495,26 +495,36 @@ Status ResilientComm::WaitAll() {
     Status st = DrainRequests();
     if (st.ok()) st = GpuBarrier();
     if (st.ok()) {
-      window_.clear();
+      CloseWindow();
       return Status::Ok();
     }
     if (st.code() == Code::kAborted) {
-      window_.clear();
+      CloseWindow();
       return st;
     }
     bool need_barrier = true;
     Status rec = RecoverWindow(st, &need_barrier);
     if (!rec.ok()) {
-      window_.clear();
+      CloseWindow();
       return rec;
     }
     if (!need_barrier) {
-      window_.clear();
+      CloseWindow();
       return Status::Ok();
     }
     // Replays completed: re-run the closing barrier with every rank
     // still inside the window.
   }
+}
+
+void ResilientComm::CloseWindow() {
+  // An abort leaves later ops queued behind the failed one; they still
+  // read the caller's buffers when they run, so wait for each (in zero
+  // virtual time: the clock is not merged) before the buffers may go.
+  for (auto& op : window_) {
+    if (op.req.active()) (void)op.req.Join();
+  }
+  window_.clear();
 }
 
 Status ResilientComm::Allreduce(const float* sendbuf, float* recvbuf,

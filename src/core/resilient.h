@@ -257,6 +257,8 @@ class ResilientComm {
   // Joins every outstanding op in the window; returns the first failure
   // (kAborted short-circuits).
   Status DrainRequests();
+  // Empties the window once no submitted op can still touch its buffers.
+  void CloseWindow();
   // Earliest window op whose data this rank still needs, else the
   // kNoIncompleteOp sentinel.
   int64_t FirstIncompleteWindowOp() const;

@@ -1,29 +1,34 @@
 #include "dnn/data.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace rcc::dnn {
 
 ClusterDataset::ClusterDataset(int dim, int classes, int num_samples,
                                uint64_t seed, float noise)
-    : dim_(dim),
-      classes_(classes),
-      num_samples_(num_samples),
-      seed_(seed),
-      noise_(noise) {
-  centroids_.resize(static_cast<size_t>(classes) * dim);
-  Rng rng(seed, /*stream=*/1);
-  for (float& c : centroids_) c = rng.NextFloat(-2.0f, 2.0f);
+    : dim_(dim), classes_(classes), num_samples_(num_samples) {
+  std::vector<float> centroids(static_cast<size_t>(classes) * dim);
+  Rng centroid_rng(seed, /*stream=*/1);
+  for (float& c : centroids) c = centroid_rng.NextFloat(-2.0f, 2.0f);
+  samples_.resize(static_cast<size_t>(num_samples) * dim);
+  labels_.resize(num_samples);
+  for (int i = 0; i < num_samples; ++i) {
+    Rng rng(seed, /*stream=*/1000 + static_cast<uint64_t>(i));
+    const int label = static_cast<int>(rng.NextBelow(classes));
+    const float* c = centroids.data() + static_cast<size_t>(label) * dim;
+    float* x = samples_.data() + static_cast<size_t>(i) * dim;
+    for (int d = 0; d < dim; ++d) {
+      x[d] = c[d] + static_cast<float>(rng.NextGaussian()) * noise;
+    }
+    labels_[i] = label;
+  }
 }
 
 int ClusterDataset::Sample(int i, float* x) const {
-  Rng rng(seed_, /*stream=*/1000 + static_cast<uint64_t>(i));
-  const int label = static_cast<int>(rng.NextBelow(classes_));
-  const float* c = centroids_.data() + static_cast<size_t>(label) * dim_;
-  for (int d = 0; d < dim_; ++d) {
-    x[d] = c[d] + static_cast<float>(rng.NextGaussian()) * noise_;
-  }
-  return label;
+  const float* src = samples_.data() + static_cast<size_t>(i) * dim_;
+  std::copy(src, src + dim_, x);
+  return labels_[i];
 }
 
 Batch ClusterDataset::GetBatch(int start, int count) const {

@@ -6,6 +6,8 @@
 // Sample i is a pure function of (seed, i), so any worker can
 // materialise any shard without data movement - exactly how the
 // elastic trainer re-shards after a worker-count change.
+// ClusterDataset computes every sample once at construction; its
+// batches are copies.
 #pragma once
 
 #include <vector>
@@ -22,7 +24,8 @@ struct Batch {
 };
 
 // Gaussian-cluster classification in `dim` dimensions: class c has a
-// deterministic random centroid; samples are centroid + noise.
+// deterministic random centroid; samples are centroid + noise. Sample i
+// draws its label and noise from Rng(seed, stream 1000 + i).
 class ClusterDataset {
  public:
   ClusterDataset(int dim, int classes, int num_samples, uint64_t seed,
@@ -46,9 +49,8 @@ class ClusterDataset {
 
  private:
   int dim_, classes_, num_samples_;
-  uint64_t seed_;
-  float noise_;
-  std::vector<float> centroids_;  // [classes, dim]
+  std::vector<float> samples_;  // [num_samples, dim]
+  std::vector<int> labels_;     // [num_samples]
 };
 
 // 2-D interleaved spirals, `classes` arms: the classic nonlinearly

@@ -44,7 +44,6 @@ Status Store::Set(sim::Endpoint* ep, const std::string& key,
                   std::vector<uint8_t> value) {
   CountOp(kSet);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = data_[key];
   entry.value = std::move(value);
   entry.visible_at = ep != nullptr ? ep->now() : 0.0;
@@ -63,7 +62,6 @@ Result<std::vector<uint8_t>> Store::Get(sim::Endpoint* ep,
                                         const std::string& key) {
   CountOp(kGet);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);
   if (it == data_.end()) {
     return Status(Code::kNotFound, "kv: no such key: " + key);
@@ -88,7 +86,6 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
   if (fly != nullptr) {
     fly->Record(obs::flight::Ev::kKvWaitBegin, wait_begin, KeyHash(key));
   }
-  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     auto it = data_.find(key);
     if (it != data_.end()) {
@@ -106,7 +103,7 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
     // write, by Fabric::Kill, or at quiescence (the 2ms ladder rung). The
     // virtual time is merged from the writer's publication stamp, not
     // from this rung.
-    wp_.WaitFor(lock, 2e-3);
+    wp_.WaitFor(2e-3);
   }
 }
 
@@ -118,7 +115,6 @@ Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
   if (fly != nullptr) {
     fly->Record(obs::flight::Ev::kKvWaitBegin, wait_begin, KeyHash(key));
   }
-  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     auto it = data_.find(key);
     if (it != data_.end()) {
@@ -132,14 +128,13 @@ Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
     if (ep != nullptr && !ep->alive()) {
       return Status(Code::kAborted, "kv wait: caller died");
     }
-    wp_.WaitFor(lock, 2e-3);
+    wp_.WaitFor(2e-3);
   }
 }
 
 Status Store::Delete(sim::Endpoint* ep, const std::string& key) {
   CountOp(kDelete);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   data_.erase(key);
   SetKeysGauge(data_.size());
   return Status::Ok();
@@ -149,7 +144,6 @@ Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
                                  int64_t delta) {
   CountOp(kAddAndGet);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = data_[key];
   int64_t current = 0;
   if (entry.value.size() == sizeof(int64_t)) {
@@ -170,7 +164,6 @@ Result<bool> Store::CompareAndSwap(sim::Endpoint* ep, const std::string& key,
                                    std::vector<uint8_t> value) {
   CountOp(kCompareAndSwap);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);
   const uint64_t version = it == data_.end() ? 0 : it->second.version;
   if (version != expected_version) return false;
@@ -186,7 +179,6 @@ std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
                                            const std::string& prefix) {
   CountOp(kListPrefix);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> keys;
   for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
@@ -198,7 +190,6 @@ std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
 Result<uint64_t> Store::VersionOf(sim::Endpoint* ep, const std::string& key) {
   CountOp(kVersionOf);
   Charge(ep);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(key);
   if (it == data_.end()) {
     return Status(Code::kNotFound, "kv: no such key: " + key);
@@ -207,14 +198,12 @@ Result<uint64_t> Store::VersionOf(sim::Endpoint* ep, const std::string& key) {
 }
 
 void Store::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   data_.clear();
   SetKeysGauge(0);
   wp_.NotifyAll();
 }
 
 size_t Store::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return data_.size();
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,8 @@ class Store {
   Result<std::string> GetString(sim::Endpoint* ep, const std::string& key);
 
   // Blocks until the key exists (or the caller dies). Virtual time merges
-  // with the writer's publication time.
+  // with the writer's publication time. Only a simulation fiber can
+  // block: waiting for a missing key off a fiber is a fatal check.
   Result<std::vector<uint8_t>> Wait(sim::Endpoint* ep, const std::string& key);
 
   // Like Wait but returns the full entry (value + version + publication
@@ -95,7 +95,6 @@ class Store {
   // The store key count, updated wherever the map mutates.
   void SetKeysGauge(size_t n) { keys_->Set(static_cast<double>(n)); }
 
-  mutable std::mutex mu_;
   sim::WaitPoint wp_;
   std::map<std::string, Entry> data_;
   sim::Seconds roundtrip_;

@@ -157,11 +157,13 @@ ServeReport ServingDriver::Loop() {
     const double step_start = t_sync_;
     const int batch = batcher_.batch_tokens();
     ep.Compute(opts_.flops_per_token * (batch + prompt_tokens));
-    const int64_t step_id = batcher_.steps();
+    // Activation i is ((step + i) mod 97 + rank + 1) * 1e-3: the residue
+    // is stepped instead of divided per element.
+    const int rank_offset = rc_->rank() + 1;
+    int64_t residue = batcher_.steps() % 97;
     for (size_t i = 0; i < hidden; ++i) {
-      send[i] = static_cast<float>((step_id + static_cast<int64_t>(i)) % 97 +
-                                   rc_->rank() + 1) *
-                1e-3f;
+      send[i] = static_cast<float>(residue + rank_offset) * 1e-3f;
+      if (++residue == 97) residue = 0;
     }
     Status st =
         rc_->Allreduce(send.data(), recv.data(), hidden, opts_.decode_cost_scale);

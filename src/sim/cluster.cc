@@ -12,7 +12,6 @@ int Cluster::AllocateSlotNode() {
 }
 
 void Cluster::AddPendingFailure(const FailureEvent& ev) {
-  std::lock_guard<std::mutex> lock(mu_);
   pending_kills_.push_back(ev);
 }
 
@@ -27,7 +26,6 @@ void Cluster::ArmFromPending(int pid, int node, Endpoint& ep) {
 std::vector<int> Cluster::Spawn(int n, const RankFn& fn, Seconds start_time) {
   std::vector<int> pids;
   pids.reserve(n);
-  std::lock_guard<std::mutex> lock(mu_);
   // Register every process before starting any task: rank 0 may message
   // rank n-1 immediately.
   for (int i = 0; i < n; ++i) {
@@ -52,18 +50,14 @@ std::vector<int> Cluster::Spawn(int n, const RankFn& fn, Seconds start_time) {
 
 std::vector<int> Cluster::SpawnOnFreshNodes(int n, const RankFn& fn,
                                             Seconds start_time) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const int per_node = config().gpus_per_node;
-    if (next_slot_ % per_node != 0) {
-      next_slot_ += per_node - next_slot_ % per_node;
-    }
+  const int per_node = config().gpus_per_node;
+  if (next_slot_ % per_node != 0) {
+    next_slot_ += per_node - next_slot_ % per_node;
   }
   return Spawn(n, fn, start_time);
 }
 
 int Cluster::SpawnOn(int node, const RankFn& fn, Seconds start_time) {
-  std::lock_guard<std::mutex> lock(mu_);
   const int pid = fabric_->RegisterProcess(node);
   RCC_CHECK(pid == static_cast<int>(endpoints_.size()))
       << "pid/endpoint indexing out of sync";
@@ -79,29 +73,21 @@ int Cluster::SpawnOn(int node, const RankFn& fn, Seconds start_time) {
 }
 
 Endpoint& Cluster::endpoint(int pid) {
-  std::lock_guard<std::mutex> lock(mu_);
   RCC_CHECK(pid >= 0 && pid < static_cast<int>(endpoints_.size()))
       << "unknown pid " << pid;
   return *endpoints_[pid];
 }
 
 void Cluster::Join() {
-  // Ranks admitted while we join add new tasks; loop until stable.
-  size_t joined = 0;
-  for (;;) {
-    TaskHandle task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (joined >= tasks_.size()) break;
-      task = tasks_[joined];
-      ++joined;
-    }
-    if (task.joinable()) task.Join();
+  // Ranks admitted while we join add new tasks (and may reallocate
+  // tasks_), so join a copy of each handle by index until none is left.
+  for (size_t joined = 0; joined < tasks_.size(); ++joined) {
+    TaskHandle task = tasks_[joined];
+    task.Join();
   }
 }
 
 int Cluster::nodes_allocated() const {
-  std::lock_guard<std::mutex> lock(mu_);
   const int per_node = config().gpus_per_node;
   return (next_slot_ + per_node - 1) / per_node;
 }

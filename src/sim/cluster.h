@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/endpoint.h"
@@ -56,17 +55,16 @@ class Cluster {
 
   // Waits for every rank task spawned so far (including ones admitted
   // while joining) to finish. This is where the calling thread pumps the
-  // event loop.
+  // event loop; the first thread to pump owns the simulation.
   void Join();
 
   int nodes_allocated() const;
 
  private:
   int AllocateSlotNode();  // packed allocation
-  void ArmFromPending(int pid, int node, Endpoint& ep);  // requires mu_ held
+  void ArmFromPending(int pid, int node, Endpoint& ep);
 
   std::unique_ptr<Fabric> fabric_;
-  mutable std::mutex mu_;
   std::vector<TaskHandle> tasks_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  // index == pid
   std::vector<FailureEvent> pending_kills_;

@@ -3,7 +3,7 @@
 // injection in virtual time, and reaches the rank's event log.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -51,26 +51,19 @@ class Endpoint {
   // The rank kills itself the first time its clock reaches `t` inside a
   // fabric operation. Deterministic in virtual time, independent of real
   // thread scheduling.
-  void SetKillAtTime(Seconds t) { kill_at_.store(t, std::memory_order_release); }
+  void SetKillAtTime(Seconds t) { kill_at_ = t; }
   // Like SetKillAtTime but keeps the *earliest* armed trigger: several
   // failure-plan events (node sweep + targeted kill + chaos injection)
   // may arm the same rank.
-  void ArmKillAt(Seconds t) {
-    Seconds cur = kill_at_.load(std::memory_order_acquire);
-    while (t < cur &&
-           !kill_at_.compare_exchange_weak(cur, t, std::memory_order_acq_rel)) {
-    }
-  }
+  void ArmKillAt(Seconds t) { kill_at_ = std::min(kill_at_, t); }
   // Immediately marks this rank dead at its next operation.
   void KillNow() { SetKillAtTime(0.0); }
-  // The scheduled self-kill time (readable from any thread; background
-  // collective workers replicate the MaybeSelfKill check against their
-  // private op clocks).
-  Seconds kill_at() const { return kill_at_.load(std::memory_order_acquire); }
+  // The scheduled self-kill time (collective op tasks replicate the
+  // MaybeSelfKill check against their private op clocks).
+  Seconds kill_at() const { return kill_at_; }
   // Checks the trigger; returns true if this rank just died.
   bool MaybeSelfKill() {
-    const Seconds t = kill_at_.load(std::memory_order_acquire);
-    if (now_ >= t) {
+    if (now_ >= kill_at_) {
       fabric_->Kill(pid_);
       return true;
     }
@@ -117,7 +110,7 @@ class Endpoint {
   int pid_;
   obs::flight::Ring* log_;
   Seconds now_;
-  std::atomic<Seconds> kill_at_{std::numeric_limits<Seconds>::infinity()};
+  Seconds kill_at_ = std::numeric_limits<Seconds>::infinity();
 };
 
 }  // namespace rcc::sim

@@ -4,11 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <limits>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/env.h"
@@ -196,46 +193,27 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   void* asan_fake_stack = nullptr;
 #endif
 
-  // All fields below are guarded by the engine mutex, except where a
-  // field is only ever touched by the scheduler thread while the task is
-  // not runnable.
   St state = St::kRunnable;
   uint64_t park_epoch = 0;   // bumped on every wake; stale waiter filter
   bool pending_park = false; // fiber announced a park; scheduler commits it
   bool pending_yield = false;  // fiber yielded; requeue behind same-time peers
   bool timeout_park = false; // parked via WaitFor (quiescence-wakeable)
   double park_timeout = 0.0;  // WaitFor's timeout value (ladder rung)
-  bool wake_pending = false; // NotifyAll raced the park handshake
   bool woke_by_timeout = false;
-  // Nulled (under the engine mutex) when the task finishes or the
-  // engine dies, so stale WaitPoint entries and TaskHandles never touch
-  // an engine that dropped the task. Read without the mutex by them.
-  std::atomic<Engine*> engine{nullptr};
+  // Nulled when the task finishes or the engine dies, so stale WaitPoint
+  // entries and TaskHandles never touch an engine that dropped the task.
+  Engine* engine = nullptr;
 };
 
 namespace {
 thread_local FiberTask* tls_current_task = nullptr;
-std::mutex g_engines_mu;
-std::vector<Engine*>& LiveEngines() {
-  static std::vector<Engine*>* v = new std::vector<Engine*>();
-  return *v;
-}
 }  // namespace
 
-Engine::Engine() {
-  std::lock_guard<std::mutex> g(g_engines_mu);
-  LiveEngines().push_back(this);
-}
+Engine::Engine() = default;
 
 Engine::~Engine() {
-  {
-    std::lock_guard<std::mutex> g(g_engines_mu);
-    auto& v = LiveEngines();
-    v.erase(std::remove(v.begin(), v.end(), this), v.end());
-  }
   // Detach surviving task structs (stale WaitPoint entries may still
   // hold shared_ptrs to them) and release every stack.
-  std::lock_guard<std::mutex> g(mu_);
   for (auto& t : tasks_) {
 #ifdef RCC_TSAN_FIBERS
     if (t->tsan_fiber != nullptr) {
@@ -250,7 +228,17 @@ Engine::~Engine() {
   }
 }
 
+// The one-thread contract (see engine.h): once an engine has been
+// pumped, only its owner thread may pump it or spawn onto it.
+void Engine::CheckOwnerThread(const char* what) const {
+  RCC_CHECK(owner_ == std::thread::id() ||
+            owner_ == std::this_thread::get_id())
+      << what << " from a host thread that does not own this simulation "
+      << "(one simulation is driven by one host thread)";
+}
+
 TaskHandle Engine::Spawn(TaskOptions opts, std::function<void()> fn) {
+  CheckOwnerThread("Spawn");
   auto t = std::make_shared<FiberTask>();
   t->engine = this;
   t->pid = opts.pid;
@@ -262,19 +250,15 @@ TaskHandle Engine::Spawn(TaskOptions opts, std::function<void()> fn) {
 #ifdef RCC_TSAN_FIBERS
   t->tsan_fiber = __tsan_create_fiber(0);
 #endif
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    t->id = next_task_id_++;
-    tasks_.push_back(t);
-    t->state = FiberTask::St::kRunnable;
-    PushLocked(t.get());
-    ProgressLocked();
-  }
+  t->id = next_task_id_++;
+  tasks_.push_back(t);
+  t->state = FiberTask::St::kRunnable;
+  Push(t.get());
+  Progress();
   return TaskHandle(std::move(t));
 }
 
 void Engine::WakeAllTimeoutParked() {
-  std::lock_guard<std::mutex> g(mu_);
   // Wake in task-id order (deterministic) with a *notified* verdict, so
   // waiters re-check their predicate: only the scheduler's quiescence
   // round may deliver the timeout verdict that grace-period code reads
@@ -283,28 +267,23 @@ void Engine::WakeAllTimeoutParked() {
     if (t->state == FiberTask::St::kParked && t->timeout_park) {
       t->woke_by_timeout = false;
       t->state = FiberTask::St::kRunnable;
-      PushLocked(t.get());
+      Push(t.get());
     }
   }
-  ProgressLocked();  // re-arm quiescence detection
+  Progress();  // re-arm quiescence detection
 }
 
-// Parks the current fiber (must be called from a fiber of this engine,
-// with no engine locks held). Returns true if woken by Unpark, false on
-// a quiescence wake.
+// Parks the current fiber (must be called from a fiber of this engine).
+// Returns true if woken by Unpark, false on a quiescence wake.
 bool Engine::ParkCurrent(bool timeout_park, double timeout_seconds) {
   FiberTask* t = tls_current_task;
   RCC_CHECK(t != nullptr && t->engine == this)
       << "ParkCurrent outside a fiber of this engine";
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    t->pending_park = true;
-    t->timeout_park = timeout_park;
-    t->park_timeout = timeout_seconds;
-    t->woke_by_timeout = false;
-  }
+  t->pending_park = true;
+  t->timeout_park = timeout_park;
+  t->park_timeout = timeout_seconds;
+  t->woke_by_timeout = false;
   SwitchToScheduler(t);
-  std::lock_guard<std::mutex> g(mu_);
   ++t->park_epoch;  // invalidate stale WaitPoint entries
   t->timeout_park = false;
   return !t->woke_by_timeout;
@@ -316,107 +295,57 @@ void Engine::YieldCurrent() {
   FiberTask* t = tls_current_task;
   RCC_CHECK(t != nullptr && t->engine == this)
       << "YieldCurrent outside a fiber of this engine";
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    t->pending_yield = true;
-  }
+  t->pending_yield = true;
   SwitchToScheduler(t);
 }
 
 // Moves a parked task back onto the run queue if `park_epoch` still
-// matches (stale wait-list entries are filtered here).
+// matches (stale wait-list entries are filtered here). A task's live
+// entries all belong to its current park: Park registers and switches
+// out with nothing in between, and every wake bumps the epoch, so a
+// running task has no entry that can match.
 void Engine::Unpark(FiberTask* t, uint64_t park_epoch) {
-  std::lock_guard<std::mutex> g(mu_);
   if (t->park_epoch != park_epoch || t->state == FiberTask::St::kDone) {
     return;
   }
+  RCC_CHECK(t->state != FiberTask::St::kRunning)
+      << "WaitPoint entry of a running task matched its park epoch";
   if (t->state == FiberTask::St::kParked) {
     t->state = FiberTask::St::kRunnable;
-    t->woke_by_timeout = false;
-    PushLocked(t);
-    ProgressLocked();
-    return;
+    Push(t);
   }
-  if (t->state == FiberTask::St::kRunning) {
-    // The waiter registered on the WaitPoint but has not finished the
-    // park handshake; flag the wake so the scheduler requeues it.
-    t->wake_pending = true;
-    ProgressLocked();
-    return;
-  }
-  if (t->state == FiberTask::St::kRunnable) {
-    // Quiescence-woken but not yet run: upgrade the verdict to a real
-    // notification.
-    t->woke_by_timeout = false;
-    ProgressLocked();
-  }
-}
-
-uint64_t Engine::CurrentParkEpoch(FiberTask* t) {
-  std::lock_guard<std::mutex> g(mu_);
-  return t->park_epoch;
-}
-
-bool Engine::TaskDone(FiberTask* t) {
-  std::lock_guard<std::mutex> g(mu_);
-  return t->state == FiberTask::St::kDone;
+  // A kRunnable task was quiescence-woken but has not run yet: the
+  // notification upgrades its verdict.
+  t->woke_by_timeout = false;
+  Progress();
 }
 
 void Engine::JoinTask(FiberTask* t) {
+  auto done = [t] { return t->state == FiberTask::St::kDone; };
   if (tls_current_task != nullptr) {
     // Another fiber waits for this task (request chaining, ~State):
     // park on the engine-wide completion WaitPoint and re-check.
-    std::unique_lock<std::mutex> lock(join_mu_);
-    while (!TaskDone(t)) done_wp_.Wait(lock);
+    while (!done()) done_wp_.Wait();
     return;
   }
-  for (;;) {
-    if (TaskDone(t)) return;
-    std::unique_lock<std::mutex> pl(pump_mu_, std::try_to_lock);
-    if (pl.owns_lock()) {
-      RunScheduler([this, t] { return TaskDone(t); });
-      // The observer runs before the handler so forensic dumps land even
-      // when the handler exits.
-      if (!TaskDone(t) && stall_observer_) {
-        stall_observer_(StallReport("JoinTask"));
-      }
-      if (!TaskDone(t) && StallHandlerSlot()) {
-        StallHandlerSlot()(StallReport("JoinTask"));
-      }
-      RCC_CHECK(TaskDone(t)) << StallReport("JoinTask");
-      return;
-    }
-    // Someone else is pumping; their progress may complete our task.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  if (done()) return;
+  RunScheduler(done);
+  // The observer runs before the handler so forensic dumps land even
+  // when the handler exits.
+  if (!done() && stall_observer_) stall_observer_(StallReport("JoinTask"));
+  if (!done() && StallHandlerSlot()) {
+    StallHandlerSlot()(StallReport("JoinTask"));
   }
-}
-
-// Pumps the scheduler from an external thread until nothing more can run
-// (used by WaitPoint waits off a fiber). Returns true if any progress
-// happened (or another thread holds the pump).
-bool Engine::TryPump() {
-  std::unique_lock<std::mutex> pl(pump_mu_, std::try_to_lock);
-  if (!pl.owns_lock()) return true;
-  uint64_t before;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    before = progress_counter_;
-  }
-  RunScheduler(nullptr);
-  std::lock_guard<std::mutex> g(mu_);
-  return progress_counter_ != before;
+  RCC_CHECK(done()) << StallReport("JoinTask");
 }
 
 void Engine::AllocStack(FiberTask* t) {
   const size_t page = PageSize();
   const size_t total = page + FiberStackBytes();
   void* base = nullptr;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (!stack_pool_.empty()) {
-      base = stack_pool_.back();
-      stack_pool_.pop_back();
-    }
+  if (!stack_pool_.empty()) {
+    base = stack_pool_.back();
+    stack_pool_.pop_back();
   }
   if (base == nullptr) {
     base = mmap(nullptr, total, PROT_READ | PROT_WRITE,
@@ -425,37 +354,31 @@ void Engine::AllocStack(FiberTask* t) {
     // Guard page below the stack catches overflows as a fault instead of
     // silent corruption of a neighboring fiber.
     mprotect(base, page, PROT_NONE);
-    std::lock_guard<std::mutex> g(mu_);
     all_stacks_.push_back(base);
   }
   t->stack_base = base;
 }
 
-// Requires mu_ held. Queue key is (virtual time, pid, sequence): the
-// documented deterministic tie-break order.
-void Engine::PushLocked(FiberTask* t) {
+// Queue key is (virtual time, pid, sequence): the documented
+// deterministic tie-break order.
+void Engine::Push(FiberTask* t) {
   const Seconds vt = t->clock != nullptr ? *t->clock : 0.0;
   queue_.push(RunEntry{vt, t->pid, next_seq_++, t});
 }
 
-// Requires mu_ held. A yielded fiber sorts after every normal entry at
-// its virtual time (pid key saturated), then by yield order — still
-// fully deterministic.
-void Engine::PushYieldedLocked(FiberTask* t) {
+// A yielded fiber sorts after every normal entry at its virtual time
+// (pid key saturated), then by yield order — still fully deterministic.
+void Engine::PushYielded(FiberTask* t) {
   const Seconds vt = t->clock != nullptr ? *t->clock : 0.0;
   queue_.push(RunEntry{vt, std::numeric_limits<int>::max(), next_seq_++, t});
 }
 
-// Requires mu_ held.
-void Engine::ProgressLocked() {
-  ++progress_counter_;
-  quiesce_armed_ = false;
-}
+void Engine::Progress() { quiesce_armed_ = false; }
 
-// Requires mu_ held. Drops finished tasks from tasks_ once they make up
-// half of it: amortized O(1) per task, and remove_if keeps id order, so
-// quiescence expiry (which walks tasks_) stays deterministic.
-void Engine::ReclaimDoneLocked() {
+// Drops finished tasks from tasks_ once they make up half of it:
+// amortized O(1) per task, and remove_if keeps id order, so quiescence
+// expiry (which walks tasks_) stays deterministic.
+void Engine::ReclaimDone() {
   if (done_in_table_ * 2 < tasks_.size()) return;
   tasks_.erase(std::remove_if(tasks_.begin(), tasks_.end(),
                               [](const std::shared_ptr<FiberTask>& t) {
@@ -474,10 +397,7 @@ void Engine::FiberMain(FiberTask* t) {
 #endif
   t->fn();
   t->fn = nullptr;  // run closure destructors on the fiber, in order
-  {
-    std::lock_guard<std::mutex> g(e->mu_);
-    t->state = FiberTask::St::kDone;
-  }
+  t->state = FiberTask::St::kDone;
   e->SwitchToScheduler(t, /*finished=*/true);
   RCC_CHECK(false) << "resumed a completed fiber";
 }
@@ -500,13 +420,10 @@ void Engine::SwitchToScheduler(FiberTask* t,
 #endif
 }
 
-// Runs one fiber until it parks or completes. Requires pump_mu_ held,
-// mu_ not held, and `t` in state kRunnable.
+// Runs one fiber until it parks or completes. Requires `t` in state
+// kRunnable.
 void Engine::RunTask(FiberTask* t) {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    t->state = FiberTask::St::kRunning;
-  }
+  t->state = FiberTask::St::kRunning;
   tls_current_task = t;
 #ifdef RCC_TSAN_FIBERS
   __tsan_switch_to_fiber(t->tsan_fiber, 0);
@@ -520,114 +437,107 @@ void Engine::RunTask(FiberTask* t) {
   __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
 #endif
   tls_current_task = nullptr;
-  bool done = false;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (t->state == FiberTask::St::kDone) {
-      done = true;
-      t->engine = nullptr;
-      ++done_in_table_;
-      if (t->stack_base != nullptr) {
+  if (t->state == FiberTask::St::kDone) {
+    t->engine = nullptr;
+    ++done_in_table_;
+    if (t->stack_base != nullptr) {
 #ifdef RCC_ASAN_FIBERS
-        // The finished fiber's frames leave their redzones poisoned.
-        ASAN_UNPOISON_MEMORY_REGION(StackLow(t->stack_base),
-                                    FiberStackBytes());
+      // The finished fiber's frames leave their redzones poisoned.
+      ASAN_UNPOISON_MEMORY_REGION(StackLow(t->stack_base), FiberStackBytes());
 #endif
-        stack_pool_.push_back(t->stack_base);
-        t->stack_base = nullptr;
-      }
-#ifdef RCC_TSAN_FIBERS
-      if (t->tsan_fiber != nullptr) {
-        __tsan_destroy_fiber(t->tsan_fiber);
-        t->tsan_fiber = nullptr;
-      }
-#endif
-      ProgressLocked();
-      ReclaimDoneLocked();  // may free `t`; it is not touched below
-    } else if (t->pending_yield) {
-      t->pending_yield = false;
-      t->state = FiberTask::St::kRunnable;
-      PushYieldedLocked(t);
-    } else if (t->pending_park) {
-      t->pending_park = false;
-      t->state = FiberTask::St::kParked;
-      if (t->wake_pending) {
-        t->wake_pending = false;
-        t->state = FiberTask::St::kRunnable;
-        t->woke_by_timeout = false;
-        PushLocked(t);
-      }
-    } else {
-      RCC_CHECK(false) << "fiber yielded without parking or completing";
+      stack_pool_.push_back(t->stack_base);
+      t->stack_base = nullptr;
     }
+#ifdef RCC_TSAN_FIBERS
+    if (t->tsan_fiber != nullptr) {
+      __tsan_destroy_fiber(t->tsan_fiber);
+      t->tsan_fiber = nullptr;
+    }
+#endif
+    Progress();
+    ReclaimDone();  // may free `t`; it is not touched below
+    done_wp_.NotifyAll();
+  } else if (t->pending_yield) {
+    t->pending_yield = false;
+    t->state = FiberTask::St::kRunnable;
+    PushYielded(t);
+  } else if (t->pending_park) {
+    t->pending_park = false;
+    t->state = FiberTask::St::kParked;
+  } else {
+    RCC_CHECK(false) << "fiber yielded without parking or completing";
   }
-  if (done) done_wp_.NotifyAll();  // never with mu_ held
 }
 
-// The scheduler loop. Requires pump_mu_ held and a non-fiber caller.
-// Returns when stop() holds, every task is done, or the engine is
-// stalled (a quiescence round produced no progress).
+// The scheduler loop. Requires a non-fiber caller: the owner thread (the
+// first caller becomes it). Returns when stop() holds, every task is
+// done, or the engine is stalled (a quiescence round produced no
+// progress).
 void Engine::RunScheduler(const std::function<bool()>& stop) {
   RCC_CHECK(tls_current_task == nullptr) << "scheduler pumped from a fiber";
+  CheckOwnerThread("pumping the scheduler");
+  owner_ = std::this_thread::get_id();
+  RCC_CHECK(!pumping_) << "scheduler pumped re-entrantly";
+  pumping_ = true;
+  struct Unpump {
+    bool* p;
+    ~Unpump() { *p = false; }
+  } unpump{&pumping_};
 #ifdef RCC_TSAN_FIBERS
   sched_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
   for (;;) {
     if (stop && stop()) return;
     FiberTask* next = nullptr;
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      while (!queue_.empty()) {
-        RunEntry e = queue_.top();
-        queue_.pop();
-        if (e.task->state == FiberTask::St::kRunnable) {
-          next = e.task;
-          break;
+    while (!queue_.empty()) {
+      RunEntry e = queue_.top();
+      queue_.pop();
+      if (e.task->state == FiberTask::St::kRunnable) {
+        next = e.task;
+        break;
+      }
+    }
+    if (next == nullptr) {
+      // Run queue drained: quiescence. Climb one rung of the ladder:
+      // expire the WaitFor-parked fibers with the *smallest* timeout
+      // not yet expired this round (a death-watch Recv at 0s expires
+      // before a 200us protocol poll, which expires before a 2ms kv
+      // poll). Any progress restarts the ladder from the bottom; a
+      // drained queue with the ladder exhausted is a stall.
+      if (!quiesce_armed_) {
+        quiesce_armed_ = true;
+        quiesce_level_ = -1.0;
+      }
+      double level = 0.0;
+      bool found = false;
+      for (const auto& t : tasks_) {
+        if (t->state == FiberTask::St::kParked && t->timeout_park &&
+            t->park_timeout > quiesce_level_ &&
+            (!found || t->park_timeout < level)) {
+          level = t->park_timeout;
+          found = true;
         }
       }
-      if (next == nullptr) {
-        // Run queue drained: quiescence. Climb one rung of the ladder:
-        // expire the WaitFor-parked fibers with the *smallest* timeout
-        // not yet expired this round (a death-watch Recv at 0s expires
-        // before a 200us protocol poll, which expires before a 2ms kv
-        // poll). Any progress restarts the ladder from the bottom; a
-        // drained queue with the ladder exhausted is a stall.
-        if (!quiesce_armed_) {
-          quiesce_armed_ = true;
-          quiesce_level_ = -1.0;
+      if (!found) return;  // all done, or stalled past every rung
+      quiesce_level_ = level;
+      for (auto& t : tasks_) {  // task-id order: deterministic
+        if (t->state == FiberTask::St::kParked && t->timeout_park &&
+            t->park_timeout == level) {
+          RCC_LOG(kDebug) << "quiescence: expiring pid " << t->pid
+                          << " (timeout " << level << "s) at t="
+                          << (t->clock != nullptr ? *t->clock : 0.0);
+          t->woke_by_timeout = true;
+          t->state = FiberTask::St::kRunnable;
+          Push(t.get());
         }
-        double level = 0.0;
-        bool found = false;
-        for (const auto& t : tasks_) {
-          if (t->state == FiberTask::St::kParked && t->timeout_park &&
-              t->park_timeout > quiesce_level_ &&
-              (!found || t->park_timeout < level)) {
-            level = t->park_timeout;
-            found = true;
-          }
-        }
-        if (!found) return;  // all done, or stalled past every rung
-        quiesce_level_ = level;
-        for (auto& t : tasks_) {  // task-id order: deterministic
-          if (t->state == FiberTask::St::kParked && t->timeout_park &&
-              t->park_timeout == level) {
-            RCC_LOG(kDebug) << "quiescence: expiring pid " << t->pid
-                            << " (timeout " << level << "s) at t="
-                            << (t->clock != nullptr ? *t->clock : 0.0);
-            t->woke_by_timeout = true;
-            t->state = FiberTask::St::kRunnable;
-            PushLocked(t.get());
-          }
-        }
-        continue;
       }
+      continue;
     }
     RunTask(next);
   }
 }
 
 std::string Engine::StallReport(const char* where) {
-  std::lock_guard<std::mutex> g(mu_);
   int runnable = 0, parked = 0, timeout_parked = 0, done = 0;
   for (const auto& t : tasks_) {
     switch (t->state) {
@@ -667,76 +577,37 @@ void TaskHandle::Join() {
 
 void YieldTask() {
   FiberTask* t = tls_current_task;
-  Engine* e = t != nullptr ? t->engine.load() : nullptr;
-  if (e != nullptr) {
-    e->YieldCurrent();
-  } else {
-    std::this_thread::yield();
-  }
+  RCC_CHECK(t != nullptr) << "YieldTask off a fiber: nothing else can run "
+                             "until the owner thread pumps the engine";
+  t->engine->YieldCurrent();
 }
 
 WaitPoint::WaitPoint() = default;
 WaitPoint::~WaitPoint() = default;
 
-void WaitPoint::Wait(std::unique_lock<std::mutex>& lock) {
-  if (tls_current_task != nullptr) {
-    Park(lock, /*timeout_park=*/false, 0.0);
-  } else {
-    PumpOrWait(lock);
-  }
+void WaitPoint::Wait() { Park(/*timeout_park=*/false, 0.0); }
+
+bool WaitPoint::WaitFor(double timeout_seconds) {
+  return Park(/*timeout_park=*/true, timeout_seconds);
 }
 
-bool WaitPoint::WaitFor(std::unique_lock<std::mutex>& lock,
-                        double timeout_seconds) {
-  if (tls_current_task != nullptr) {
-    return Park(lock, /*timeout_park=*/true, timeout_seconds);
-  }
-  return PumpOrWait(lock);
-}
-
-bool WaitPoint::Park(std::unique_lock<std::mutex>& lock, bool timeout_park,
-                     double timeout_seconds) {
+bool WaitPoint::Park(bool timeout_park, double timeout_seconds) {
   FiberTask* self = tls_current_task;
-  Engine* e = self->engine;
-  {
-    std::lock_guard<std::mutex> g(waiters_mu_);
-    fiber_waiters_.push_back(
-        {self->shared_from_this(), e->CurrentParkEpoch(self)});
-  }
-  lock.unlock();
-  const bool notified = e->ParkCurrent(timeout_park, timeout_seconds);
-  lock.lock();
-  return notified;
-}
-
-bool WaitPoint::PumpOrWait(std::unique_lock<std::mutex>& lock) {
-  // Lend every live engine our time (fibers can only run on a thread
-  // that pumps them), then re-check.
-  std::vector<Engine*> engines;
-  {
-    std::lock_guard<std::mutex> g(g_engines_mu);
-    engines = LiveEngines();
-  }
-  lock.unlock();
-  bool progressed = false;
-  for (Engine* e : engines) progressed = e->TryPump() || progressed;
-  lock.lock();
-  if (progressed) return true;
-  return cv_.wait_for(lock, std::chrono::milliseconds(1)) ==
-         std::cv_status::no_timeout;
+  RCC_CHECK(self != nullptr)
+      << "WaitPoint wait off a fiber: only a simulation's fibers can block "
+         "(run the caller as a Cluster or Engine task)";
+  fiber_waiters_.push_back({self->shared_from_this(), self->park_epoch});
+  return self->engine->ParkCurrent(timeout_park, timeout_seconds);
 }
 
 void WaitPoint::NotifyAll() {
-  cv_.notify_all();
-  std::vector<FiberWaiter> waiters;
-  {
-    std::lock_guard<std::mutex> g(waiters_mu_);
-    waiters.swap(fiber_waiters_);
-  }
-  for (const FiberWaiter& w : waiters) {
+  // Unpark only queues tasks, so nothing can touch the list mid-walk;
+  // clear() keeps its capacity for the next park.
+  for (const FiberWaiter& w : fiber_waiters_) {
     Engine* e = w.task->engine;  // null once the task finished
     if (e != nullptr) e->Unpark(w.task.get(), w.park_epoch);
   }
+  fiber_waiters_.clear();
 }
 
 }  // namespace rcc::sim

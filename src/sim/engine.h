@@ -8,28 +8,35 @@
 // deterministic. Finished tasks leave the engine's task table, so a
 // long run holds only its live fibers.
 //
+// One simulation is owned by one host thread: the first thread that
+// pumps an engine owns it, and pumping or spawning from any other thread
+// is a fatal check. Nothing in an engine, its fabric or the per-
+// simulation state built on them (KV store, collective requests, ULFM
+// rendezvous states) takes a lock: a fiber runs until it parks, so no
+// two pieces of simulation code ever run at once. Independent
+// simulations may run on different host threads.
+//
 // Every blocking point in the simulator (fabric receives, KV waits, ULFM
-// agreement states, request chaining) parks on a WaitPoint instead of a
-// raw std::condition_variable. Timed waits (WaitFor) have no real-clock
-// meaning; they map onto *quiescence*: when the run queue drains and
-// nothing can make progress, timeout-parked fibers are woken with a
-// timeout verdict. That is the deterministic image of "the grace period
-// passed and nobody spoke": it fires exactly when the drain the grace
-// was waiting for has provably finished. The timeout values form a
-// *quiescence ladder*: at each quiescence the scheduler expires only the
-// waiters parked with the smallest not-yet-expired timeout value (a 0s
-// death-watch grace before a 200us protocol poll before a 2ms kv poll),
-// and any progress restarts the ladder from the bottom. A drained queue
-// with the ladder exhausted is a stall: a proven deadlock.
+// agreement states, request chaining) parks on a WaitPoint. Timed waits
+// (WaitFor) have no real-clock meaning; they map onto *quiescence*: when
+// the run queue drains and nothing can make progress, timeout-parked
+// fibers are woken with a timeout verdict. That is the deterministic
+// image of "the grace period passed and nobody spoke": it fires exactly
+// when the drain the grace was waiting for has provably finished. The
+// timeout values form a *quiescence ladder*: at each quiescence the
+// scheduler expires only the waiters parked with the smallest
+// not-yet-expired timeout value (a 0s death-watch grace before a 200us
+// protocol poll before a 2ms kv poll), and any progress restarts the
+// ladder from the bottom. A drained queue with the ladder exhausted is a
+// stall: a proven deadlock.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/params.h"
@@ -50,8 +57,8 @@ void SetStallHandler(std::function<void(const std::string& report)> handler);
 // sets). The calling fiber re-queues itself *behind* every runnable peer
 // at the same virtual time (deterministically: yields sort after normal
 // entries, then by yield sequence) so the peer being spun on can
-// actually run. Off a fiber it is std::this_thread::yield(). Code that
-// can park on a WaitPoint should do that instead.
+// actually run. Calling it off a fiber is a fatal check. Code that can
+// park on a WaitPoint should do that instead.
 void YieldTask();
 
 struct TaskOptions {
@@ -65,8 +72,8 @@ struct TaskOptions {
 };
 
 // A joinable handle onto one engine task. Copyable (shared); Join is
-// idempotent. Join pumps the scheduler when called from an external
-// thread and parks when called from another fiber.
+// idempotent. Join pumps the scheduler when called off a fiber (by the
+// engine's owner thread) and parks when called from another fiber.
 class TaskHandle {
  public:
   TaskHandle() = default;
@@ -81,24 +88,17 @@ class TaskHandle {
   std::shared_ptr<FiberTask> task_;
 };
 
-// A parkable wait primitive replacing raw condition_variable waits.
+// A parkable wait primitive for fibers. Callers loop on their
+// predicate:
 //
-// Callers hold an external lock guarding their predicate and loop:
+//   while (!pred()) wp.Wait();
 //
-//   std::unique_lock<std::mutex> lock(mu);
-//   while (!pred()) wp.Wait(lock);
-//
-// Semantics by calling context:
-//  * a fiber task: the fiber parks on its engine, releasing the external
-//    lock across the park; NotifyAll unparks it back onto the run queue
-//    at its virtual clock;
-//  * any other thread (the main thread, or a raw std::thread in a unit
-//    test): the thread pumps every live engine (fibers can only run on a
-//    thread that lends them time), then, if nothing progressed, waits on
-//    a condition variable for at most a millisecond.
-//
-// Spurious wakeups are allowed in every mode; callers must re-check their
-// predicate (they all already do — that is the cv contract).
+// The calling fiber parks on its engine; NotifyAll unparks it back onto
+// the run queue at its virtual clock. Nothing else runs between the
+// predicate check and the park, so no lock guards the predicate. Waiting
+// off a fiber is a fatal check: only fibers of a pumped engine can ever
+// be woken. Spurious wakeups are allowed; callers must re-check their
+// predicate.
 class WaitPoint {
  public:
   WaitPoint();
@@ -106,17 +106,14 @@ class WaitPoint {
   WaitPoint(const WaitPoint&) = delete;
   WaitPoint& operator=(const WaitPoint&) = delete;
 
-  void Wait(std::unique_lock<std::mutex>& lock);
+  void Wait();
 
-  // Returns false when the wait "timed out": on a fiber, a quiescence
-  // wake at the ladder rung `timeout_seconds` (see file comment); off a
-  // fiber, a bounded wait in which nothing progressed and nobody
-  // notified. Returns true when notified (or on a spurious wake).
-  bool WaitFor(std::unique_lock<std::mutex>& lock, double timeout_seconds);
+  // Returns false when the wait "timed out": a quiescence wake at the
+  // ladder rung `timeout_seconds` (see file comment). Returns true when
+  // notified (or on a spurious wake).
+  bool WaitFor(double timeout_seconds);
 
-  // Wakes every waiter (fibers and external threads). Does not require
-  // any lock to be held, but callers conventionally hold their predicate
-  // lock.
+  // Wakes every parked fiber, in the order they parked.
   void NotifyAll();
 
  private:
@@ -126,13 +123,8 @@ class WaitPoint {
   };
 
   // Parks the calling fiber; see WaitFor for the return value.
-  bool Park(std::unique_lock<std::mutex>& lock, bool timeout_park,
-            double timeout_seconds);
-  // The one non-fiber path: pump, then a bounded cv wait.
-  bool PumpOrWait(std::unique_lock<std::mutex>& lock);
+  bool Park(bool timeout_park, double timeout_seconds);
 
-  std::condition_variable cv_;       // external-thread waiters
-  std::mutex waiters_mu_;            // guards fiber_waiters_
   std::vector<FiberWaiter> fiber_waiters_;
 };
 
@@ -146,7 +138,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Starts a task: it is queued at *opts.clock and runs when the
-  // scheduler reaches it.
+  // scheduler reaches it. Callable only on the owner thread (see file
+  // comment), from a fiber or not.
   TaskHandle Spawn(TaskOptions opts, std::function<void()> fn);
 
   // Wakes every fiber parked with a timeout (WaitFor) so it re-checks its
@@ -185,25 +178,22 @@ class Engine {
   bool ParkCurrent(bool timeout_park, double timeout_seconds);
   void YieldCurrent();
   void Unpark(FiberTask* t, uint64_t park_epoch);
-  uint64_t CurrentParkEpoch(FiberTask* t);
-  bool TaskDone(FiberTask* t);
   void JoinTask(FiberTask* t);
-  bool TryPump();
+  void CheckOwnerThread(const char* what) const;
 
   void AllocStack(FiberTask* t);
-  void PushLocked(FiberTask* t);
-  void PushYieldedLocked(FiberTask* t);
-  void ProgressLocked();
-  void ReclaimDoneLocked();
+  void Push(FiberTask* t);
+  void PushYielded(FiberTask* t);
+  void Progress();
+  void ReclaimDone();
   static void FiberMain(FiberTask* t);
   void SwitchToScheduler(FiberTask* t, bool finished = false);
   void RunTask(FiberTask* t);
   void RunScheduler(const std::function<bool()>& stop);
   std::string StallReport(const char* where);
 
-  std::mutex mu_;  // engine state (tasks, queue, pool)
   // Live tasks in id order, plus finished ones not yet compacted away
-  // (at most as many as live ones; see ReclaimDoneLocked).
+  // (at most as many as live ones; see ReclaimDone).
   std::vector<std::shared_ptr<FiberTask>> tasks_;
   size_t done_in_table_ = 0;  // finished tasks still in tasks_
   uint64_t reclaimed_ = 0;    // finished tasks dropped from tasks_
@@ -211,13 +201,13 @@ class Engine {
       queue_;
   uint64_t next_seq_ = 0;
   uint64_t next_task_id_ = 0;
-  uint64_t progress_counter_ = 0;
   bool quiesce_armed_ = false;
   double quiesce_level_ = -1.0;  // largest timeout rung expired this round
   std::vector<void*> stack_pool_;
   std::vector<void*> all_stacks_;
 
-  std::mutex pump_mu_;  // one scheduler pumper at a time
+  std::thread::id owner_;  // the first thread that pumped; unset before
+  bool pumping_ = false;   // RunScheduler is on the stack
   void* sched_sp_ = nullptr;  // the pumping thread's saved stack pointer
   void* sched_tsan_fiber_ = nullptr;  // used only under ThreadSanitizer
   // The pumping thread's stack and fake stack, used only under
@@ -226,8 +216,7 @@ class Engine {
   size_t sched_stack_size_ = 0;
   void* sched_fake_stack_ = nullptr;
 
-  std::mutex join_mu_;  // predicate lock for fiber-context JoinTask
-  WaitPoint done_wp_;   // notified on every task completion
+  WaitPoint done_wp_;  // notified on every task completion
   std::function<void(const std::string&)> stall_observer_;
 };
 

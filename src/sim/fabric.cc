@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/unique_id.h"
 
 namespace rcc::sim {
 
 Fabric::Fabric(SimConfig cfg)
     : cfg_(cfg),
-      id_(NextFabricId()),
+      id_(common::NextUniqueId()),
       logs_(std::make_shared<obs::flight::Logs>()) {
   engine_.SetStallObserver([logs = logs_](const std::string& report) {
     if (obs::flight::Enabled()) obs::flight::DumpAll(*logs, "stall: " + report);
@@ -16,7 +17,6 @@ Fabric::Fabric(SimConfig cfg)
 }
 
 int Fabric::RegisterProcess(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
   Proc proc;
   proc.node = node;
   proc.alive = true;
@@ -28,8 +28,6 @@ int Fabric::RegisterProcess(int node) {
     node_pids_.resize(node + 1);
   }
   node_pids_[node].push_back(pid);
-  proc_count_.store(pid + 1, std::memory_order_release);
-  alive_count_.fetch_add(1, std::memory_order_acq_rel);
   return pid;
 }
 
@@ -39,11 +37,9 @@ void Fabric::MarkDead(int pid) {
   if (it != alive_pids_.end() && *it == pid) alive_pids_.erase(it);
   dead_pids_.insert(
       std::lower_bound(dead_pids_.begin(), dead_pids_.end(), pid), pid);
-  alive_count_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Fabric::Kill(int pid) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (pid < 0 || pid >= static_cast<int>(procs_.size())) return;
   if (!procs_[pid].alive) return;
   MarkDead(pid);
@@ -55,7 +51,6 @@ void Fabric::Kill(int pid) {
 }
 
 void Fabric::KillNode(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
   bool any = false;
   if (node >= 0 && node < static_cast<int>(node_pids_.size())) {
     for (int pid : node_pids_[node]) {
@@ -72,26 +67,14 @@ void Fabric::KillNode(int node) {
 }
 
 bool Fabric::IsAlive(int pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (pid < 0 || pid >= static_cast<int>(procs_.size())) return false;
   return procs_[pid].alive;
 }
 
 int Fabric::NodeOf(int pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
   RCC_CHECK(pid >= 0 && pid < static_cast<int>(procs_.size()))
       << "NodeOf: unknown pid " << pid;
   return procs_[pid].node;
-}
-
-std::vector<int> Fabric::AlivePids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return alive_pids_;
-}
-
-std::vector<int> Fabric::DeadPids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dead_pids_;
 }
 
 Seconds Fabric::ArrivalTime(const Message& msg, int dst_node) const {
@@ -104,7 +87,6 @@ Seconds Fabric::ArrivalTime(const Message& msg, int dst_node) const {
 }
 
 Status Fabric::Send(Message msg) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (msg.src < 0 || msg.src >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "send from unknown pid");
   }
@@ -139,7 +121,6 @@ bool Fabric::FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
 Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
                     int tag, Message* out, const CancelToken* cancel,
                     const std::vector<int>* death_watch) {
-  std::unique_lock<std::mutex> lock(mu_);
   if (self < 0 || self >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "recv on unknown pid");
   }
@@ -183,17 +164,16 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
           *now += cfg_.net.failure_detect_latency;
           return Status::ProcFailed(std::move(dead), "watched peer failed");
         }
-        if (!mbox.wp.WaitFor(lock, 0.0)) watch_expired = true;
+        if (!mbox.wp.WaitFor(0.0)) watch_expired = true;
         continue;
       }
     }
-    mbox.wp.Wait(lock);
+    mbox.wp.Wait();
   }
 }
 
 Status Fabric::TryRecv(int self, Seconds* now, int src, uint64_t channel,
                        int tag, Message* out) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (self < 0 || self >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "recv on unknown pid");
   }
@@ -208,7 +188,6 @@ Status Fabric::TryRecv(int self, Seconds* now, int src, uint64_t channel,
 }
 
 void Fabric::PurgeContext(uint64_t context_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& proc : procs_) {
     auto& q = proc.mbox->queue;
     q.erase(std::remove_if(q.begin(), q.end(),
@@ -220,7 +199,6 @@ void Fabric::PurgeContext(uint64_t context_id) {
 }
 
 void Fabric::WakeAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
 }
 

@@ -24,11 +24,9 @@
 //    blocked inside a broken collective).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -62,11 +60,11 @@ inline uint64_t ChannelContext(uint64_t channel) { return channel >> 16; }
 // one with a fresh token).
 class CancelToken {
  public:
-  void Cancel() { flag_.store(true, std::memory_order_release); }
-  bool cancelled() const { return flag_.load(std::memory_order_acquire); }
+  void Cancel() { cancelled_ = true; }
+  bool cancelled() const { return cancelled_; }
 
  private:
-  std::atomic<bool> flag_{false};
+  bool cancelled_ = false;
 };
 
 class Fabric {
@@ -94,8 +92,8 @@ class Fabric {
   // fabric).
   uint64_t id() const { return id_; }
 
-  // Registers a new process on `node`; returns its pid. Thread-safe,
-  // usable mid-run (dynamic worker admission).
+  // Registers a new process on `node`; returns its pid. Usable mid-run
+  // (dynamic worker admission).
   int RegisterProcess(int node);
 
   void Kill(int pid);
@@ -103,17 +101,13 @@ class Fabric {
   bool IsAlive(int pid) const;
   int NodeOf(int pid) const;
 
-  // Membership queries are O(answer), not O(world): counts are atomics
-  // and the alive/dead pid sets are maintained incrementally on
-  // register/kill (10k-rank simulations poll these on hot paths).
-  int ProcessCount() const {
-    return proc_count_.load(std::memory_order_acquire);
-  }
-  int AliveCount() const {
-    return alive_count_.load(std::memory_order_acquire);
-  }
-  std::vector<int> AlivePids() const;
-  std::vector<int> DeadPids() const;
+  // Membership queries are O(answer), not O(world): the alive/dead pid
+  // sets are maintained incrementally on register/kill (10k-rank
+  // simulations poll these on hot paths).
+  int ProcessCount() const { return static_cast<int>(procs_.size()); }
+  int AliveCount() const { return static_cast<int>(alive_pids_.size()); }
+  std::vector<int> AlivePids() const { return alive_pids_; }
+  std::vector<int> DeadPids() const { return dead_pids_; }
 
   // Sends a message. Non-blocking (eager, buffered). Sending to a dead
   // process silently drops the message: like a real transport, the sender
@@ -155,21 +149,13 @@ class Fabric {
   Seconds ArrivalTime(const Message& msg, int dst_node) const;
 
   bool FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
-                 Message* out);  // requires mu_ held
-  void MarkDead(int pid);        // requires mu_ held
+                 Message* out);
+  void MarkDead(int pid);
 
-  static uint64_t NextFabricId() {
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1);
-  }
-
-  mutable std::mutex mu_;
   std::vector<Proc> procs_;
-  std::vector<int> alive_pids_;                // sorted; guarded by mu_
-  std::vector<int> dead_pids_;                 // sorted; guarded by mu_
-  std::vector<std::vector<int>> node_pids_;    // node -> pids; guarded by mu_
-  std::atomic<int> proc_count_{0};
-  std::atomic<int> alive_count_{0};
+  std::vector<int> alive_pids_;              // sorted
+  std::vector<int> dead_pids_;               // sorted
+  std::vector<std::vector<int>> node_pids_;  // node -> pids
   SimConfig cfg_;
   uint64_t id_;
   std::shared_ptr<obs::flight::Logs> logs_;

@@ -35,7 +35,6 @@ int CeilLog2(int n) {
 // Agreement synchronizer (see header: idealized ERA with explicit cost).
 // ---------------------------------------------------------------------
 struct AgreeState {
-  std::mutex mu;
   sim::WaitPoint wp;
   std::map<int, int> flags;               // pid -> contributed flag
   std::map<int, int64_t> values;          // pid -> contributed value
@@ -68,7 +67,6 @@ void ReleaseAgreeState(const std::string& key) {
 // Expand synchronizer (connect/accept + intercomm merge analogue).
 // ---------------------------------------------------------------------
 struct ExpandState {
-  std::mutex mu;
   sim::WaitPoint wp;
   bool survivors_known = false;
   std::vector<int> old_group_pids;        // captured from the first survivor
@@ -164,7 +162,6 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
   auto state = AgreeStateFor(key);
   const std::vector<int>& members = comm.pids();
 
-  std::unique_lock<std::mutex> lock(state->mu);
   state->flags[ep.pid()] = flag;
   state->values[ep.pid()] = value;
   state->arrivals[ep.pid()] = ep.now();
@@ -208,16 +205,13 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
     // Timed park so that deaths (which do not notify this WaitPoint;
     // Fabric::Kill wakes every timeout-parked fiber) are observed;
     // virtual time is taken from finish_time, not from this rung.
-    state->wp.WaitFor(lock, 200e-6);
+    state->wp.WaitFor(200e-6);
   }
 
   AgreeOutcome outcome = state->outcome;
   ep.AdvanceTo(state->finish_time);
   comm.NoteFailedPids(outcome.failed_pids);
-  ++state->leavers;
-  const bool last = state->leavers >= state->expected_leavers;
-  lock.unlock();
-  if (last) ReleaseAgreeState(key);
+  if (++state->leavers >= state->expected_leavers) ReleaseAgreeState(key);
   ep.log()->Record(obs::flight::Ev::kAgree, ep.now(),
                    static_cast<int64_t>(agree_round), outcome.min_value,
                    ep.now() - agree_enter);
@@ -282,7 +276,6 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
   }
   const sim::Seconds expand_enter = ep.now();
 
-  std::unique_lock<std::mutex> lock(state->mu);
   if (old_comm != nullptr) {
     if (!state->survivors_known) {
       state->old_group_pids = old_comm->pids();
@@ -369,15 +362,12 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
       state->wp.NotifyAll();
       break;
     }
-    if (!state->wp.WaitFor(lock, 200e-6)) window_expired = true;
+    if (!state->wp.WaitFor(200e-6)) window_expired = true;
   }
 
   if (state->aborted) {
     ep.AdvanceTo(state->finish_time);
-    ++state->leavers;
-    const bool last = state->leavers >= state->expected_leavers;
-    lock.unlock();
-    if (last) ReleaseExpandState(key);
+    if (++state->leavers >= state->expected_leavers) ReleaseExpandState(key);
     ep.log()->Record(obs::flight::Ev::kExpandAbort, ep.now(), 0, 0,
                      ep.now() - expand_enter);
     return Status(Code::kTimeout,
@@ -387,10 +377,7 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
   auto group = state->new_group;
   if (agreed_counter != nullptr) *agreed_counter = state->op_counter;
   ep.AdvanceTo(state->finish_time);
-  ++state->leavers;
-  const bool last = state->leavers >= state->expected_leavers;
-  lock.unlock();
-  if (last) ReleaseExpandState(key);
+  if (++state->leavers >= state->expected_leavers) ReleaseExpandState(key);
   ep.log()->Record(obs::flight::Ev::kExpand, ep.now(),
                    static_cast<int64_t>(group->pids.size()), expected_joiners,
                    ep.now() - expand_enter);
@@ -418,7 +405,6 @@ struct AsyncRound {
 };
 
 struct AsyncExpandState {
-  std::mutex mu;
   sim::WaitPoint wp;
   // Fixed by ExpandBegin.
   bool begun = false;
@@ -491,7 +477,7 @@ bool AsyncRoundComplete(const AsyncExpandState& state, size_t round,
   return true;
 }
 
-// Decides round `round` (caller holds state->mu; completeness checked).
+// Decides round `round` (completeness checked by the caller).
 void AsyncDecide(AsyncExpandState* state, size_t round, bool finalize,
                  const std::string& key, sim::Fabric& fabric) {
   AsyncRound& r = state->rounds[round];
@@ -570,14 +556,12 @@ void AsyncDecide(AsyncExpandState* state, size_t round, bool finalize,
 
 // Leaver bookkeeping shared by survivors and joiners; the last live
 // participant of a decided expand releases the registry entry.
-void AsyncLeave(std::unique_lock<std::mutex>& lock,
-                const std::shared_ptr<AsyncExpandState>& state,
+void AsyncLeave(const std::shared_ptr<AsyncExpandState>& state,
                 const std::string& key) {
   ++state->leavers;
-  const bool last =
-      state->decided && state->leavers >= state->expected_leavers;
-  lock.unlock();
-  if (last) ReleaseAsyncState(key);
+  if (state->decided && state->leavers >= state->expected_leavers) {
+    ReleaseAsyncState(key);
+  }
 }
 
 }  // namespace
@@ -598,7 +582,6 @@ Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
   const std::string key = AsyncKey(fabric, session);
   auto state = AsyncStateFor(key);
 
-  std::unique_lock<std::mutex> lock(state->mu);
   if (!state->begun) {
     state->old_group_pids = comm.pids();
     state->expected_joiners = expected_joiners;
@@ -621,7 +604,7 @@ Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
       return Status(Code::kAborted, "survivor died opening expand");
     }
     if (window_expired) break;
-    if (!state->wp.WaitFor(lock, 200e-6)) window_expired = true;
+    if (!state->wp.WaitFor(200e-6)) window_expired = true;
   }
   state->announce_closed = true;
   state->wp.NotifyAll();
@@ -646,7 +629,6 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
   }
   auto state = AsyncStateFor(op->key);
 
-  std::unique_lock<std::mutex> lock(state->mu);
   const size_t round = static_cast<size_t>(op->polls);
   ++op->polls;
   if (state->rounds.size() <= round) state->rounds.resize(round + 1);
@@ -663,7 +645,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
       AsyncDecide(state.get(), round, finalize, op->key, fabric);
       continue;
     }
-    state->wp.WaitFor(lock, 200e-6);
+    state->wp.WaitFor(200e-6);
   }
 
   // b: round verdict — 0 pending, 1 spliced, 2 aborted.
@@ -677,7 +659,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
 
   op->active = false;
   if (r.status == ExpandStatus::kAborted) {
-    AsyncLeave(lock, state, op->key);
+    AsyncLeave(state, op->key);
     return ExpandStatus::kAborted;
   }
 
@@ -688,7 +670,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
   }
   auto group = state->new_group;
   ep.AdvanceTo(state->splice_time);
-  AsyncLeave(lock, state, op->key);
+  AsyncLeave(state, op->key);
 
   mpi::Comm next(&ep, group);
   next.set_cost_scale(comm.cost_scale());
@@ -699,7 +681,6 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
 
 void ExpandAbort(sim::Endpoint& ep, const std::string& session) {
   auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
-  std::lock_guard<std::mutex> lock(state->mu);
   if (state->decided) return;
   state->abort_requested = true;
   state->wp.NotifyAll();
@@ -711,7 +692,6 @@ Status AnnounceJoiner(sim::Endpoint& ep, const std::string& session) {
     return Status(Code::kAborted, "joiner died before announcing");
   }
   auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
-  std::lock_guard<std::mutex> lock(state->mu);
   if (state->announced.count(ep.pid()) != 0) return Status::Ok();
   if (state->announce_closed) {
     return Status(Code::kUnavailable, "expand announce window closed");
@@ -727,7 +707,6 @@ Status MarkJoinerStaged(sim::Endpoint& ep, const std::string& session) {
     return Status(Code::kAborted, "joiner died while staging");
   }
   auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
-  std::lock_guard<std::mutex> lock(state->mu);
   state->staged[ep.pid()] = ep.now();
   state->wp.NotifyAll();
   return Status::Ok();
@@ -735,7 +714,6 @@ Status MarkJoinerStaged(sim::Endpoint& ep, const std::string& session) {
 
 void WithdrawJoiner(sim::Endpoint& ep, const std::string& session) {
   auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
-  std::lock_guard<std::mutex> lock(state->mu);
   state->withdrawn.insert(ep.pid());
   state->wp.NotifyAll();
 }
@@ -746,7 +724,6 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
   const std::string key = AsyncKey(fabric, session);
   auto state = AsyncStateFor(key);
 
-  std::unique_lock<std::mutex> lock(state->mu);
   while (!state->decided) {
     if (!ep.alive()) {
       return Status(Code::kAborted, "joiner died awaiting splice");
@@ -767,7 +744,7 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
         return Status(Code::kUnavailable, "no survivors left to splice");
       }
     }
-    state->wp.WaitFor(lock, 200e-6);
+    state->wp.WaitFor(200e-6);
   }
 
   const bool admitted =
@@ -775,7 +752,7 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
       std::find(state->admitted.begin(), state->admitted.end(), ep.pid()) !=
           state->admitted.end();
   if (!admitted) {
-    AsyncLeave(lock, state, key);
+    AsyncLeave(state, key);
     return Status(Code::kTimeout,
                   "not admitted: expand aborted or staged past deadline");
   }
@@ -786,7 +763,7 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
   }
   auto group = state->new_group;
   ep.AdvanceTo(state->splice_time);
-  AsyncLeave(lock, state, key);
+  AsyncLeave(state, key);
   return mpi::Comm(&ep, group);
 }
 

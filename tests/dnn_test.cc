@@ -461,6 +461,29 @@ TEST(Data, ClusterSamplesDeterministic) {
   EXPECT_EQ(a, b);
 }
 
+TEST(Data, ClusterSamplesMatchAFreshRngReference) {
+  // Samples are computed once at construction; each must equal the
+  // pure function of (seed, i) it is documented to be, bit for bit.
+  const int dim = 8, classes = 3, n = 512;
+  const uint64_t seed = 7;
+  const float noise = 0.6f;
+  ClusterDataset d(dim, classes, n, seed);
+  std::vector<float> centroids(static_cast<size_t>(classes) * dim);
+  Rng centroid_rng(seed, /*stream=*/1);
+  for (float& c : centroids) c = centroid_rng.NextFloat(-2.0f, 2.0f);
+  std::vector<float> got(dim);
+  for (int i = 0; i < n; ++i) {
+    Rng rng(seed, /*stream=*/1000 + static_cast<uint64_t>(i));
+    const int label = static_cast<int>(rng.NextBelow(classes));
+    ASSERT_EQ(d.Sample(i, got.data()), label) << "sample " << i;
+    for (int k = 0; k < dim; ++k) {
+      const float want = centroids[static_cast<size_t>(label) * dim + k] +
+                         static_cast<float>(rng.NextGaussian()) * noise;
+      ASSERT_EQ(got[k], want) << "sample " << i << " dim " << k;
+    }
+  }
+}
+
 TEST(Data, ShardsPartitionWithoutOverlap) {
   ClusterDataset d(2, 2, 1000, 9);
   // Two workers of a world of 2 must draw disjoint index sets within a

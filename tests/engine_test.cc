@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -308,7 +309,6 @@ TEST(FiberSwitch, FloatingPointControlIsPerFiber) {
   ASSERT_EQ(std::fegetround(), FE_TONEAREST);
   const double nearest = OneThird();
   Engine engine;
-  std::mutex mu;
   WaitPoint wp;
   bool b_ran = false;
   int a_before = -1, a_after = -1, b_mode = -1;
@@ -319,15 +319,13 @@ TEST(FiberSwitch, FloatingPointControlIsPerFiber) {
     std::fesetround(FE_UPWARD);
     a_before = std::fegetround();
     a_third_before = OneThird();
-    std::unique_lock<std::mutex> lock(mu);
-    while (!b_ran) wp.Wait(lock);
+    while (!b_ran) wp.Wait();
     a_after = std::fegetround();
     a_third_after = OneThird();
   });
   TaskHandle b = engine.Spawn(TaskOptions{1, nullptr}, [&] {
     b_mode = std::fegetround();
     b_third = OneThird();
-    std::lock_guard<std::mutex> g(mu);
     b_ran = true;
     wp.NotifyAll();
   });
@@ -388,11 +386,9 @@ TEST(FiberTaskTableDeathTest, StallReportCountsReclaimedTasks) {
       {
         Engine engine;
         for (int i = 0; i < 10000; ++i) engine.Spawn({}, [] {}).Join();
-        std::mutex mu;
         WaitPoint never_notified;
         auto park_forever = [&] {
-          std::unique_lock<std::mutex> lock(mu);
-          for (;;) never_notified.Wait(lock);
+          for (;;) never_notified.Wait();
         };
         engine.Spawn({}, park_forever);
         engine.Spawn({}, park_forever).Join();
@@ -401,19 +397,44 @@ TEST(FiberTaskTableDeathTest, StallReportCountsReclaimedTasks) {
 }
 
 TEST(FiberTaskTable, StaleWaitPointEntryOutlivesItsCluster) {
-  std::mutex mu;
   WaitPoint wp;  // outlives the cluster below
   {
     Cluster cluster;
     cluster.Spawn(1, [&](Endpoint&) {
-      std::unique_lock<std::mutex> lock(mu);
       // Nobody notifies: the quiescence wake leaves the entry stale.
-      EXPECT_FALSE(wp.WaitFor(lock, 0.0));
+      EXPECT_FALSE(wp.WaitFor(0.0));
     });
     cluster.Join();  // the task finishes and leaves the task table
   }
   // The entry's task was reclaimed and its engine is gone.
   wp.NotifyAll();
+}
+
+// One simulation, one host thread: blocking off a fiber and pumping from
+// a second thread are fatal checks, not silent races.
+TEST(OwnerThreadDeathTest, WaitPointWaitOffAFiberFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        WaitPoint wp;
+        wp.Wait();
+      },
+      "WaitPoint wait off a fiber");
+  EXPECT_DEATH(YieldTask(), "YieldTask off a fiber");
+}
+
+TEST(OwnerThreadDeathTest, JoinFromASecondThreadAfterTheFirstPumpedFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Cluster cluster;
+        cluster.Spawn(1, [](Endpoint&) {});
+        cluster.Join();  // this thread pumped: it owns the simulation
+        cluster.Spawn(1, [](Endpoint&) {});
+        std::thread other([&] { cluster.Join(); });
+        other.join();
+      },
+      "does not own this simulation");
 }
 
 }  // namespace

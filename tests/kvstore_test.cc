@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kvstore/kvstore.h"
+#include "sim/cluster.h"
 #include "sim/fabric.h"
 
 namespace rcc::kv {
@@ -68,31 +67,42 @@ TEST(KvStore, ListPrefixSorted) {
   EXPECT_EQ(keys[1], "a/2");
 }
 
+// The blocking cases run as Cluster tasks: a store wait parks its fiber,
+// and only a simulation's fibers can block.
+
 TEST(KvStore, WaitBlocksUntilSet) {
   Store store;
-  std::thread setter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    store.SetString(nullptr, "late", "v");
+  Result<std::vector<uint8_t>> r = Status(Code::kInternal, "not run");
+  sim::Cluster cluster;
+  cluster.Spawn(2, [&](sim::Endpoint& ep) {
+    if (ep.pid() == 0) {
+      EXPECT_EQ(store.size(), 0u);  // the key is set after this parks
+      r = store.Wait(nullptr, "late");
+    } else {
+      ep.Busy(20e-3);
+      store.SetString(nullptr, "late", "v");
+    }
   });
-  auto r = store.Wait(nullptr, "late");
-  setter.join();
+  cluster.Join();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(std::string(r.value().begin(), r.value().end()), "v");
 }
 
 TEST(KvStore, WaitEntryDeliversVersionAndVisibility) {
-  sim::Fabric fabric{sim::SimConfig{}};
-  fabric.RegisterProcess(0);
-  fabric.RegisterProcess(0);
-  sim::Endpoint writer(&fabric, 0), reader(&fabric, 1);
+  sim::Cluster cluster;
   Store store(1e-3);
-  std::thread setter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    writer.Busy(3.0);
-    store.SetString(&writer, "staged", "v1");
+  Result<Entry> r = Status(Code::kInternal, "not run");
+  cluster.Spawn(2, [&](sim::Endpoint& ep) {
+    if (ep.pid() == 0) {
+      r = store.WaitEntry(&ep, "staged");
+    } else {
+      ep.Busy(3.0);
+      store.SetString(&ep, "staged", "v1");
+    }
   });
-  auto r = store.WaitEntry(&reader, "staged");
-  setter.join();
+  cluster.Join();
+  sim::Endpoint& reader = cluster.endpoint(0);
+  sim::Endpoint& writer = cluster.endpoint(1);
   ASSERT_TRUE(r.ok());
   const Entry& e = r.value();
   EXPECT_EQ(std::string(e.value.begin(), e.value.end()), "v1");
@@ -114,54 +124,52 @@ TEST(KvStore, WaitEntryVersionedVisibilityUnderRacingWriters) {
   // readers snapshot it through WaitEntry. Every observed Entry must be
   // internally consistent — the value exactly the one its version
   // published, never a torn (version, value) pair — and the versions a
-  // single reader observes must never move backwards. Run under TSan
-  // this also audits the store's locking around the entry copy-out.
+  // single reader observes must never move backwards. Every rank yields
+  // between its steps, and writers yield between reading the version and
+  // swapping, so writers interleave with readers and lose CAS races.
   Store store;
   constexpr uint64_t kFinalVersion = 300;
   constexpr int kWriters = 4;
   constexpr int kReaders = 3;
 
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&store] {
+  bool consistent = true;
+  int failed_swaps = 0;
+  sim::Cluster cluster;
+  cluster.Spawn(kWriters + kReaders, [&](sim::Endpoint& ep) {
+    if (ep.pid() < kWriters) {
       for (;;) {
         auto v = store.VersionOf(nullptr, "hot");
         const uint64_t cur = v.ok() ? v.value() : 0;
         if (cur >= kFinalVersion) return;
         const std::string val = "v" + std::to_string(cur + 1);
-        store.CompareAndSwap(nullptr, "hot", cur,
-                             std::vector<uint8_t>(val.begin(), val.end()));
+        sim::YieldTask();
+        auto swapped = store.CompareAndSwap(
+            nullptr, "hot", cur, std::vector<uint8_t>(val.begin(), val.end()));
+        if (!swapped.value()) ++failed_swaps;
       }
-    });
-  }
-
-  std::atomic<bool> consistent{true};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&store, &consistent] {
-      uint64_t last = 0;
-      for (;;) {
-        auto e = store.WaitEntry(nullptr, "hot");
-        if (!e.ok()) {
-          consistent = false;
-          return;
-        }
-        const Entry& en = e.value();
-        const std::string want = "v" + std::to_string(en.version);
-        if (std::string(en.value.begin(), en.value.end()) != want ||
-            en.version < last) {
-          consistent = false;
-          return;
-        }
-        last = en.version;
-        if (en.version >= kFinalVersion) return;
-        std::this_thread::yield();
+    }
+    uint64_t last = 0;
+    for (;;) {
+      auto e = store.WaitEntry(nullptr, "hot");
+      if (!e.ok()) {
+        consistent = false;
+        return;
       }
-    });
-  }
-  for (auto& t : writers) t.join();
-  for (auto& t : readers) t.join();
-  EXPECT_TRUE(consistent.load());
+      const Entry& en = e.value();
+      const std::string want = "v" + std::to_string(en.version);
+      if (std::string(en.value.begin(), en.value.end()) != want ||
+          en.version < last) {
+        consistent = false;
+        return;
+      }
+      last = en.version;
+      if (en.version >= kFinalVersion) return;
+      sim::YieldTask();
+    }
+  });
+  cluster.Join();
+  EXPECT_TRUE(consistent);
+  EXPECT_GT(failed_swaps, 0);  // the writers really raced
   auto fin = store.WaitEntry(nullptr, "hot");
   ASSERT_TRUE(fin.ok());
   EXPECT_EQ(fin.value().version, kFinalVersion);
@@ -170,16 +178,18 @@ TEST(KvStore, WaitEntryVersionedVisibilityUnderRacingWriters) {
 }
 
 TEST(KvStore, WaitAbortsWhenCallerDies) {
-  sim::Fabric fabric{sim::SimConfig{}};
-  fabric.RegisterProcess(0);
-  sim::Endpoint ep(&fabric, 0);
   Store store;
-  std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    fabric.Kill(0);
+  Result<std::vector<uint8_t>> r = Status(Code::kInternal, "not run");
+  sim::Cluster cluster;
+  cluster.Spawn(2, [&](sim::Endpoint& ep) {
+    if (ep.pid() == 0) {
+      r = store.Wait(&ep, "never");
+    } else {
+      ep.Busy(20e-3);
+      ep.fabric().Kill(0);
+    }
   });
-  auto r = store.Wait(&ep, "never");
-  killer.join();
+  cluster.Join();
   EXPECT_EQ(r.status().code(), Code::kAborted);
 }
 

@@ -213,10 +213,14 @@ void ExpectNoDropsNoDoubles(const RunOut& out, int requests) {
   }
 }
 
+struct Kill {
+  int pid;
+  double at;  // virtual seconds
+};
+
 RunOut RunServe(int world, const ServeOptions& opts, kv::Store* store,
                 sim::SimConfig cfg = sim::SimConfig{},
-                double kill_at = -1.0, int kill_pid = -1,
-                int standbys = 0) {
+                std::vector<Kill> kills = {}, int standbys = 0) {
   sim::Cluster cluster(cfg);
   std::mutex mu;
   RunOut out;
@@ -225,7 +229,9 @@ RunOut RunServe(int world, const ServeOptions& opts, kv::Store* store,
   ServeOptions o = opts;
   o.store = store;
   cluster.Spawn(world, [&, o, pids](sim::Endpoint& ep) {
-    if (ep.pid() == kill_pid && kill_at >= 0) ep.ArmKillAt(kill_at);
+    for (const Kill& k : kills) {
+      if (ep.pid() == k.pid) ep.ArmKillAt(k.at);
+    }
     ResilientComm rc(ep, pids, o.policy, nullptr);
     ServingDriver d(&rc, o);
     ServeReport r = d.Run();
@@ -268,8 +274,7 @@ TEST(Serving, DrainsEveryRequestWithoutFailures) {
 TEST(Serving, RankFailureMidDecodePreservesEveryAdmittedRequest) {
   obs::Registry::Global().ResetAll();
   const ServeOptions o = SmallServe(40, 200.0);
-  RunOut out = RunServe(4, o, nullptr, sim::SimConfig{}, /*kill_at=*/0.05,
-                        /*kill_pid=*/3);
+  RunOut out = RunServe(4, o, nullptr, sim::SimConfig{}, {{3, 0.05}});
   ASSERT_EQ(out.finished.size(), 3u);
   ExpectNoDropsNoDoubles(out, 40);
   EXPECT_GE(out.finished[0].repairs, 1);
@@ -291,9 +296,9 @@ TEST(Serving, RankFailureMidDecodePreservesEveryAdmittedRequest) {
 TEST(Serving, ResilientRecoveryBeatsTeardownRebuild) {
   ServeOptions o = SmallServe(40, 200.0);
   o.mode = RecoveryMode::kResilient;
-  RunOut resilient = RunServe(4, o, nullptr, sim::SimConfig{}, 0.05, 3);
+  RunOut resilient = RunServe(4, o, nullptr, sim::SimConfig{}, {{3, 0.05}});
   o.mode = RecoveryMode::kTeardownRebuild;
-  RunOut teardown = RunServe(4, o, nullptr, sim::SimConfig{}, 0.05, 3);
+  RunOut teardown = RunServe(4, o, nullptr, sim::SimConfig{}, {{3, 0.05}});
   ASSERT_FALSE(resilient.finished.empty());
   ASSERT_FALSE(teardown.finished.empty());
   // Same failure schedule; both preserve the stream (the baseline
@@ -319,7 +324,7 @@ TEST(Serving, QueuePressureAdmitsStandbyThroughAsyncExpand) {
   o.session = "serve-expand-test";
   sim::SimConfig cfg;
   cfg.costs.worker_coldstart = 0.2;
-  RunOut out = RunServe(3, o, &store, cfg, -1.0, -1, /*standbys=*/1);
+  RunOut out = RunServe(3, o, &store, cfg, /*kills=*/{}, /*standbys=*/1);
   ASSERT_EQ(out.joined.size(), 1u) << "standby was not admitted";
   ASSERT_EQ(out.finished.size(), 4u);  // 3 founders + 1 joiner drain
   ExpectNoDropsNoDoubles(out, 120);
@@ -358,13 +363,30 @@ TEST(Serving, DeterministicAcrossRuns) {
   // Two identical runs with a mid-decode kill agree exactly: served
   // data, completion count and virtual timing.
   const ServeOptions o = SmallServe(40, 200.0);
-  RunOut a = RunServe(3, o, nullptr, sim::SimConfig{}, 0.05, 2);
-  RunOut b = RunServe(3, o, nullptr, sim::SimConfig{}, 0.05, 2);
+  RunOut a = RunServe(3, o, nullptr, sim::SimConfig{}, {{2, 0.05}});
+  RunOut b = RunServe(3, o, nullptr, sim::SimConfig{}, {{2, 0.05}});
   ASSERT_FALSE(a.finished.empty());
   ASSERT_FALSE(b.finished.empty());
   EXPECT_EQ(a.finished[0].digest, b.finished[0].digest);
   EXPECT_EQ(a.finished[0].end_time, b.finished[0].end_time);
   EXPECT_EQ(a.finished[0].completed, b.finished[0].completed);
+}
+
+TEST(Serving, DigestOfAFixedRunWithKillsIsPinned) {
+  // The replicated-state digest folds every decode step's allreduced
+  // activation (element 0) into the batch state, so it pins the
+  // activation fill and the whole recovery path bit for bit: 8
+  // tensor-parallel ranks, 256-float activations, two kills, and over
+  // three periods of the fill's step residue (mod 97).
+  ServeOptions o = SmallServe(200, 200.0);
+  o.hidden = 256;
+  RunOut out =
+      RunServe(8, o, nullptr, sim::SimConfig{}, {{3, 0.05}, {6, 0.2}});
+  ASSERT_EQ(out.finished.size(), 6u);
+  ExpectNoDropsNoDoubles(out, 200);
+  EXPECT_EQ(out.finished[0].final_world, 6);
+  EXPECT_GT(out.finished[0].steps, 3 * 97);
+  EXPECT_EQ(out.finished[0].digest, 6443390940839902146ull);
 }
 
 }  // namespace
