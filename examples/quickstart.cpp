@@ -7,9 +7,7 @@
 // allreduce, and keep training - no checkpoint, no rollback, no restart.
 //
 //   ./examples/quickstart
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 
 #include "core/elastic_trainer.h"
 #include "core/resilient.h"
@@ -33,12 +31,10 @@ int main() {
   opts.failures.push_back({/*epoch=*/1, /*step=*/10, /*bucket=*/0,
                            /*victim_rank=*/2, sim::FailScope::kProcess});
 
-  std::vector<std::atomic<bool>> failure_flags(1);
-  failure_flags[0] = false;
+  std::vector<bool> failure_flags(1);
 
   sim::Cluster cluster;  // Summit-like simulated cluster (see rcc::sim)
   std::vector<int> pids{0, 1, 2, 3};
-  std::mutex mu;
   std::vector<core::TrainerReport> reports;
 
   cluster.Spawn(kWorkers, [&](sim::Endpoint& ep) {
@@ -46,11 +42,10 @@ int main() {
     dnn::Sgd opt(model.Params(), opts.sgd);
     core::ResilientComm rc(ep, pids, horovod::DropPolicy::kProcess,
                            /*rec=*/nullptr);
-    core::ElasticTrainer trainer(&rc, &model, &opt, &data, opts,
-                                 &failure_flags);
-    auto report = trainer.Run();
-    std::lock_guard<std::mutex> lock(mu);
-    reports.push_back(std::move(report));
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
+    core::ElasticTrainer trainer(&rc, &work, opts, &failure_flags);
+    reports.push_back(trainer.Run());
   });
   cluster.Join();
 

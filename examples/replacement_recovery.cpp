@@ -6,9 +6,7 @@
 // size - exactly the paper's Section 3.3.2.
 //
 //   ./examples/replacement_recovery
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 
 #include "core/elastic_trainer.h"
 #include "core/resilient.h"
@@ -31,46 +29,42 @@ int main() {
   opts.failures.push_back({0, 6, 0, 1, sim::FailScope::kProcess});
   opts.joins[1] = 1;
 
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   sim::Cluster cluster;
   std::vector<int> pids{0, 1, 2, 3};
-  std::mutex mu;
   std::vector<core::TrainerReport> reports;
 
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
     dnn::Model model = MakeModel();
     dnn::Sgd opt(model.Params(), opts.sgd);
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
     core::ResilientComm rc(ep, pids, horovod::DropPolicy::kProcess, nullptr);
-    core::ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
-    auto report = trainer.Run();
-    std::lock_guard<std::mutex> lock(mu);
-    reports.push_back(std::move(report));
+    core::ElasticTrainer trainer(&rc, &work, opts, &flags);
+    reports.push_back(trainer.Run());
   });
   // The replacement: joins the session named by the merge epoch, then
   // restores the broadcast state before training.
   cluster.SpawnOnFreshNodes(1, [&](sim::Endpoint& ep) {
     dnn::Model model = MakeModel();
     dnn::Sgd opt(model.Params(), opts.sgd);
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
     // Warm start: the standby process only re-creates its device context.
-    ep.Busy(ep.fabric().config().costs.worker_warmstart);
-    auto rc = core::ResilientComm::JoinExisting(
-        ep, "trainer-epoch1", /*expected_joiners=*/1,
-        horovod::DropPolicy::kProcess, nullptr);
-    if (rc == nullptr) return;
-    checkpoint::TrainingCursor cursor;
-    if (!core::ElasticTrainer::SyncState(rc.get(), &model, &opt, &cursor,
-                                         /*receiver=*/true)
-             .ok()) {
-      return;
-    }
+    auto provision = [&] {
+      ep.Busy(ep.fabric().config().costs.worker_warmstart);
+      return true;
+    };
+    core::ElasticTrainer::Admission adm = core::ElasticTrainer::Join(
+        ep, &work, opts, /*store=*/nullptr,
+        core::ElasticTrainer::JoinSession(1), /*joiners=*/1,
+        /*async=*/false, nullptr, provision);
+    if (adm.rc == nullptr || !adm.synced.ok()) return;
     std::printf("[replacement] joined at epoch %d with synced state\n",
-                cursor.epoch);
-    core::ElasticTrainer trainer(rc.get(), &model, &opt, &data, opts,
-                                 &flags);
-    auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
-    std::lock_guard<std::mutex> lock(mu);
-    reports.push_back(std::move(report));
+                adm.cursor.epoch);
+    core::ElasticTrainer trainer(adm.rc.get(), &work, opts, &flags);
+    reports.push_back(
+        trainer.Run(adm.cursor, /*joined_at_epoch=*/adm.cursor.epoch));
   }, /*start_time=*/0.0);
   cluster.Join();
 

@@ -1,10 +1,8 @@
 #include "chaos/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <memory>
-#include <mutex>
+#include <utility>
 #include <numeric>
 
 #include "kvstore/kvstore.h"
@@ -21,7 +19,7 @@ namespace {
 // has entered the phase — deterministic in the victim's program order.
 struct Trigger {
   PhaseKill pk;
-  std::atomic<int> count{0};
+  int count = 0;
   explicit Trigger(const PhaseKill& p) : pk(p) {}
 };
 
@@ -102,7 +100,7 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     opts.replacement_pool = sh.replacements;
   }
 
-  std::vector<std::atomic<bool>> flags(0);  // no scripted failures
+  std::vector<bool> flags;  // no scripted failures
 
   trace::Recorder rec;
   std::deque<Trigger> triggers;
@@ -111,8 +109,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       [&triggers](sim::Endpoint& ep, const std::string& phase) {
         for (Trigger& t : triggers) {
           if (t.pk.victim != ep.pid() || t.pk.phase != phase) continue;
-          const int c = t.count.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (c == t.pk.occurrence) ep.ArmKillAt(ep.now() + t.pk.delay);
+          if (++t.count == t.pk.occurrence) {
+            ep.ArmKillAt(ep.now() + t.pk.delay);
+          }
         }
       });
 
@@ -130,7 +129,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
 
   std::vector<int> pids(sh.world);
   std::iota(pids.begin(), pids.end(), 0);
-  std::mutex mu;
   std::vector<WorkerResult> results;
 
   // Joins the cluster and assembles the outcome; shared by the serving
@@ -183,7 +181,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       // The serving driver applies the exit dump rule itself.
       if (r.serve.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
       r.end_time = ep.now();
-      std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(r));
     });
     for (int i = 0; i < sh.serve_standbys; ++i) {
@@ -198,7 +195,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
             r.report.aborted = r.serve.aborted;
             if (r.serve.aborted && ep.alive()) ep.fabric().Kill(ep.pid());
             r.end_time = ep.now();
-            std::lock_guard<std::mutex> lock(mu);
             results.push_back(std::move(r));
           },
           /*start_time=*/0.0);
@@ -230,7 +226,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
         ep.fabric().Kill(ep.pid());
       }
       r.end_time = ep.now();
-      std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(r));
     });
     return finalize();
@@ -239,8 +234,10 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
   cluster.Spawn(sh.world, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, /*seed=*/99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
     core::ResilientComm rc(ep, pids, opts.drop_policy, &rec);
-    core::ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    core::ElasticTrainer trainer(&rc, &work, opts, &flags);
     WorkerResult r;
     r.pid = ep.pid();
     r.report = trainer.Run();
@@ -252,9 +249,37 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
       ep.fabric().Kill(ep.pid());
     }
     r.end_time = ep.now();
-    std::lock_guard<std::mutex> lock(mu);
     results.push_back(std::move(r));
   });
+
+  // Admits a joiner through `session` and trains it to the end. A
+  // scheduled joiner does not re-run the boundary it entered through; a
+  // replacement (`scheduled` false) spliced exactly at an epoch boundary
+  // must take part in that boundary's scheduled-join collectives.
+  auto join_and_train = [&](sim::Endpoint& ep, const std::string& session,
+                            int count, bool async, bool scheduled,
+                            WorkerResult* r) {
+    dnn::Model model = dnn::BuildMlp(8, {12}, 3, /*seed=*/99);
+    dnn::Sgd opt(model.Params(), opts.sgd);
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
+    core::ElasticTrainer::Admission adm = core::ElasticTrainer::Join(
+        ep, &work, opts, &store, session, count, async, &rec);
+    r->joined_ok = adm.rc != nullptr;
+    if (adm.rc == nullptr || !adm.synced.ok()) {
+      r->report.aborted = true;
+    } else {
+      r->start_epoch = adm.cursor.epoch;
+      r->start_step = adm.cursor.step;
+      core::ElasticTrainer trainer(adm.rc.get(), &work, opts, &flags);
+      r->report = trainer.Run(adm.cursor, scheduled ? adm.cursor.epoch : -1);
+    }
+    // Same exit-is-a-failure rule as the founders: an aborted joiner
+    // still registered in the fabric must die visibly.
+    if (obs::DumpIfUnexplainedExit(ep, r->report.aborted)) {
+      ep.fabric().Kill(ep.pid());
+    }
+  };
 
   for (const auto& [epoch, count] : sh.joins) {
     cluster.SpawnOnFreshNodes(
@@ -263,11 +288,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
           WorkerResult r;
           r.pid = ep.pid();
           r.join_epoch = epoch;
-          dnn::Model model = dnn::BuildMlp(8, {12}, 3, /*seed=*/99);
-          dnn::Sgd opt(model.Params(), opts.sgd);
-          checkpoint::TrainingCursor cursor;
-          std::unique_ptr<core::ResilientComm> rc;
-          Status synced;
           bool async_path = sh.async_admission;
           if (policy_on) {
             // The members decide wait-vs-async at the boundary and
@@ -283,53 +303,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
                                        path.value().end()) == "async";
             }
           }
-          if (async_path) {
-            // Nonblocking path: stage the published snapshot through the
-            // kvstore while the survivors train, then park for the
-            // splice and run the catch-up delta sync.
-            rc = core::ResilientComm::JoinAsync(
-                ep, &store, "trainer-epoch" + std::to_string(epoch),
-                opts.drop_policy, &rec,
-                [&](const std::vector<uint8_t>& blob) -> Status {
-                  checkpoint::Snapshot snap;
-                  snap.blob = blob;
-                  return checkpoint::Restore(snap, &model, &opt, &cursor);
-                });
-            if (rc != nullptr) {
-              // Contribute the staged snapshot's global-step position
-              // (NOT zero: the agreed spread against the survivors'
-              // positions prices the catch-up delta).
-              synced = core::ElasticTrainer::DeltaSync(
-                  rc.get(), &model, &opt, &cursor, /*receiver=*/true,
-                  static_cast<uint64_t>(cursor.epoch) * opts.steps_per_epoch +
-                      cursor.step);
-            }
-          } else {
-            rc = core::ResilientComm::JoinExisting(
-                ep, "trainer-epoch" + std::to_string(epoch), count,
-                opts.drop_policy, &rec);
-            if (rc != nullptr) {
-              synced = core::ElasticTrainer::SyncState(rc.get(), &model,
-                                                       &opt, &cursor, true);
-            }
-          }
-          r.joined_ok = rc != nullptr;
-          if (rc == nullptr || !synced.ok()) {
-            r.report.aborted = true;
-          } else {
-            r.start_epoch = cursor.epoch;
-            r.start_step = cursor.step;
-            core::ElasticTrainer trainer(rc.get(), &model, &opt, &data,
-                                         opts, &flags);
-            r.report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
-          }
-          // Same exit-is-a-failure rule as the founders: an aborted
-          // joiner still registered in the fabric must die visibly.
-          if (obs::DumpIfUnexplainedExit(ep, r.report.aborted)) {
-            ep.fabric().Kill(ep.pid());
-          }
+          join_and_train(ep, core::ElasticTrainer::JoinSession(epoch), count,
+                         async_path, /*scheduled=*/true, &r);
           r.end_time = ep.now();
-          std::lock_guard<std::mutex> lock(mu);
           results.push_back(std::move(r));
         },
         /*start_time=*/0.0);
@@ -360,60 +336,11 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
             if (val.empty() || val == "done") {
               r.idle_replacement = true;
             } else {
-              const bool async_path = val.rfind("async:", 0) == 0;
-              const std::string session =
-                  val.substr(val.find(':') + 1);
-              dnn::Model model = dnn::BuildMlp(8, {12}, 3, /*seed=*/99);
-              dnn::Sgd opt(model.Params(), opts.sgd);
-              checkpoint::TrainingCursor cursor;
-              std::unique_ptr<core::ResilientComm> rc;
-              Status synced;
-              if (async_path) {
-                rc = core::ResilientComm::JoinAsync(
-                    ep, &store, session, opts.drop_policy, &rec,
-                    [&](const std::vector<uint8_t>& blob) -> Status {
-                      checkpoint::Snapshot snap;
-                      snap.blob = blob;
-                      return checkpoint::Restore(snap, &model, &opt,
-                                                 &cursor);
-                    });
-                if (rc != nullptr) {
-                  // Snapshot position, not zero — see the scheduled-join
-                  // site above.
-                  synced = core::ElasticTrainer::DeltaSync(
-                      rc.get(), &model, &opt, &cursor, /*receiver=*/true,
-                      static_cast<uint64_t>(cursor.epoch) *
-                              opts.steps_per_epoch +
-                          cursor.step);
-                }
-              } else {
-                rc = core::ResilientComm::JoinExisting(
-                    ep, session, 1, opts.drop_policy, &rec);
-                if (rc != nullptr) {
-                  synced = core::ElasticTrainer::SyncState(
-                      rc.get(), &model, &opt, &cursor, /*receiver=*/true);
-                }
-              }
-              r.joined_ok = rc != nullptr;
-              if (rc == nullptr || !synced.ok()) {
-                r.report.aborted = true;
-              } else {
-                r.start_epoch = cursor.epoch;
-                r.start_step = cursor.step;
-                core::ElasticTrainer trainer(rc.get(), &model, &opt,
-                                             &data, opts, &flags);
-                // joined_at_epoch -1 (not cursor.epoch): a replacement
-                // spliced exactly at an epoch boundary must participate
-                // in that boundary's scheduled-join collectives, unlike
-                // a scheduled joiner admitted there.
-                r.report = trainer.Run(cursor, /*joined_at_epoch=*/-1);
-              }
-              if (obs::DumpIfUnexplainedExit(ep, r.report.aborted)) {
-                ep.fabric().Kill(ep.pid());
-              }
+              join_and_train(ep, val.substr(val.find(':') + 1), 1,
+                             /*async=*/val.rfind("async:", 0) == 0,
+                             /*scheduled=*/false, &r);
             }
             r.end_time = ep.now();
-            std::lock_guard<std::mutex> lock(mu);
             results.push_back(std::move(r));
           },
           /*start_time=*/0.0);

@@ -3,40 +3,39 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "dnn/layers.h"
 #include "dnn/optimizer.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace rcc::core {
 
-ElasticTrainer::ElasticTrainer(ResilientComm* rc, dnn::Model* model,
-                               dnn::Sgd* opt,
-                               const dnn::ClusterDataset* data,
+ElasticTrainer::ElasticTrainer(ResilientComm* rc, Workload* work,
                                TrainerOptions opts,
-                               std::vector<std::atomic<bool>>* failure_flags)
+                               std::vector<bool>* failure_flags)
     : rc_(rc),
-      model_(model),
-      opt_(opt),
-      data_(data),
+      work_(work),
       opts_(std::move(opts)),
       failure_flags_(failure_flags),
       base_workers_(rc->size()),
-      policy_(opts_.policy_mode) {}
+      policy_(opts_.policy_mode),
+      step_metrics_(work->stack()) {}
 
-Status ElasticTrainer::SyncState(ResilientComm* rc, dnn::Model* model,
-                                 dnn::Sgd* opt,
+std::string ElasticTrainer::JoinSession(int epoch) {
+  return "trainer-epoch" + std::to_string(epoch);
+}
+
+Status ElasticTrainer::SyncState(ResilientComm* rc, Workload* work,
                                  checkpoint::TrainingCursor* cursor,
                                  bool receiver) {
+  obs::Span scope(rc->recorder(), rc->endpoint(),
+                  std::string("recovery/") + horovod::phase::kStateSync);
   std::vector<uint8_t> blob;
-  if (rc->rank() == 0) {
-    blob = checkpoint::Capture(*model, *opt, *cursor).blob;
-  }
-  RCC_RETURN_IF_ERROR(rc->BcastBlob(&blob, /*root=*/0, /*cost_scale=*/1.0));
+  if (rc->rank() == 0) blob = work->Capture(*cursor);
+  RCC_RETURN_IF_ERROR(
+      rc->BcastBlob(&blob, /*root=*/0, work->SyncCostScale(1.0)));
   if (receiver && rc->rank() != 0) {
-    checkpoint::Snapshot snap;
-    snap.blob = std::move(blob);
-    RCC_RETURN_IF_ERROR(checkpoint::Restore(snap, model, opt, cursor));
+    RCC_RETURN_IF_ERROR(work->Restore(blob, /*fraction=*/1.0, cursor));
   }
   return Status::Ok();
 }
@@ -45,8 +44,8 @@ bool ElasticTrainer::MaybeDie(int epoch, int step, int bucket) {
   for (size_t i = 0; i < opts_.failures.size(); ++i) {
     const auto& f = opts_.failures[i];
     if (f.epoch == epoch && f.step == step && f.bucket == bucket &&
-        f.victim_rank == rc_->rank() && !(*failure_flags_)[i].load()) {
-      (*failure_flags_)[i].store(true);
+        f.victim_rank == rc_->rank() && !(*failure_flags_)[i]) {
+      (*failure_flags_)[i] = true;
       if (f.scope == sim::FailScope::kNode) {
         rc_->endpoint().fabric().KillNode(rc_->endpoint().node());
       } else {
@@ -59,49 +58,38 @@ bool ElasticTrainer::MaybeDie(int epoch, int step, int bucket) {
 }
 
 Status ElasticTrainer::TrainStep(int epoch, int step, float* loss_out) {
-  const sim::Seconds step_start = rc_->endpoint().now();
+  sim::Endpoint& ep = rc_->endpoint();
+  const sim::Seconds step_start = ep.now();
   rc_->TakeCommServiceSeconds();  // drop pre-step traffic (state sync &c)
-  // Per-worker shard of the global batch under the *current* membership
-  // (after a shrink the survivors re-partition the data - degraded mode).
-  dnn::Batch batch = data_->ShardBatch(epoch, step, opts_.batch_per_worker,
-                                       rc_->rank(), rc_->size());
-  model_->ZeroGrad();
-  dnn::Tensor logits = model_->Forward(batch.x, /*train=*/true);
-  dnn::SoftmaxCrossEntropy loss;
-  *loss_out = loss.Forward(logits, batch.labels);
-  model_->Backward(loss.Backward());
-  rc_->endpoint().Compute(3.0 * model_->LastForwardFlops());
+  *loss_out = work_->Forward(epoch, step, rc_->rank(), rc_->size());
 
-  // Flatten gradients, resilient allreduce, average over the membership
-  // that actually contributed (forward recovery may shrink it mid-op).
-  auto params = model_->Params();
-  std::vector<float> flat;
-  flat.reserve(model_->ParameterCount());
-  for (dnn::Param* p : params) {
-    flat.insert(flat.end(), p->grad.data(), p->grad.data() + p->grad.size());
-  }
-  std::vector<float> reduced(flat.size());
-  // Split the flat gradient into contiguous fusion buckets and reduce
-  // them in order - blocking, or pipelined through the resilient
-  // in-flight window with one WaitAll before the optimizer step. The
-  // scripted victim dies right before submitting its target bucket,
-  // possibly with earlier buckets still in flight.
-  const int nbuckets = opts_.grad_buckets < 1 ? 1 : opts_.grad_buckets;
+  // Resilient allreduce of each gradient bucket in order - blocking, or
+  // pipelined through the resilient in-flight window with one WaitAll
+  // before the optimizer step. The scripted victim dies right before
+  // submitting its target bucket, possibly with earlier buckets still in
+  // flight; a rank its node-mate's death took down stops there too.
+  const std::vector<Workload::Bucket>& buckets = work_->Buckets();
+  size_t total = 0;
+  for (const Workload::Bucket& b : buckets) total += b.count;
+  std::vector<float> reduced(total);
   const bool pipelined = opts_.inflight_window >= 1;
   if (pipelined) rc_->set_max_inflight(opts_.inflight_window);
   Status st;
-  for (int b = 0; b < nbuckets; ++b) {
-    if (MaybeDie(epoch, step, b)) {
-      rc_->WaitAll();  // flat/reduced are frame-local: drain the workers
-      return Status(Code::kAborted, "scripted failure: self killed");
+  size_t off = 0;
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    work_->Backward(b);
+    if (MaybeDie(epoch, step, static_cast<int>(b)) || !ep.alive()) {
+      rc_->WaitAll();  // `reduced` is frame-local: drain the workers
+      return Status(Code::kAborted, "self killed before its bucket");
     }
-    const size_t begin = flat.size() * static_cast<size_t>(b) / nbuckets;
-    const size_t end = flat.size() * static_cast<size_t>(b + 1) / nbuckets;
-    if (begin == end) continue;
-    st = pipelined ? rc_->IAllreduce(flat.data() + begin,
-                                     reduced.data() + begin, end - begin)
-                   : rc_->Allreduce(flat.data() + begin,
-                                    reduced.data() + begin, end - begin);
+    const Workload::Bucket& bucket = buckets[b];
+    float* out = reduced.data() + off;
+    off += bucket.count;
+    if (bucket.count == 0) continue;
+    st = pipelined ? rc_->IAllreduce(bucket.data, out, bucket.count,
+                                     bucket.cost_scale)
+                   : rc_->Allreduce(bucket.data, out, bucket.count,
+                                    bucket.cost_scale);
     if (!st.ok()) break;
   }
   if (pipelined) {
@@ -109,14 +97,10 @@ Status ElasticTrainer::TrainStep(int epoch, int step, float* loss_out) {
     if (st.ok()) st = drained;
   }
   RCC_RETURN_IF_ERROR(st);
+  // Average over the membership that actually contributed (forward
+  // recovery may shrink it mid-step: the failed worker's contribution is
+  // lost - degraded-mode averaging).
   const float inv = 1.0f / static_cast<float>(rc_->size());
-  size_t off = 0;
-  for (dnn::Param* p : params) {
-    for (size_t i = 0; i < p->grad.size(); ++i) {
-      p->grad[i] = reduced[off + i] * inv;
-    }
-    off += p->grad.size();
-  }
   float lr_scale = 1.0f;
   if (opts_.linear_lr_scaling) {
     // Rescale against the membership that actually contributed this
@@ -127,25 +111,23 @@ Status ElasticTrainer::TrainStep(int epoch, int step, float* loss_out) {
         schedule.LrAt(epoch * opts_.steps_per_epoch + step, rc_->size()) /
         opts_.sgd.lr;
   }
-  opt_->Step(lr_scale);
-  {
-    // Per-step driver metrics (real-numerics trainer). Compute is the
-    // charged FLOP time; comm service comes from the resilient comm's
-    // accumulator, so only this step's GPU collectives count.
-    const double wall = rc_->endpoint().now() - step_start;
-    const double compute =
-        3.0 * model_->LastForwardFlops() /
-        rc_->endpoint().fabric().config().net.gpu_flops;
-    step_metrics_.Record(wall, compute, rc_->TakeCommServiceSeconds(),
-                         rc_->size());
-  }
+  work_->Apply(reduced, inv, lr_scale);
+  // Per-step trainer metrics (paper Figs. 5-7 are built from these): step
+  // wall time and its compute/comm split. Comm service comes from the
+  // resilient comm's accumulator, so only this step's GPU collectives
+  // count.
+  step_metrics_.Record(ep.now() - step_start, work_->ComputeSeconds(),
+                       rc_->TakeCommServiceSeconds(), rc_->size());
+  ep.log()->Record(obs::flight::Ev::kCounter, ep.now(), 0, 0,
+                   static_cast<double>(rc_->size()), world_size_name_);
   return Status::Ok();
 }
 
-Status ElasticTrainer::DeltaSync(ResilientComm* rc, dnn::Model* model,
-                                 dnn::Sgd* opt,
+Status ElasticTrainer::DeltaSync(ResilientComm* rc, Workload* work,
                                  checkpoint::TrainingCursor* cursor,
                                  bool receiver, uint64_t gstep_position) {
+  obs::Span scope(rc->recorder(), rc->endpoint(),
+                  std::string("recovery/") + horovod::phase::kDeltaSync);
   // Agree on the catch-up distance first: every member contributes its
   // ABSOLUTE global-step position (survivors their current step, joiners
   // their staged snapshot's step) and the distance is the spread. The
@@ -165,20 +147,53 @@ Status ElasticTrainer::DeltaSync(ResilientComm* rc, dnn::Model* model,
   obs::Registry::Global()
       .GetHistogram("rcc_delta_sync_steps_behind")
       ->Observe(static_cast<double>(hi - lo));
-  const double scale =
+  const double fraction =
       std::min(1.0, ExpandDeltaFrac() * static_cast<double>(behind));
   std::vector<uint8_t> blob;
-  if (rc->rank() == 0) {
-    blob = checkpoint::Capture(*model, *opt, *cursor).blob;
-  }
-  RCC_RETURN_IF_ERROR(rc->BcastBlob(&blob, /*root=*/0, scale));
+  if (rc->rank() == 0) blob = work->Capture(*cursor);
+  RCC_RETURN_IF_ERROR(
+      rc->BcastBlob(&blob, /*root=*/0, work->SyncCostScale(fraction)));
   if (receiver && rc->rank() != 0) {
-    checkpoint::Snapshot snap;
-    snap.blob = std::move(blob);
-    RCC_RETURN_IF_ERROR(checkpoint::Restore(snap, model, opt, cursor));
+    RCC_RETURN_IF_ERROR(work->Restore(blob, fraction, cursor));
   }
   obs::Registry::Global().GetCounter("rcc_delta_sync_total")->Increment();
   return Status::Ok();
+}
+
+ElasticTrainer::Admission ElasticTrainer::Join(
+    sim::Endpoint& ep, Workload* work, const TrainerOptions& opts,
+    kv::Store* store, const std::string& session, int joiners, bool async,
+    trace::Recorder* rec, const std::function<bool()>& provision) {
+  Admission adm;
+  // Announcing first lets the members' rendezvous window know the
+  // candidate exists before its bring-up finishes.
+  if (async && !ulfm::AnnounceJoiner(ep, session).ok()) return adm;
+  if (provision && !provision()) return adm;
+  if (async) {
+    // Stage the published snapshot while the members train, park for
+    // the splice, then catch up from the staged snapshot's position
+    // (NOT zero: the agreed spread against the members' positions
+    // prices the delta).
+    adm.rc = ResilientComm::JoinAsync(
+        ep, store, session, opts.drop_policy, rec,
+        [&](const std::vector<uint8_t>& blob) {
+          return work->Restore(blob, /*fraction=*/1.0, &adm.cursor);
+        });
+    if (adm.rc != nullptr) {
+      adm.synced = DeltaSync(
+          adm.rc.get(), work, &adm.cursor, /*receiver=*/true,
+          static_cast<uint64_t>(adm.cursor.epoch) * opts.steps_per_epoch +
+              adm.cursor.step);
+    }
+  } else {
+    adm.rc = ResilientComm::JoinExisting(ep, session, joiners,
+                                         opts.drop_policy, rec);
+    if (adm.rc != nullptr) {
+      adm.synced = SyncState(adm.rc.get(), work, &adm.cursor,
+                             /*receiver=*/true);
+    }
+  }
+  return adm;
 }
 
 bool ElasticTrainer::PollAdmission(bool finalize, int epoch, int step,
@@ -204,7 +219,7 @@ bool ElasticTrainer::PollAdmission(bool finalize, int epoch, int step,
       static_cast<int64_t>(epoch) * opts_.steps_per_epoch + step;
   *admit_begin_gstep = -1;
   checkpoint::TrainingCursor cursor{epoch, step, 0};
-  Status ds = DeltaSync(rc_, model_, opt_, &cursor, /*receiver=*/false,
+  Status ds = DeltaSync(rc_, work_, &cursor, /*receiver=*/false,
                         static_cast<uint64_t>(gstep));
   return ds.ok();
 }
@@ -252,7 +267,7 @@ policy::PolicyInputs ElasticTrainer::ComposeInputs(policy::EventKind ev,
   in.mtbf_seconds = policy_.estimator().Estimate();
   in.failures_observed = reg.CounterValue("rcc_failures_observed_total");
   in.snapshot_bytes =
-      policy_snap_valid_ ? static_cast<double>(policy_snap_.blob.size()) : 0;
+      policy_snap_valid_ ? static_cast<double>(policy_snap_.size()) : 0;
   // Staging = snapshot transfer plus the fixed admission critical path
   // a splice pays regardless of bytes: the store announce/fetch round
   // trips and the expanded communicator's NCCL-style rebuild (base +
@@ -358,7 +373,7 @@ bool ElasticTrainer::PolicyTick(int* epoch, int* step, TrainerReport* report,
       // the rolled-back steps are re-executed (P1 accounts them via
       // rollback_steps).
       checkpoint::TrainingCursor cur;
-      Status st = checkpoint::Restore(policy_snap_, model_, opt_, &cur);
+      Status st = work_->Restore(policy_snap_, /*fraction=*/0.0, &cur);
       if (!st.ok()) return false;
       report->rollback_steps +=
           static_cast<int>(gstep - policy_snap_gstep_);
@@ -385,7 +400,7 @@ bool ElasticTrainer::PolicyTick(int* epoch, int* step, TrainerReport* report,
       }
       if (!st.ok()) return false;
       checkpoint::TrainingCursor cursor{*epoch, *step, 0};
-      st = SyncState(rc_, model_, opt_, &cursor, /*receiver=*/false);
+      st = SyncState(rc_, work_, &cursor, /*receiver=*/false);
       if (!st.ok()) return false;
       policy_snap_valid_ = false;
       break;
@@ -404,11 +419,11 @@ bool ElasticTrainer::PolicyTick(int* epoch, int* step, TrainerReport* report,
       std::vector<uint8_t> snapshot;
       if (rc_->rank() == 0) {
         checkpoint::TrainingCursor cursor{*epoch, *step, 0};
-        snapshot = checkpoint::Capture(*model_, *opt_, cursor).blob;
+        snapshot = work_->Capture(cursor);
       }
-      Status st = rc_->ExpandAsyncBegin(
-          opts_.policy_store, session, 1, snapshot,
-          static_cast<double>(snapshot.size()));
+      Status st =
+          rc_->ExpandAsyncBegin(opts_.policy_store, session, 1, snapshot,
+                                work_->StateBytes(snapshot));
       if (!st.ok()) return false;
       *admit_begin_gstep = gstep;
       break;
@@ -446,8 +461,10 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
   int step = start.step;
   bool first = true;
   int64_t admit_begin_gstep = -1;  // global step the pending expand opened
+  int known_repairs = rc_->repairs();
   if (policy_active()) policy_last_world_ = rc_->size();
   while (epoch < opts_.epochs) {
+    work_->EpochBegin(epoch, rc_->rank());
     // Epoch-boundary reconfiguration. The only boundaries that skip a
     // scheduled join are epoch 0 (the founding world already contains
     // every initial member) and the epoch this worker itself was just
@@ -494,12 +511,11 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
         std::vector<uint8_t> snapshot;
         if (rc_->rank() == 0) {
           checkpoint::TrainingCursor cursor{epoch, step, 0};
-          snapshot = checkpoint::Capture(*model_, *opt_, cursor).blob;
+          snapshot = work_->Capture(cursor);
         }
-        Status st = rc_->ExpandAsyncBegin(
-            join_store, "trainer-epoch" + std::to_string(epoch),
-            join_it->second, snapshot,
-            static_cast<double>(snapshot.size()));
+        Status st = rc_->ExpandAsyncBegin(join_store, JoinSession(epoch),
+                                          join_it->second, snapshot,
+                                          work_->StateBytes(snapshot));
         if (!st.ok()) {
           report.aborted = true;
           return report;
@@ -507,8 +523,7 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
         admit_begin_gstep =
             static_cast<int64_t>(epoch) * opts_.steps_per_epoch + step;
       } else {
-        Status st = rc_->Expand("trainer-epoch" + std::to_string(epoch),
-                                join_it->second);
+        Status st = rc_->Expand(JoinSession(epoch), join_it->second);
         if (st.code() == Code::kTimeout) {
           // The provisioned joiners never arrived: the expand was
           // abandoned at the deadline; keep training on the unchanged
@@ -520,7 +535,7 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
           return report;
         } else {
           checkpoint::TrainingCursor cursor{epoch, step, 0};
-          st = SyncState(rc_, model_, opt_, &cursor, /*receiver=*/false);
+          st = SyncState(rc_, work_, &cursor, /*receiver=*/false);
           if (!st.ok()) {
             report.aborted = true;
             return report;
@@ -534,7 +549,7 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
       // so a later restore decision is a local rewind on each rank.
       checkpoint::TrainingCursor snap_cur{
           epoch, 0, epoch * opts_.steps_per_epoch};
-      policy_snap_ = checkpoint::Capture(*model_, *opt_, snap_cur);
+      policy_snap_ = work_->Capture(snap_cur);
       policy_snap_gstep_ =
           static_cast<int64_t>(epoch) * opts_.steps_per_epoch;
       policy_snap_valid_ = true;
@@ -549,6 +564,10 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
       if (!st.ok()) {
         report.aborted = true;
         return report;
+      }
+      if (rc_->repairs() != known_repairs) {
+        known_repairs = rc_->repairs();
+        work_->Repaired(rc_->rank());
       }
       if (policy_active()) {
         // Measured per-step wall (virtual time) feeding the cost
@@ -592,6 +611,7 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
         }
       }
     }
+    work_->EpochEnd();
     step = 0;
     ++epoch;
   }
@@ -620,7 +640,7 @@ TrainerReport ElasticTrainer::Run(checkpoint::TrainingCursor start,
   report.final_world = rc_->size();
   report.repairs = rc_->repairs();
   report.decisions = policy_.log();
-  model_->CopyParamsTo(&report.final_params);
+  work_->CopyParams(&report.final_params);
   return report;
 }
 

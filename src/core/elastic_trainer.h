@@ -1,24 +1,26 @@
-// Real-model elastic data-parallel trainer over the resilient
-// collectives: the full paper pipeline with actual numerics - forward/
-// backward on a dnn::Model, gradient allreduce through ResilientComm,
-// forward recovery on failures, epoch-boundary admission of new workers
-// with model+optimizer state sync.
+// Elastic data-parallel trainer over the resilient collectives: the
+// paper's training loop. Each step reduces the workload's gradient
+// buckets through ResilientComm (blocking, or pipelined through the
+// resilient in-flight window), a failure is repaired in place and only
+// the failed collective re-executes (forward recovery), joiners are
+// admitted at epoch boundaries - blocking Expand + SyncState, or the
+// asynchronous expand spliced at a later step boundary + DeltaSync - and
+// an optional policy tick picks the recovery strategy online.
 //
-// Used by tests (SPMD consistency, loss-decrease and recovery-
-// correctness invariants) and by the examples; the figure benches use
-// the declared-size synthetic runner instead (core/ulfm_elastic.h).
+// The one loop runs both workloads (core/workload.h): real numerics for
+// the tests, the examples and the chaos oracles, and declared-size
+// buckets for the figure benches (core/ulfm_elastic.h launches those).
 #pragma once
 
-#include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "core/resilient.h"
-#include "dnn/data.h"
-#include "dnn/model.h"
-#include "dnn/optimizer.h"
+#include "core/workload.h"
 #include "horovod/plan.h"
 #include "obs/metrics.h"
 #include "policy/policy.h"
@@ -36,8 +38,8 @@ struct TrainerOptions {
   // paper cites for scale changes.
   bool linear_lr_scaling = false;
   int lr_warmup_steps = 0;
-  // Gradient fusion: the flat gradient is split into this many contiguous
-  // buckets, each reduced by its own resilient allreduce.
+  // Gradient fusion (DnnWorkload): the flat gradient is split into this
+  // many contiguous buckets, each reduced by its own resilient allreduce.
   int grad_buckets = 1;
   // 0 = blocking allreduce per bucket. >= 1: buckets are submitted into
   // the resilient in-flight window (rc->IAllreduce) and drained by a
@@ -95,9 +97,8 @@ class ElasticTrainer {
  public:
   // `failure_flags` must outlive the trainer and be shared by every
   // worker of the run (marks scripted failures as consumed).
-  ElasticTrainer(ResilientComm* rc, dnn::Model* model, dnn::Sgd* opt,
-                 const dnn::ClusterDataset* data, TrainerOptions opts,
-                 std::vector<std::atomic<bool>>* failure_flags);
+  ElasticTrainer(ResilientComm* rc, Workload* work, TrainerOptions opts,
+                 std::vector<bool>* failure_flags);
 
   // Trains from `start`; returns the per-worker report. A worker that
   // was admitted into epoch `joined_at_epoch` passes it so the join
@@ -106,11 +107,13 @@ class ElasticTrainer {
   TrainerReport Run(checkpoint::TrainingCursor start = {},
                     int joined_at_epoch = -1);
 
-  // Collective state sync: rank 0 broadcasts (model, optimizer, cursor);
-  // `receiver` restores it. Every member of rc must call this.
-  static Status SyncState(ResilientComm* rc, dnn::Model* model,
-                          dnn::Sgd* opt, checkpoint::TrainingCursor* cursor,
-                          bool receiver);
+  // Session name of the admission scheduled at `epoch`.
+  static std::string JoinSession(int epoch);
+
+  // Collective state sync: rank 0 broadcasts the workload state and
+  // cursor; `receiver` restores it. Every member of rc must call this.
+  static Status SyncState(ResilientComm* rc, Workload* work,
+                          checkpoint::TrainingCursor* cursor, bool receiver);
 
   // Post-splice catch-up sync: every member contributes its absolute
   // global-step position (survivors the current step, joiners their
@@ -119,9 +122,26 @@ class ElasticTrainer {
   // state priced at min(1, RCC_EXPAND_DELTA_FRAC * behind) of the full
   // snapshot — the joiner already staged a recent version, only the
   // delta travels. Every member of rc must call this.
-  static Status DeltaSync(ResilientComm* rc, dnn::Model* model,
-                          dnn::Sgd* opt, checkpoint::TrainingCursor* cursor,
-                          bool receiver, uint64_t gstep_position);
+  static Status DeltaSync(ResilientComm* rc, Workload* work,
+                          checkpoint::TrainingCursor* cursor, bool receiver,
+                          uint64_t gstep_position);
+
+  // A joiner's admission into a running job.
+  struct Admission {
+    std::unique_ptr<ResilientComm> rc;  // null: died, excluded, no members
+    Status synced;                      // the state sync after the join
+    checkpoint::TrainingCursor cursor;  // where the members are
+  };
+  // Joiner side of the admission into `session`: announces itself (async
+  // path), runs `provision` (the joiner's own bring-up; false gives up),
+  // then joins through JoinAsync + DeltaSync (staging from `store`) or
+  // JoinExisting (`joiners` admitted together) + SyncState, restoring
+  // the members' state into `work`.
+  static Admission Join(sim::Endpoint& ep, Workload* work,
+                        const TrainerOptions& opts, kv::Store* store,
+                        const std::string& session, int joiners, bool async,
+                        trace::Recorder* rec,
+                        const std::function<bool()>& provision = nullptr);
 
  private:
   bool MaybeDie(int epoch, int step, int bucket);
@@ -159,22 +179,21 @@ class ElasticTrainer {
                                      int64_t gstep);
 
   ResilientComm* rc_;
-  dnn::Model* model_;
-  dnn::Sgd* opt_;
-  const dnn::ClusterDataset* data_;
+  Workload* work_;
   TrainerOptions opts_;
-  std::vector<std::atomic<bool>>* failure_flags_;
+  std::vector<bool>* failure_flags_;
   int base_workers_;
 
   policy::PolicyController policy_;
-  checkpoint::Snapshot policy_snap_;   // last epoch-boundary snapshot
+  std::vector<uint8_t> policy_snap_;   // last epoch-boundary snapshot
   int64_t policy_snap_gstep_ = -1;
   bool policy_snap_valid_ = false;     // every member holds the snapshot
   int policy_last_world_ = 0;          // membership at the previous tick
   int policy_slots_used_ = 0;          // replacement slots consumed
   double policy_step_ewma_ = 0.0;      // measured per-step wall (virtual)
-  obs::StepMetrics step_metrics_{"elastic_trainer"};
+  obs::StepMetrics step_metrics_;
   const uint32_t decide_name_ = obs::flight::Intern("policy/decide");
+  const uint32_t world_size_name_ = obs::flight::Intern("world_size");
 };
 
 }  // namespace rcc::core

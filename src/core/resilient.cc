@@ -95,7 +95,9 @@ bool ResilientComm::ShouldLeaveNode() const {
   if (policy_ != horovod::DropPolicy::kNode) return false;
   sim::Fabric& fabric = ep_.fabric();
   for (int pid : comm_->pids()) {
-    if (!fabric.IsAlive(pid) && fabric.NodeOf(pid) == ep_.node()) {
+    // A graceful leave is not a node failure.
+    if (!fabric.IsAlive(pid) && !fabric.Left(pid) &&
+        fabric.NodeOf(pid) == ep_.node()) {
       return true;
     }
   }

@@ -77,6 +77,7 @@ class ResilientComm {
   const std::vector<int>& pids() const { return comm_->pids(); }
   mpi::Comm& host() { return *comm_; }
   sim::Endpoint& endpoint() { return ep_; }
+  trace::Recorder* recorder() const { return rec_; }
   int repairs() const { return repairs_; }
 
   // Resilient allreduce (sum) over the GPU communicator. Re-executes on
@@ -247,7 +248,7 @@ class ResilientComm {
   // `init_cost_scale` is forwarded to nccl::Comm::InitRank (0 when the
   // merged transports were pre-established during async staging).
   Status InitGpu(const char* phase_prefix, double init_cost_scale = 1.0);
-  bool ShouldLeaveNode() const;  // node-drop policy: my node lost a member
+  bool ShouldLeaveNode() const;  // node-drop policy: a node-mate failed
 
   // --- windowed-recovery machinery ---
   void SubmitOp(WindowOp* op);

@@ -68,7 +68,7 @@ struct SyntheticPlan {
   int epochs = 2;
   size_t fusion_bytes = 64u << 20;  // Horovod default fusion threshold
   size_t max_physical_floats = 2048;
-  bool response_cache = true;       // skip per-op negotiation when cached
+  bool response_cache = true;       // EH: skip per-op negotiation if cached
   // Rest-of-epoch padding: the simulated steps cover the mini-batches
   // around the scripted events; the remaining `padded_steps_per_epoch`
   // mini-batches of an ImageNet-scale epoch are charged analytically at

@@ -66,6 +66,17 @@ void Fabric::KillNode(int node) {
   }
 }
 
+void Fabric::Leave(int pid) {
+  if (!IsAlive(pid)) return;
+  procs_[pid].left = true;
+  Kill(pid);
+}
+
+bool Fabric::Left(int pid) const {
+  return pid >= 0 && pid < static_cast<int>(procs_.size()) &&
+         procs_[pid].left;
+}
+
 bool Fabric::IsAlive(int pid) const {
   if (pid < 0 || pid >= static_cast<int>(procs_.size())) return false;
   return procs_[pid].alive;

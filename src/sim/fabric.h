@@ -12,7 +12,9 @@
 // Failure semantics:
 //  * Kill(pid) / KillNode(node) mark processes dead and wake all blocked
 //    receivers (including fibers parked in timeout waits, whose
-//    predicates may now never be satisfied).
+//    predicates may now never be satisfied). Leave(pid) is a Kill the
+//    process chose: peers observe the same failure, but Left(pid) tells
+//    a voluntary departure from a crash.
 //  * A receive whose awaited partner is dead returns kProcFailed after
 //    charging the failure-detection latency (ULFM-style per-operation
 //    error).
@@ -98,7 +100,9 @@ class Fabric {
 
   void Kill(int pid);
   void KillNode(int node);
+  void Leave(int pid);
   bool IsAlive(int pid) const;
+  bool Left(int pid) const;
   int NodeOf(int pid) const;
 
   // Membership queries are O(answer), not O(world): the alive/dead pid
@@ -142,6 +146,7 @@ class Fabric {
   struct Proc {
     int node = 0;
     bool alive = true;
+    bool left = false;  // departed through Leave
     std::unique_ptr<Mailbox> mbox;
   };
 

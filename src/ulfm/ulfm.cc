@@ -134,13 +134,14 @@ void Revoke(mpi::Comm& comm) {
 
 void LeaveGracefully(sim::Endpoint& ep, mpi::Comm& comm) {
   if (!ep.alive()) return;
-  // Revoke-then-die: the revoke wakes peers parked in collectives so
+  // Revoke-then-leave: the revoke wakes peers parked in collectives so
   // they observe the departure at the next blocking point instead of a
-  // transport timeout; the fabric kill makes the departure a normal
-  // acked failure for the subsequent agree/shrink.
+  // transport timeout; the fabric leave makes the departure a normal
+  // acked failure for the subsequent agree/shrink, marked voluntary so
+  // the node-drop policy does not evict the leaver's node-mates.
   Revoke(comm);
   ep.log()->Record(obs::flight::Ev::kLeave, ep.now());
-  ep.fabric().Kill(ep.pid());
+  ep.fabric().Leave(ep.pid());
 }
 
 Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {

@@ -345,6 +345,27 @@ TEST(ChaosSmoke, ServingCampaignsViolateNoOracle) {
   EXPECT_GE(standby_campaigns, 1);
 }
 
+TEST(ChaosSmoke, GracefulLeaveIsNotANodeFailure) {
+  // Pinned serving seed 6023: world 3 on one 3-GPU node, node-drop
+  // policy, no kills. The autoscaler's voluntary scale-down leaves
+  // through ulfm::LeaveGracefully; the leaver's node-mates must keep
+  // serving instead of dropping out as if their node had failed.
+  GenConfig cfg;
+  cfg.allow_serving = true;
+  Schedule s = GenerateSchedule(6023, cfg);
+  ASSERT_TRUE(s.shape.serving);
+  ASSERT_EQ(s.shape.policy, horovod::DropPolicy::kNode);
+  ASSERT_EQ(s.EventCount(), 0);
+  CampaignOutcome outcome = RunSchedule(s);
+  auto violations = CheckOracles(s, outcome);
+  EXPECT_TRUE(violations.empty()) << FormatViolations(violations);
+  int finishers = 0;
+  for (const WorkerResult& r : outcome.results) {
+    if (!r.report.aborted) ++finishers;
+  }
+  EXPECT_EQ(finishers, static_cast<int>(outcome.results.size()));
+}
+
 TEST(ChaosSmoke, ServingDrawsAreGatedAndSchedulesRoundTrip) {
   // Old seeds keep generating byte-identical schedules with the serving
   // draws off (the default): pre-serving reproducers stay valid, and

@@ -373,9 +373,14 @@ TEST(UlfmElastic, RecoveryIsCheaperThanElasticHorovod) {
 struct WorkerRig {
   dnn::Model model;
   std::unique_ptr<dnn::Sgd> opt;
-  explicit WorkerRig(const TrainerOptions& opts)
+  std::unique_ptr<DnnWorkload> work;
+  WorkerRig(sim::Endpoint& ep, const TrainerOptions& opts,
+            const dnn::ClusterDataset* data)
       : model(dnn::BuildMlp(8, {16}, 3, /*seed=*/99)) {
     opt = std::make_unique<dnn::Sgd>(model.Params(), opts.sgd);
+    work = std::make_unique<DnnWorkload>(ep, &model, opt.get(), data,
+                                         opts.batch_per_worker,
+                                         opts.grad_buckets);
   }
 };
 
@@ -385,15 +390,14 @@ TEST(ElasticTrainer, SpmdRanksStayBitwiseIdentical) {
   TrainerOptions opts;
   opts.epochs = 2;
   opts.steps_per_epoch = 6;
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2, 3};
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -419,16 +423,14 @@ TEST(ElasticTrainer, ForwardRecoveryNeverReExecutesSteps) {
   opts.steps_per_epoch = 6;
   opts.failures.push_back({/*epoch=*/0, /*step=*/3, 0, /*victim_rank=*/2,
                            sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2, 3};
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -466,15 +468,13 @@ TEST(ElasticTrainer, NodePolicyEvictsVictimsPeers) {
   opts.steps_per_epoch = 6;
   opts.drop_policy = horovod::DropPolicy::kNode;
   opts.failures.push_back({0, 2, 0, 1, sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::atomic<int> survivors{0}, aborted{0};
   std::vector<int> pids{0, 1, 2, 3};
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     if (report.aborted) {
       aborted++;
@@ -488,6 +488,47 @@ TEST(ElasticTrainer, NodePolicyEvictsVictimsPeers) {
   EXPECT_EQ(aborted.load(), 2);  // the victim and its node peer
 }
 
+// A graceful leave is not a node failure: under the node-drop policy
+// the leaver's node-mate keeps training, and only the leaver is shrunk
+// out.
+TEST(ElasticTrainer, GracefulLeaveKeepsNodeMatesUnderNodePolicy) {
+  sim::SimConfig cfg;
+  cfg.gpus_per_node = 2;
+  sim::Cluster cluster(cfg);
+  dnn::ClusterDataset data(8, 3, 512, 7);
+  TrainerOptions opts;
+  opts.epochs = 2;
+  opts.steps_per_epoch = 4;
+  opts.drop_policy = horovod::DropPolicy::kNode;
+  std::vector<bool> flags;
+  const int leaver = 3;  // shares node 1 with pid 2
+  std::vector<TrainerReport> reports;
+  std::vector<int> pids{0, 1, 2, 3};
+  cluster.Spawn(4, [&](sim::Endpoint& ep) {
+    WorkerRig rig(ep, opts, &data);
+    ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
+    if (ep.pid() == leaver) {
+      TrainerOptions mine = opts;
+      mine.epochs = 1;
+      ElasticTrainer trainer(&rc, rig.work.get(), mine, &flags);
+      EXPECT_FALSE(trainer.Run().aborted);
+      ulfm::LeaveGracefully(ep, rc.host());
+      EXPECT_TRUE(ep.fabric().Left(ep.pid()));
+      return;
+    }
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
+    reports.push_back(trainer.Run());
+  });
+  cluster.Join();
+  ASSERT_EQ(reports.size(), 3u);
+  for (const auto& r : reports) {
+    EXPECT_FALSE(r.aborted);
+    EXPECT_EQ(r.steps_run, opts.epochs * opts.steps_per_epoch);
+    EXPECT_EQ(r.final_world, 3);
+    EXPECT_EQ(r.repairs, 1);
+  }
+}
+
 TEST(ElasticTrainer, JoinerReceivesStateAndConverges) {
   sim::Cluster cluster;
   dnn::ClusterDataset data(8, 3, 512, 7);
@@ -495,33 +536,30 @@ TEST(ElasticTrainer, JoinerReceivesStateAndConverges) {
   opts.epochs = 2;
   opts.steps_per_epoch = 5;
   opts.joins[1] = 1;  // one joiner merges at epoch 1
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2};
   cluster.Spawn(3, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
   });
   cluster.SpawnOnFreshNodes(1, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
-    auto rc = ResilientComm::JoinExisting(ep, "trainer-epoch1", 1,
-                                          opts.drop_policy, nullptr);
-    ASSERT_NE(rc, nullptr);
-    checkpoint::TrainingCursor cursor;
-    ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), &rig.model,
-                                          rig.opt.get(), &cursor,
-                                          /*receiver=*/true)
-                    .ok());
-    EXPECT_EQ(cursor.epoch, 1);
-    ElasticTrainer trainer(rc.get(), &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
-    auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
+    WorkerRig rig(ep, opts, &data);
+    ElasticTrainer::Admission adm = ElasticTrainer::Join(
+        ep, rig.work.get(), opts, /*store=*/nullptr,
+        ElasticTrainer::JoinSession(1), /*joiners=*/1, /*async=*/false,
+        nullptr);
+    ASSERT_NE(adm.rc, nullptr);
+    ASSERT_TRUE(adm.synced.ok());
+    EXPECT_EQ(adm.cursor.epoch, 1);
+    ElasticTrainer trainer(adm.rc.get(), rig.work.get(), opts, &flags);
+    auto report =
+        trainer.Run(adm.cursor, /*joined_at_epoch=*/adm.cursor.epoch);
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
   }, 0.0);
@@ -555,16 +593,14 @@ TEST(ElasticTrainer, LinearLrScalingTracksWorkerCount) {
   opts.linear_lr_scaling = true;
   opts.lr_warmup_steps = 4;
   opts.failures.push_back({0, 3, 0, 1, sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2, 3};
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -598,15 +634,14 @@ TEST(ElasticTrainer, ResumeIntoJoinEpochStillExpands) {
   opts.epochs = 2;
   opts.steps_per_epoch = 5;
   opts.joins[1] = 1;
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2};
   cluster.Spawn(3, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     // Plain resume (joined_at_epoch = -1) landing on the join epoch.
     checkpoint::TrainingCursor resume;
     resume.epoch = 1;
@@ -616,17 +651,15 @@ TEST(ElasticTrainer, ResumeIntoJoinEpochStillExpands) {
     reports.push_back(std::move(report));
   });
   cluster.SpawnOnFreshNodes(1, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     auto rc = ResilientComm::JoinExisting(ep, "trainer-epoch1", 1,
                                           opts.drop_policy, nullptr);
     ASSERT_NE(rc, nullptr);
     checkpoint::TrainingCursor cursor;
-    ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), &rig.model,
-                                          rig.opt.get(), &cursor,
+    ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), rig.work.get(), &cursor,
                                           /*receiver=*/true)
                     .ok());
-    ElasticTrainer trainer(rc.get(), &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(rc.get(), rig.work.get(), opts, &flags);
     auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -662,41 +695,30 @@ TEST(ElasticTrainer, AsyncAdmissionJoinerConvergesIdentically) {
   opts.joins[1] = 1;
   opts.async_admission = true;
   opts.admission_store = &store;
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::mutex mu;
   std::vector<TrainerReport> reports;
   std::vector<int> pids{0, 1, 2};
   cluster.Spawn(3, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
+    WorkerRig rig(ep, opts, &data);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
+    ElasticTrainer trainer(&rc, rig.work.get(), opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
   });
   cluster.SpawnOnFreshNodes(1, [&](sim::Endpoint& ep) {
-    WorkerRig rig(opts);
-    checkpoint::TrainingCursor cursor;
-    auto rc = ResilientComm::JoinAsync(
-        ep, &store, "trainer-epoch1", opts.drop_policy, nullptr,
-        [&](const std::vector<uint8_t>& blob) -> Status {
-          checkpoint::Snapshot snap;
-          snap.blob = blob;
-          return checkpoint::Restore(snap, &rig.model, rig.opt.get(),
-                                     &cursor);
-        });
-    ASSERT_NE(rc, nullptr);
-    ASSERT_TRUE(ElasticTrainer::DeltaSync(
-                    rc.get(), &rig.model, rig.opt.get(), &cursor,
-                    /*receiver=*/true,
-                    /*gstep_position=*/static_cast<uint64_t>(cursor.epoch) *
-                            opts.steps_per_epoch +
-                        cursor.step)
-                    .ok());
-    ElasticTrainer trainer(rc.get(), &rig.model, rig.opt.get(), &data, opts,
-                           &flags);
-    auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
+    WorkerRig rig(ep, opts, &data);
+    // Announce, stage the published snapshot, park for the splice, then
+    // catch up through the delta sync.
+    ElasticTrainer::Admission adm = ElasticTrainer::Join(
+        ep, rig.work.get(), opts, &store, ElasticTrainer::JoinSession(1),
+        /*joiners=*/1, /*async=*/true, nullptr);
+    ASSERT_NE(adm.rc, nullptr);
+    ASSERT_TRUE(adm.synced.ok());
+    ElasticTrainer trainer(adm.rc.get(), rig.work.get(), opts, &flags);
+    auto report =
+        trainer.Run(adm.cursor, /*joined_at_epoch=*/adm.cursor.epoch);
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
   }, 0.0);

@@ -73,14 +73,16 @@ TEST(ExpandTimeout, TrainerContinuesDegradedWhenJoinerNeverArrives) {
   opts.epochs = 2;
   opts.steps_per_epoch = 4;
   opts.joins[1] = 1;  // provisioned but never spawned
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::atomic<int> done{0};
   std::vector<int> pids{0, 1, 2};
   cluster.Spawn(3, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {16}, 3, /*seed=*/99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     EXPECT_FALSE(report.aborted);
     EXPECT_EQ(report.steps_run, 8);  // every planned step still ran

@@ -339,16 +339,17 @@ TEST(PostmortemEndToEnd, PolicyDecisionLineMatchesFlightEvent) {
   opts.steps_per_epoch = 3;
   opts.policy_mode = policy::Mode::kAdaptive;
   opts.failures.push_back({0, 1, 0, 1, sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::vector<int> pids{0, 1, 2};
   std::mutex mu;
   std::vector<core::TrainerReport> reports;
   cluster.Spawn(kWorld, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                           opts.grad_buckets);
     core::ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    core::ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    core::ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));

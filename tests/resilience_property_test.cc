@@ -48,8 +48,7 @@ std::vector<TrainerReport> RunSweep(const Sweep& sweep) {
   opts.failures.push_back({sweep.fail_epoch, sweep.fail_step,
                            sweep.fail_bucket, sweep.victim,
                            sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::vector<int> pids(sweep.world);
   std::iota(pids.begin(), pids.end(), 0);
   std::mutex mu;
@@ -57,8 +56,10 @@ std::vector<TrainerReport> RunSweep(const Sweep& sweep) {
   cluster.Spawn(sweep.world, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, /*seed=*/99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -218,16 +219,17 @@ TEST(MultiFailure, TwoSequentialFailuresStillConsistent) {
                            sim::FailScope::kProcess});
   opts.failures.push_back({1, 1, 0, /*victim_rank=*/1,
                            sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(2);
-  flags[0] = flags[1] = false;
+  std::vector<bool> flags(2);
   std::vector<int> pids{0, 1, 2, 3, 4, 5};
   std::mutex mu;
   std::vector<TrainerReport> reports;
   cluster.Spawn(6, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -261,15 +263,17 @@ TEST(JoinerParity, JoinerEndsBitIdenticalToFounders) {
   opts.steps_per_epoch = 3;
   opts.joins[1] = 1;
   opts.joins[2] = 1;
-  std::vector<std::atomic<bool>> flags(0);
+  std::vector<bool> flags;
   std::vector<int> pids{0, 1};
   std::mutex mu;
   std::vector<TrainerReport> reports;
   cluster.Spawn(2, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -278,16 +282,17 @@ TEST(JoinerParity, JoinerEndsBitIdenticalToFounders) {
     cluster.SpawnOnFreshNodes(1, [&, join_epoch](sim::Endpoint& ep) {
       dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
       dnn::Sgd opt(model.Params(), opts.sgd);
+      DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                       opts.grad_buckets);
       auto rc = ResilientComm::JoinExisting(
           ep, "trainer-epoch" + std::to_string(join_epoch), 1,
           opts.drop_policy, nullptr);
       ASSERT_NE(rc, nullptr);
       checkpoint::TrainingCursor cursor;
-      ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), &model, &opt, &cursor,
-                                            true)
+      ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), &work, &cursor, true)
                       .ok());
       EXPECT_EQ(cursor.epoch, join_epoch);
-      ElasticTrainer trainer(rc.get(), &model, &opt, &data, opts, &flags);
+      ElasticTrainer trainer(rc.get(), &work, opts, &flags);
       auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
       std::lock_guard<std::mutex> lock(mu);
       reports.push_back(std::move(report));
@@ -320,16 +325,17 @@ TEST(FailurePlusJoin, ReplacementKeepsTrainingEquivalent) {
   opts.steps_per_epoch = 4;
   opts.failures.push_back({0, 1, 0, 2, sim::FailScope::kProcess});
   opts.joins[1] = 1;
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   std::vector<int> pids{0, 1, 2, 3};
   std::mutex mu;
   std::vector<TrainerReport> reports;
   cluster.Spawn(4, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -337,14 +343,16 @@ TEST(FailurePlusJoin, ReplacementKeepsTrainingEquivalent) {
   cluster.SpawnOnFreshNodes(1, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     auto rc = ResilientComm::JoinExisting(ep, "trainer-epoch1", 1,
                                           opts.drop_policy, nullptr);
     ASSERT_NE(rc, nullptr);
     checkpoint::TrainingCursor cursor;
     ASSERT_TRUE(
-        ElasticTrainer::SyncState(rc.get(), &model, &opt, &cursor, true)
+        ElasticTrainer::SyncState(rc.get(), &work, &cursor, true)
             .ok());
-    ElasticTrainer trainer(rc.get(), &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(rc.get(), &work, opts, &flags);
     auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
@@ -372,8 +380,7 @@ TEST(VoluntaryShrink, GracefulLeaveThenFailureStillConsistent) {
   // Failure-driven shrink well after the voluntary one: rank 2 dies at
   // (2, 1) while the leaver departs at the end of epoch 0.
   opts.failures.push_back({2, 1, 0, 2, sim::FailScope::kProcess});
-  std::vector<std::atomic<bool>> flags(1);
-  flags[0] = false;
+  std::vector<bool> flags(1);
   const int world = 5;
   const int leaver = world - 1;  // highest rank, like the serving plane
   std::vector<int> pids(world);
@@ -384,20 +391,22 @@ TEST(VoluntaryShrink, GracefulLeaveThenFailureStillConsistent) {
   cluster.Spawn(world, [&](sim::Endpoint& ep) {
     dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
     dnn::Sgd opt(model.Params(), opts.sgd);
+    DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                     opts.grad_buckets);
     ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
     if (ep.pid() == leaver) {
       // Train one epoch in lockstep, then revoke-and-depart; the
       // survivors observe the leave at their next blocking collective.
       TrainerOptions mine = opts;
       mine.epochs = 1;
-      ElasticTrainer trainer(&rc, &model, &opt, &data, mine, &flags);
+      ElasticTrainer trainer(&rc, &work, mine, &flags);
       auto report = trainer.Run();
       ulfm::LeaveGracefully(ep, rc.host());
       std::lock_guard<std::mutex> lock(mu);
       leaver_steps = report.aborted ? -1 : report.steps_run;
       return;
     }
-    ElasticTrainer trainer(&rc, &model, &opt, &data, opts, &flags);
+    ElasticTrainer trainer(&rc, &work, opts, &flags);
     auto report = trainer.Run();
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(std::move(report));
