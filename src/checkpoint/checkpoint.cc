@@ -34,37 +34,4 @@ Status Restore(const Snapshot& snap, dnn::Model* model, dnn::Sgd* opt,
   return Status::Ok();
 }
 
-void Store::Save(sim::Endpoint& ep, Snapshot snap) {
-  ep.Busy(CopyCost(ep.fabric().config(), snap.declared_bytes));
-  std::lock_guard<std::mutex> lock(mu_);
-  by_step_[snap.cursor.global_step] = std::move(snap);
-  while (by_step_.size() > capacity_) by_step_.erase(by_step_.begin());
-}
-
-std::optional<Snapshot> Store::Load(sim::Endpoint& ep,
-                                    int global_step) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (by_step_.empty()) return std::nullopt;
-  auto it = by_step_.end();
-  if (global_step < 0) {
-    --it;
-  } else {
-    it = by_step_.upper_bound(global_step);
-    if (it == by_step_.begin()) return std::nullopt;
-    --it;
-  }
-  ep.Busy(CopyCost(ep.fabric().config(), it->second.declared_bytes));
-  return it->second;
-}
-
-size_t Store::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_step_.size();
-}
-
-int Store::latest_step() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_step_.empty() ? -1 : by_step_.rbegin()->first;
-}
-
 }  // namespace rcc::checkpoint

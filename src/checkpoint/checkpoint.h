@@ -1,24 +1,21 @@
-// In-memory checkpoint store (the paper's evaluation explicitly limits
-// itself to memory checkpoints). A checkpoint captures the full
-// training state: model parameters, optimizer state, and the training
-// cursor (epoch/step), versioned by step.
+// In-memory checkpoints (the paper's evaluation explicitly limits
+// itself to memory checkpoints). A snapshot captures the full training
+// state: model parameters, optimizer state, and the training cursor
+// (epoch/step).
 //
-// Save/restore charge virtual time proportional to the *declared* state
-// size at host memory bandwidth, so checkpoint cost participates in the
+// Copying a snapshot is priced at host memory bandwidth on its
+// *declared* size (CopyCost), so checkpoint cost participates in the
 // Eq. (1) trade-off exactly as in the paper.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/serial.h"
 #include "common/status.h"
 #include "dnn/model.h"
 #include "dnn/optimizer.h"
-#include "sim/endpoint.h"
+#include "sim/params.h"
 
 namespace rcc::checkpoint {
 
@@ -43,31 +40,10 @@ Snapshot Capture(const dnn::Model& model, const dnn::Sgd& opt,
 Status Restore(const Snapshot& snap, dnn::Model* model, dnn::Sgd* opt,
                TrainingCursor* cursor);
 
-// Per-process in-memory store keeping the most recent `capacity`
-// snapshots (Elastic Horovod keeps the latest state object).
-class Store {
- public:
-  explicit Store(size_t capacity = 2) : capacity_(capacity) {}
-
-  // Saves a snapshot, charging ep's clock for the serialisation copy.
-  void Save(sim::Endpoint& ep, Snapshot snap);
-  // Latest snapshot at or before `global_step` (or the latest overall
-  // when global_step < 0). Charges the copy-out cost.
-  std::optional<Snapshot> Load(sim::Endpoint& ep, int global_step = -1) const;
-
-  size_t size() const;
-  int latest_step() const;
-
-  // Cost model exposed for Eq. (1): time to save/load a state of
-  // `bytes` at host memory bandwidth.
-  static double CopyCost(const sim::SimConfig& cfg, double bytes) {
-    return bytes / cfg.net.host_mem_bandwidth;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, Snapshot> by_step_;
-  size_t capacity_;
-};
+// Time to save or load a state of `bytes` at host memory bandwidth
+// (the checkpoint term of Eq. (1)).
+inline double CopyCost(const sim::SimConfig& cfg, double bytes) {
+  return bytes / cfg.net.host_mem_bandwidth;
+}
 
 }  // namespace rcc::checkpoint

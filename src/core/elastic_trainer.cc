@@ -276,7 +276,7 @@ policy::PolicyInputs ElasticTrainer::ComposeInputs(policy::EventKind ev,
   // land in before the run ends.
   const sim::SimConfig& scfg = rc_->endpoint().fabric().config();
   in.staging_seconds =
-      checkpoint::Store::CopyCost(scfg, in.snapshot_bytes) +
+      checkpoint::CopyCost(scfg, in.snapshot_bytes) +
       2.0 * scfg.costs.kv_roundtrip + scfg.costs.nccl_init_base +
       scfg.costs.nccl_init_per_rank * (rc_->size() + 1);
   // Measured recovery critical path: per-phase histogram maxima are

@@ -63,8 +63,7 @@ std::unique_ptr<Context> Context::Connect(sim::Endpoint& ep, kv::Store& store,
     }
   }
 
-  auto group = mpi::GetOrCreateGroup(
-      "gloo/f" + std::to_string(ep.fabric().id()) + "/" + round_key, pids);
+  auto group = mpi::GetOrCreateGroup(ep.fabric(), "gloo/" + round_key, pids);
   obs::Registry::Global()
       .GetHistogram("rcc_rendezvous_seconds", {{"stack", "gloo"}})
       ->Observe(ep.now() - rendezvous_start);

@@ -1,7 +1,6 @@
 #include "horovod/elastic_horovod.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -17,12 +16,6 @@
 namespace rcc::horovod {
 
 namespace {
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double cur = target->load();
-  while (value > cur && !target->compare_exchange_weak(cur, value)) {
-  }
-}
 
 struct RoundMeta {
   int world = 0;
@@ -46,13 +39,11 @@ struct Session {
   std::vector<JoinerSpec> joiners;
   double step_compute_seconds = 0;
   double model_virtual_bytes = 0;
-  std::vector<std::atomic<bool>> failure_done;
-  std::atomic<double> completion{0};
-  std::atomic<int> resets{0};
+  std::vector<bool> failure_done;
+  double completion = 0;
+  int resets = 0;
 
-  explicit Session(size_t nfailures) : failure_done(nfailures) {
-    for (auto& f : failure_done) f.store(false);
-  }
+  explicit Session(size_t nfailures) : failure_done(nfailures, false) {}
 };
 
 // Builds the per-round membership script from the plan (workers advance
@@ -138,7 +129,7 @@ class EhWorker {
         if (!HandleException(ex)) break;
       }
     }
-    AtomicMax(&ss_->completion, ep_.now());
+    ss_->completion = std::max(ss_->completion, ep_.now());
   }
 
  private:
@@ -335,8 +326,8 @@ class EhWorker {
     for (size_t i = 0; i < failures.size(); ++i) {
       const ScriptedFailure& f = failures[i];
       if (f.epoch == epoch_ && f.step == step_ && f.bucket == bucket &&
-          f.victim_rank == ctx_->rank() && !ss_->failure_done[i].load()) {
-        ss_->failure_done[i].store(true);
+          f.victim_rank == ctx_->rank() && !ss_->failure_done[i]) {
+        ss_->failure_done[i] = true;
         if (f.scope == sim::FailScope::kNode) {
           ep_.fabric().KillNode(ep_.node());
         } else {
@@ -406,7 +397,7 @@ class EhWorker {
   bool HandleException(const gloo::IoException& ex) {
     in_recovery_ = true;
     const auto& costs = ep_.fabric().config().costs;
-    ss_->resets.fetch_add(1);
+    ++ss_->resets;
     {
       obs::Span scope(ss_->rec, ep_, Ph(phase::kCatchException));
       ep_.Busy(costs.eh_exception_catch);
@@ -521,10 +512,10 @@ RunStats RunElasticHorovod(sim::Cluster& cluster, const SyntheticPlan& plan,
   cluster.Join();
 
   RunStats stats;
-  stats.completion_time = ss->completion.load();
+  stats.completion_time = ss->completion;
   stats.final_world = ss->rounds.back().world;
   stats.steps_executed = plan.epochs * plan.steps_per_epoch;
-  stats.resets = ss->resets.load();
+  stats.resets = ss->resets;
   return stats;
 }
 

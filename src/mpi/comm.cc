@@ -14,8 +14,7 @@ Comm::Comm(sim::Endpoint* ep, std::shared_ptr<CommGroup> group)
 }
 
 Comm Comm::World(sim::Endpoint& ep, const std::vector<int>& pids) {
-  auto group = GetOrCreateGroup(
-      GroupKey(0, "world/f" + std::to_string(ep.fabric().id()), pids), pids);
+  auto group = GetOrCreateGroup(ep.fabric(), GroupKey(0, "world", pids), pids);
   return Comm(&ep, group);
 }
 

@@ -1,31 +1,17 @@
 #include "mpi/group.h"
 
-#include <atomic>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 namespace rcc::mpi {
 
-uint64_t AllocateContextId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
-namespace {
-std::mutex g_cache_mu;
-std::map<std::string, std::shared_ptr<CommGroup>> g_group_cache;
-}  // namespace
-
-std::shared_ptr<CommGroup> GetOrCreateGroup(const std::string& key,
+std::shared_ptr<CommGroup> GetOrCreateGroup(sim::Fabric& fabric,
+                                            const std::string& key,
                                             const std::vector<int>& pids) {
-  std::lock_guard<std::mutex> lock(g_cache_mu);
-  auto it = g_group_cache.find(key);
-  if (it != g_group_cache.end()) return it->second;
-  auto group = std::make_shared<CommGroup>();
-  group->ctx_id = AllocateContextId();
-  group->pids = pids;
-  g_group_cache.emplace(key, group);
+  auto group = fabric.Rendezvous<CommGroup>(key);
+  if (group->ctx_id == 0) {  // first caller: context ids start at 1
+    group->ctx_id = fabric.NextContextId();
+    group->pids = pids;
+  }
   return group;
 }
 

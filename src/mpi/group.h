@@ -4,8 +4,8 @@
 //
 // In a real MPI these structures are replicated per process and kept
 // consistent by the runtime; in the simulation the replicas are one
-// shared object obtained through a deterministic GroupCache (all ranks
-// deriving the same key get the same instance).
+// shared object in the fabric's rendezvous table (all ranks deriving
+// the same key get the same instance), freed with the simulation.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +30,14 @@ struct CommGroup {
   }
 };
 
-// Allocates globally unique communicator context ids.
-uint64_t AllocateContextId();
-
 // Deterministic rendezvous for group creation: every rank computing the
 // same key receives the same CommGroup instance (the first caller
-// constructs it from `pids`).
-std::shared_ptr<CommGroup> GetOrCreateGroup(const std::string& key,
+// constructs it from `pids` with the fabric's next context id).
+std::shared_ptr<CommGroup> GetOrCreateGroup(sim::Fabric& fabric,
+                                            const std::string& key,
                                             const std::vector<int>& pids);
 
-// Builds a cache key for a derived communicator.
+// Builds the rendezvous key of a derived communicator.
 std::string GroupKey(uint64_t parent_ctx, const std::string& op,
                      const std::vector<int>& pids);
 

@@ -26,8 +26,7 @@ std::unique_ptr<Comm> Comm::InitRank(sim::Endpoint& ep,
                                      const std::vector<int>* death_watch) {
   ep.Busy(InitCost(ep.fabric().config(), static_cast<int>(pids.size())) *
           init_cost_scale);
-  auto group = mpi::GetOrCreateGroup(
-      "nccl/f" + std::to_string(ep.fabric().id()) + "/" + unique_id, pids);
+  auto group = mpi::GetOrCreateGroup(ep.fabric(), "nccl/" + unique_id, pids);
   auto comm =
       std::unique_ptr<Comm>(new Comm(&ep, group, cost_scale));
   if (death_watch != nullptr) comm->set_death_watch(*death_watch);

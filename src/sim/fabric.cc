@@ -3,13 +3,11 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/unique_id.h"
 
 namespace rcc::sim {
 
 Fabric::Fabric(SimConfig cfg)
     : cfg_(cfg),
-      id_(common::NextUniqueId()),
       logs_(std::make_shared<obs::flight::Logs>()) {
   engine_.SetStallObserver([logs = logs_](const std::string& report) {
     if (obs::flight::Enabled()) obs::flight::DumpAll(*logs, "stall: " + report);

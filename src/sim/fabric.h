@@ -29,8 +29,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
+#include <typeinfo>
+#include <unordered_map>
 #include <vector>
 
+#include "common/log.h"
 #include "common/status.h"
 #include "obs/flight.h"
 #include "sim/engine.h"
@@ -89,10 +93,19 @@ class Fabric {
     return logs_;
   }
 
-  // Process-wide unique fabric id: namespaces communicator-group cache
-  // keys so distinct simulations never alias (pids restart at 0 per
-  // fabric).
-  uint64_t id() const { return id_; }
+  // This simulation's rendezvous table: every rank naming the same key
+  // gets the same shared object, default-constructed by the first
+  // caller. Communicator groups (mpi/group.h) and ULFM's agree/expand
+  // synchronizers meet here, so they are freed with the simulation. A
+  // key holds one type; asking for it as another is a fatal check.
+  template <typename T>
+  std::shared_ptr<T> Rendezvous(const std::string& key);
+  // Drops `key` from the table; current holders keep their object.
+  void ReleaseRendezvous(const std::string& key) { rendezvous_.erase(key); }
+
+  // Communicator context ids: 1, 2, ... in allocation order, unique
+  // within this simulation.
+  uint64_t NextContextId() { return next_context_id_++; }
 
   // Registers a new process on `node`; returns its pid. Usable mid-run
   // (dynamic worker admission).
@@ -161,10 +174,28 @@ class Fabric {
   std::vector<int> alive_pids_;              // sorted
   std::vector<int> dead_pids_;               // sorted
   std::vector<std::vector<int>> node_pids_;  // node -> pids
+  struct RendezvousEntry {
+    std::shared_ptr<void> object;
+    const std::type_info* type;
+  };
+
   SimConfig cfg_;
-  uint64_t id_;
   std::shared_ptr<obs::flight::Logs> logs_;
   Engine engine_;
+  // After engine_: the synchronizers hold WaitPoints, which must go
+  // before the engine their fibers ran on.
+  std::unordered_map<std::string, RendezvousEntry> rendezvous_;
+  uint64_t next_context_id_ = 1;
 };
+
+template <typename T>
+std::shared_ptr<T> Fabric::Rendezvous(const std::string& key) {
+  auto [it, inserted] = rendezvous_.try_emplace(key);
+  if (inserted) it->second = {std::make_shared<T>(), &typeid(T)};
+  RCC_CHECK(*it->second.type == typeid(T))
+      << "rendezvous key " << key << " holds " << it->second.type->name()
+      << ", not " << typeid(T).name();
+  return std::static_pointer_cast<T>(it->second.object);
+}
 
 }  // namespace rcc::sim

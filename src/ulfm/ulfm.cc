@@ -5,7 +5,6 @@
 #include <limits>
 #include <cmath>
 #include <map>
-#include <mutex>
 #include <set>
 
 #include <cstdlib>
@@ -46,23 +45,6 @@ struct AgreeState {
   int expected_leavers = 0;
 };
 
-std::mutex g_agree_mu;
-std::map<std::string, std::shared_ptr<AgreeState>> g_agree_registry;
-
-std::shared_ptr<AgreeState> AgreeStateFor(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_agree_mu);
-  auto it = g_agree_registry.find(key);
-  if (it != g_agree_registry.end()) return it->second;
-  auto state = std::make_shared<AgreeState>();
-  g_agree_registry.emplace(key, state);
-  return state;
-}
-
-void ReleaseAgreeState(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_agree_mu);
-  g_agree_registry.erase(key);
-}
-
 // ---------------------------------------------------------------------
 // Expand synchronizer (connect/accept + intercomm merge analogue).
 // ---------------------------------------------------------------------
@@ -81,23 +63,6 @@ struct ExpandState {
   int expected_leavers = 0;
   int64_t op_counter = 0;  // survivors' resilient-op counter (max)
 };
-
-std::mutex g_expand_mu;
-std::map<std::string, std::shared_ptr<ExpandState>> g_expand_registry;
-
-std::shared_ptr<ExpandState> ExpandStateFor(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_expand_mu);
-  auto it = g_expand_registry.find(key);
-  if (it != g_expand_registry.end()) return it->second;
-  auto state = std::make_shared<ExpandState>();
-  g_expand_registry.emplace(key, state);
-  return state;
-}
-
-void ReleaseExpandState(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_expand_mu);
-  g_expand_registry.erase(key);
-}
 
 }  // namespace
 
@@ -160,7 +125,7 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
   const sim::Seconds agree_enter = ep.now();
   const std::string key = std::to_string(comm.context_id()) + "/agree/" +
                           std::to_string(agree_round);
-  auto state = AgreeStateFor(key);
+  auto state = fabric.Rendezvous<AgreeState>(key);
   const std::vector<int>& members = comm.pids();
 
   state->flags[ep.pid()] = flag;
@@ -212,7 +177,9 @@ Result<AgreeOutcome> Agree(mpi::Comm& comm, int flag, int64_t value) {
   AgreeOutcome outcome = state->outcome;
   ep.AdvanceTo(state->finish_time);
   comm.NoteFailedPids(outcome.failed_pids);
-  if (++state->leavers >= state->expected_leavers) ReleaseAgreeState(key);
+  if (++state->leavers >= state->expected_leavers) {
+    fabric.ReleaseRendezvous(key);
+  }
   ep.log()->Record(obs::flight::Ev::kAgree, ep.now(),
                    static_cast<int64_t>(agree_round), outcome.min_value,
                    ep.now() - agree_enter);
@@ -244,7 +211,8 @@ Result<mpi::Comm> Shrink(mpi::Comm& comm) {
                         static_cast<int>(survivors.size())));
 
   auto group = mpi::GetOrCreateGroup(
-      mpi::GroupKey(comm.context_id(), "shrink", survivors), survivors);
+      ep.fabric(), mpi::GroupKey(comm.context_id(), "shrink", survivors),
+      survivors);
   mpi::Comm next(&ep, group);
   next.set_cost_scale(comm.cost_scale());
   if (next.rank() == 0) {
@@ -263,9 +231,8 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
                              int64_t* agreed_counter) {
   sim::Fabric& fabric = ep.fabric();
   if (!ep.alive()) return Status(Code::kAborted, "caller is dead");
-  const std::string key =
-      "expand/f" + std::to_string(fabric.id()) + "/" + session;
-  auto state = ExpandStateFor(key);
+  const std::string key = "expand/" + session;
+  auto state = fabric.Rendezvous<ExpandState>(key);
 
   // A survivor whose armed kill has matured dies *before* registering
   // arrival; the completeness check below skips dead non-arrived
@@ -339,7 +306,7 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
       const sim::Seconds cost =
           fabric.config().costs.conn_setup_verbs * CeilLog2(total) +
           AgreementCost(fabric.config(), total);
-      state->new_group = mpi::GetOrCreateGroup(key, pids);
+      state->new_group = mpi::GetOrCreateGroup(fabric, key + "/merged", pids);
       state->finish_time = latest + cost;
       state->expected_leavers = alive_count;
       state->done = true;
@@ -368,7 +335,9 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
 
   if (state->aborted) {
     ep.AdvanceTo(state->finish_time);
-    if (++state->leavers >= state->expected_leavers) ReleaseExpandState(key);
+    if (++state->leavers >= state->expected_leavers) {
+      fabric.ReleaseRendezvous(key);
+    }
     ep.log()->Record(obs::flight::Ev::kExpandAbort, ep.now(), 0, 0,
                      ep.now() - expand_enter);
     return Status(Code::kTimeout,
@@ -378,7 +347,9 @@ Result<mpi::Comm> ExpandComm(sim::Endpoint& ep, mpi::Comm* old_comm,
   auto group = state->new_group;
   if (agreed_counter != nullptr) *agreed_counter = state->op_counter;
   ep.AdvanceTo(state->finish_time);
-  if (++state->leavers >= state->expected_leavers) ReleaseExpandState(key);
+  if (++state->leavers >= state->expected_leavers) {
+    fabric.ReleaseRendezvous(key);
+  }
   ep.log()->Record(obs::flight::Ev::kExpand, ep.now(),
                    static_cast<int64_t>(group->pids.size()), expected_joiners,
                    ep.now() - expand_enter);
@@ -435,25 +406,8 @@ struct AsyncExpandState {
   int expected_leavers = 0;
 };
 
-std::mutex g_async_mu;
-std::map<std::string, std::shared_ptr<AsyncExpandState>> g_async_registry;
-
-std::shared_ptr<AsyncExpandState> AsyncStateFor(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_async_mu);
-  auto it = g_async_registry.find(key);
-  if (it != g_async_registry.end()) return it->second;
-  auto state = std::make_shared<AsyncExpandState>();
-  g_async_registry.emplace(key, state);
-  return state;
-}
-
-void ReleaseAsyncState(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_async_mu);
-  g_async_registry.erase(key);
-}
-
-std::string AsyncKey(sim::Fabric& fabric, const std::string& session) {
-  return "expandx/f" + std::to_string(fabric.id()) + "/" + session;
+std::string AsyncKey(const std::string& session) {
+  return "expandx/" + session;
 }
 
 // Round k's virtual facts are resolved once every live old-group member
@@ -544,7 +498,8 @@ void AsyncDecide(AsyncExpandState* state, size_t round, bool finalize,
         fabric.config().costs.conn_setup_verbs * CeilLog2(total) +
         AgreementCost(fabric.config(), total);
     state->splice_time = std::max(boundary, latest_stage) + cost;
-    state->new_group = mpi::GetOrCreateGroup(key + "/spliced", pids);
+    state->new_group =
+        mpi::GetOrCreateGroup(fabric, key + "/spliced", pids);
     state->prestaged =
         r.times.size() == state->old_group_pids.size() &&
         admitted.size() == state->announced.size() &&
@@ -556,12 +511,12 @@ void AsyncDecide(AsyncExpandState* state, size_t round, bool finalize,
 }
 
 // Leaver bookkeeping shared by survivors and joiners; the last live
-// participant of a decided expand releases the registry entry.
+// participant of a decided expand releases the rendezvous entry.
 void AsyncLeave(const std::shared_ptr<AsyncExpandState>& state,
-                const std::string& key) {
+                const std::string& key, sim::Fabric& fabric) {
   ++state->leavers;
   if (state->decided && state->leavers >= state->expected_leavers) {
-    ReleaseAsyncState(key);
+    fabric.ReleaseRendezvous(key);
   }
 }
 
@@ -580,8 +535,8 @@ Status ExpandBegin(sim::Endpoint& ep, mpi::Comm& comm,
   if (ep.MaybeSelfKill()) {
     return Status(Code::kAborted, "survivor died opening expand");
   }
-  const std::string key = AsyncKey(fabric, session);
-  auto state = AsyncStateFor(key);
+  const std::string key = AsyncKey(session);
+  auto state = fabric.Rendezvous<AsyncExpandState>(key);
 
   if (!state->begun) {
     state->old_group_pids = comm.pids();
@@ -628,7 +583,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
   if (ep.MaybeSelfKill()) {
     return Status(Code::kAborted, "survivor died at poll boundary");
   }
-  auto state = AsyncStateFor(op->key);
+  auto state = fabric.Rendezvous<AsyncExpandState>(op->key);
 
   const size_t round = static_cast<size_t>(op->polls);
   ++op->polls;
@@ -660,7 +615,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
 
   op->active = false;
   if (r.status == ExpandStatus::kAborted) {
-    AsyncLeave(state, op->key);
+    AsyncLeave(state, op->key, fabric);
     return ExpandStatus::kAborted;
   }
 
@@ -671,7 +626,7 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
   }
   auto group = state->new_group;
   ep.AdvanceTo(state->splice_time);
-  AsyncLeave(state, op->key);
+  AsyncLeave(state, op->key, fabric);
 
   mpi::Comm next(&ep, group);
   next.set_cost_scale(comm.cost_scale());
@@ -681,7 +636,8 @@ Result<ExpandStatus> ExpandTest(sim::Endpoint& ep, mpi::Comm& comm,
 }
 
 void ExpandAbort(sim::Endpoint& ep, const std::string& session) {
-  auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
+  auto state =
+      ep.fabric().Rendezvous<AsyncExpandState>(AsyncKey(session));
   if (state->decided) return;
   state->abort_requested = true;
   state->wp.NotifyAll();
@@ -692,7 +648,8 @@ Status AnnounceJoiner(sim::Endpoint& ep, const std::string& session) {
   if (ep.MaybeSelfKill()) {
     return Status(Code::kAborted, "joiner died before announcing");
   }
-  auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
+  auto state =
+      ep.fabric().Rendezvous<AsyncExpandState>(AsyncKey(session));
   if (state->announced.count(ep.pid()) != 0) return Status::Ok();
   if (state->announce_closed) {
     return Status(Code::kUnavailable, "expand announce window closed");
@@ -707,14 +664,16 @@ Status MarkJoinerStaged(sim::Endpoint& ep, const std::string& session) {
   if (ep.MaybeSelfKill()) {
     return Status(Code::kAborted, "joiner died while staging");
   }
-  auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
+  auto state =
+      ep.fabric().Rendezvous<AsyncExpandState>(AsyncKey(session));
   state->staged[ep.pid()] = ep.now();
   state->wp.NotifyAll();
   return Status::Ok();
 }
 
 void WithdrawJoiner(sim::Endpoint& ep, const std::string& session) {
-  auto state = AsyncStateFor(AsyncKey(ep.fabric(), session));
+  auto state =
+      ep.fabric().Rendezvous<AsyncExpandState>(AsyncKey(session));
   state->withdrawn.insert(ep.pid());
   state->wp.NotifyAll();
 }
@@ -722,8 +681,8 @@ void WithdrawJoiner(sim::Endpoint& ep, const std::string& session) {
 Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
                               SpliceOutcome* outcome) {
   sim::Fabric& fabric = ep.fabric();
-  const std::string key = AsyncKey(fabric, session);
-  auto state = AsyncStateFor(key);
+  const std::string key = AsyncKey(session);
+  auto state = fabric.Rendezvous<AsyncExpandState>(key);
 
   while (!state->decided) {
     if (!ep.alive()) {
@@ -753,7 +712,7 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
       std::find(state->admitted.begin(), state->admitted.end(), ep.pid()) !=
           state->admitted.end();
   if (!admitted) {
-    AsyncLeave(state, key);
+    AsyncLeave(state, key, fabric);
     return Status(Code::kTimeout,
                   "not admitted: expand aborted or staged past deadline");
   }
@@ -764,7 +723,7 @@ Result<mpi::Comm> AwaitSplice(sim::Endpoint& ep, const std::string& session,
   }
   auto group = state->new_group;
   ep.AdvanceTo(state->splice_time);
-  AsyncLeave(state, key);
+  AsyncLeave(state, key, fabric);
   return mpi::Comm(&ep, group);
 }
 

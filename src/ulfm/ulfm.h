@@ -74,9 +74,9 @@ void LeaveGracefully(sim::Endpoint& ep, mpi::Comm& comm);
 
 // Admits `expected_joiners` new processes into a communicator.
 // Survivors call with their (shrunk) communicator; joiners call with
-// old_comm == nullptr. `session` must be globally unique per expand
-// operation and identical on every participant. Survivors keep ranks
-// 0..S-1; joiners receive ranks S.. ordered by pid.
+// old_comm == nullptr. `session` must be unique per expand operation
+// within the simulation and identical on every participant. Survivors
+// keep ranks 0..S-1; joiners receive ranks S.. ordered by pid.
 //
 // Like MPI_Comm_accept the expand blocks until every expected joiner
 // arrives, but with a deadline: if the rendezvous cannot complete (the

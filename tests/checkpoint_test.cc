@@ -2,7 +2,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "dnn/data.h"
-#include "sim/cluster.h"
 
 namespace rcc::checkpoint {
 namespace {
@@ -78,68 +77,6 @@ TEST(Checkpoint, RestoreRejectsWrongLayout) {
   dnn::Sgd opt(other.Params(), dnn::SgdOptions{});
   TrainingCursor cur;
   EXPECT_FALSE(Restore(snap, &other, &opt, &cur).ok());
-}
-
-TEST(Store, KeepsLatestCapacitySnapshots) {
-  sim::Cluster cluster;
-  cluster.Spawn(1, [](sim::Endpoint& ep) {
-    Store store(/*capacity=*/2);
-    Rig rig;
-    for (int step = 1; step <= 4; ++step) {
-      store.Save(ep, Capture(rig.model, *rig.opt,
-                             TrainingCursor{0, step, step}));
-    }
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.latest_step(), 4);
-    // Oldest retained is step 3: asking for <= 2 finds nothing.
-    EXPECT_FALSE(store.Load(ep, 2).has_value());
-    auto snap = store.Load(ep, /*global_step=*/-1);
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->cursor.global_step, 4);
-  });
-  cluster.Join();
-}
-
-TEST(Store, LoadAtOrBeforeStep) {
-  sim::Cluster cluster;
-  cluster.Spawn(1, [](sim::Endpoint& ep) {
-    Store store(8);
-    Rig rig;
-    for (int step : {2, 5, 9}) {
-      store.Save(ep, Capture(rig.model, *rig.opt,
-                             TrainingCursor{0, step, step}));
-    }
-    auto snap = store.Load(ep, 7);
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->cursor.global_step, 5);
-  });
-  cluster.Join();
-}
-
-TEST(Store, SaveChargesDeclaredBytesAtMemoryBandwidth) {
-  sim::Cluster cluster;
-  cluster.Spawn(1, [](sim::Endpoint& ep) {
-    Store store;
-    Rig rig;
-    // Declared size: 549 MB (VGG-16), physical tiny.
-    Snapshot snap =
-        Capture(rig.model, *rig.opt, TrainingCursor{}, 549e6);
-    store.Save(ep, std::move(snap));
-    const double expected =
-        549e6 / ep.fabric().config().net.host_mem_bandwidth;
-    EXPECT_NEAR(ep.now(), expected, expected * 0.01);
-  });
-  cluster.Join();
-}
-
-TEST(Store, EmptyLoadIsNullopt) {
-  sim::Cluster cluster;
-  cluster.Spawn(1, [](sim::Endpoint& ep) {
-    Store store;
-    EXPECT_FALSE(store.Load(ep).has_value());
-    EXPECT_EQ(store.latest_step(), -1);
-  });
-  cluster.Join();
 }
 
 }  // namespace

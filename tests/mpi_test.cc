@@ -152,16 +152,50 @@ TEST(Comm, GatherScatterBarrierSmoke) {
 }
 
 TEST(Group, GetOrCreateIsIdempotent) {
-  auto a = GetOrCreateGroup("test/idem", {1, 2, 3});
-  auto b = GetOrCreateGroup("test/idem", {1, 2, 3});
+  sim::Fabric fabric(sim::SimConfig{});
+  auto a = GetOrCreateGroup(fabric, "test/idem", {1, 2, 3});
+  auto b = GetOrCreateGroup(fabric, "test/idem", {1, 2, 3});
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(a->ctx_id, b->ctx_id);
 }
 
 TEST(Group, DistinctKeysDistinctContexts) {
-  auto a = GetOrCreateGroup("test/k1", {0, 1});
-  auto b = GetOrCreateGroup("test/k2", {0, 1});
+  sim::Fabric fabric(sim::SimConfig{});
+  auto a = GetOrCreateGroup(fabric, "test/k1", {0, 1});
+  auto b = GetOrCreateGroup(fabric, "test/k2", {0, 1});
   EXPECT_NE(a->ctx_id, b->ctx_id);
+}
+
+TEST(Group, SameKeyInTwoFabricsGivesTwoGroups) {
+  sim::Fabric first(sim::SimConfig{});
+  sim::Fabric second(sim::SimConfig{});
+  auto a = GetOrCreateGroup(first, "test/same", {0, 1});
+  auto b = GetOrCreateGroup(second, "test/same", {0, 1});
+  EXPECT_NE(a.get(), b.get());
+  // Context ids are per simulation: each fabric's first group gets 1.
+  EXPECT_EQ(a->ctx_id, 1u);
+  EXPECT_EQ(b->ctx_id, 1u);
+}
+
+TEST(Group, FreedWithItsCluster) {
+  std::weak_ptr<CommGroup> group;
+  {
+    sim::Cluster cluster;
+    cluster.Spawn(2, [&](sim::Endpoint& ep) {
+      Comm world = Comm::World(ep, {0, 1});
+      if (world.rank() == 0) group = world.group();
+      EXPECT_TRUE(world.Barrier().ok());
+    });
+    cluster.Join();
+    EXPECT_FALSE(group.expired());  // the fabric's table still holds it
+  }
+  EXPECT_TRUE(group.expired());
+}
+
+TEST(Group, RendezvousKeyHoldsOneType) {
+  sim::Fabric fabric(sim::SimConfig{});
+  GetOrCreateGroup(fabric, "test/typed", {0});
+  EXPECT_DEATH(fabric.Rendezvous<int>("test/typed"), "rendezvous key");
 }
 
 TEST(Group, RankOfPid) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "obs/flight.h"
 #include "test_util.h"
 #include "ulfm/ulfm.h"
 
@@ -216,6 +217,48 @@ TEST(Shrink, NoFailuresIsIdentityMembership) {
     EXPECT_EQ(shrunk.value().rank(), comm.rank());
     EXPECT_NE(shrunk.value().context_id(), comm.context_id());
   });
+}
+
+// One shrink after a failure: the shrunk communicator's context id and
+// the contexts its revokes name (the kRevoke payload).
+struct ShrinkRun {
+  uint64_t shrunk_ctx = 0;
+  std::vector<int64_t> revoked;
+};
+
+ShrinkRun RunOneShrink() {
+  sim::Cluster cluster;
+  cluster.fabric().logs().KeepAll();
+  ShrinkRun run;
+  RunWorldOn(cluster, 4, [&](mpi::Comm& comm, sim::Endpoint& ep) {
+    if (comm.rank() == 3) {
+      ep.fabric().Kill(ep.pid());
+      return;
+    }
+    float mine = 1.0f, sum = 0.0f;
+    if (!comm.Allreduce(&mine, &sum, 1).ok()) Revoke(comm);
+    auto shrunk = Shrink(comm);
+    ASSERT_TRUE(shrunk.ok());
+    if (shrunk.value().rank() == 0) {
+      run.shrunk_ctx = shrunk.value().context_id();
+    }
+  });
+  cluster.Join();
+  for (const obs::flight::Ring* ring : cluster.fabric().logs().rings()) {
+    for (const obs::flight::Event& ev : ring->Snapshot()) {
+      if (ev.kind == obs::flight::Ev::kRevoke) run.revoked.push_back(ev.a);
+    }
+  }
+  return run;
+}
+
+TEST(Shrink, ContextIdsRestartInEverySimulation) {
+  const ShrinkRun first = RunOneShrink();
+  const ShrinkRun second = RunOneShrink();
+  ASSERT_FALSE(first.revoked.empty());
+  EXPECT_NE(first.shrunk_ctx, 0u);
+  EXPECT_EQ(second.shrunk_ctx, first.shrunk_ctx);
+  EXPECT_EQ(second.revoked, first.revoked);
 }
 
 TEST(Expand, AdmitsJoinersAfterSurvivors) {
