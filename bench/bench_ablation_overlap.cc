@@ -36,10 +36,9 @@ horovod::SyntheticPlan BasePlan(const dnn::ModelSpec& spec, int world) {
 
 // Marginal per-step cost of one window setting: two clean runs differing
 // only in step count, so rendezvous/init and the final sync difference
-// out. The same differencing applies to the driver's rcc_step_* counters
-// (global and cumulative, hence the before/after snapshots), yielding
-// the marginal comm service/exposed seconds behind the metrics-derived
-// overlap fraction.
+// out. The same differencing applies to each run's rcc_step_* counters
+// (read from its simulation's registry), yielding the marginal comm
+// service/exposed seconds behind the metrics-derived overlap fraction.
 struct StepCost {
   double wall = 0;     // per-step seconds (virtual time)
   double service = 0;  // per-step comm engine seconds
@@ -53,7 +52,6 @@ StepCost MeasureStep(const horovod::SyntheticPlan& base, int window,
                      trace::Recorder* last_rec) {
   horovod::SyntheticPlan plan = base;
   plan.inflight_window = window;
-  auto& reg = obs::Registry::Global();
   const obs::Labels labels{{"stack", "ulfm"}};
   const char* kService = "rcc_step_comm_service_seconds_total";
   const char* kExposed = "rcc_step_comm_exposed_seconds_total";
@@ -61,15 +59,14 @@ StepCost MeasureStep(const horovod::SyntheticPlan& base, int window,
   const int steps[2] = {2, 10};
   for (int i = 0; i < 2; ++i) {
     plan.steps_per_epoch = steps[i];
-    const double service0 = reg.CounterValue(kService, labels);
-    const double exposed0 = reg.CounterValue(kExposed, labels);
     trace::Recorder local;
     trace::Recorder* rec = (i == 1 && last_rec != nullptr) ? last_rec : &local;
     rec->Clear();
     sim::Cluster cluster;
     completion[i] = core::RunUlfmElastic(cluster, plan, rec).completion_time;
-    service[i] = reg.CounterValue(kService, labels) - service0;
-    exposed[i] = reg.CounterValue(kExposed, labels) - exposed0;
+    const obs::Registry& reg = cluster.fabric().metrics();
+    service[i] = reg.CounterValue(kService, labels);
+    exposed[i] = reg.CounterValue(kExposed, labels);
   }
   const double dsteps = steps[1] - steps[0];
   StepCost cost;

@@ -8,10 +8,11 @@
 //            and Same scenarios: a scripted kill whose node peers leave
 //            with it, then a whole-node kill plus a replacement node.
 //
-// Recording is a few relaxed atomics per event, and a death the failure
-// schedule delivers is never dumped, so every enabled run must stay
-// within 5% of its disabled twin; the bench prints the measured
-// overheads and fails (exit 1) past the budget.
+// Recording is a plain store into the rank's ring per event (one writer
+// per simulation), and a death the failure schedule delivers is never
+// dumped, so every enabled run must stay within 5% of its disabled
+// twin; the bench prints the measured overheads and fails (exit 1)
+// past the budget.
 //
 // The two modes are timed in adjacent on/off pairs, alternating which
 // runs first, and the overhead is the median over pairs of on/off - 1:

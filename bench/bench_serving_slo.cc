@@ -34,9 +34,13 @@ constexpr int kWorld = 8;
 struct ModeOutcome {
   std::vector<rcc::serve::ServeReport> finished;
   double completion = 0.0;  // max survivor end_time, virtual seconds
+  // The run's serving metrics (its simulation's registry).
+  rcc::obs::Histogram::Snapshot ttft, token;
+  double recovery_tokens = 0.0, recovery_seconds = 0.0;
 };
 
-ModeOutcome RunMode(rcc::serve::RecoveryMode mode) {
+// `label` is the mode's {mode} metric label.
+ModeOutcome RunMode(rcc::serve::RecoveryMode mode, const char* label) {
   using namespace rcc;
   serve::ServeOptions o;
   o.traffic.seed = 17;
@@ -85,6 +89,14 @@ ModeOutcome RunMode(rcc::serve::RecoveryMode mode) {
     }
   });
   cluster.Join();
+  const obs::Registry& reg = cluster.fabric().metrics();
+  const obs::Labels labels{{"mode", label}};
+  out.ttft = reg.HistogramSnapshot("rcc_serve_ttft_seconds", labels);
+  out.token = reg.HistogramSnapshot("rcc_serve_token_seconds", labels);
+  out.recovery_tokens =
+      reg.CounterValue("rcc_serve_recovery_tokens_total", labels);
+  out.recovery_seconds =
+      reg.CounterValue("rcc_serve_recovery_seconds_total", labels);
   return out;
 }
 
@@ -104,11 +116,10 @@ bool ExactlyOnce(const ModeOutcome& out) {
 
 int main() {
   using namespace rcc;
-  obs::Registry& reg = obs::Registry::Global();
-  reg.ResetAll();
-
-  const ModeOutcome resilient = RunMode(serve::RecoveryMode::kResilient);
-  const ModeOutcome teardown = RunMode(serve::RecoveryMode::kTeardownRebuild);
+  const ModeOutcome resilient =
+      RunMode(serve::RecoveryMode::kResilient, "resilient");
+  const ModeOutcome teardown =
+      RunMode(serve::RecoveryMode::kTeardownRebuild, "teardown");
 
   Table table({"mode", "completed", "dropped", "repairs", "recovery steps",
                "completion (s)", "ttft p50 (ms)", "ttft p99 (ms)",
@@ -120,16 +131,12 @@ int main() {
   } rows[] = {{"resilient", &resilient}, {"teardown", &teardown}};
   double goodput[2] = {0.0, 0.0};
   for (int i = 0; i < 2; ++i) {
-    const obs::Labels labels{{"mode", rows[i].name}};
-    const obs::Histogram::Snapshot ttft =
-        reg.HistogramSnapshot("rcc_serve_ttft_seconds", labels);
-    const obs::Histogram::Snapshot tok =
-        reg.HistogramSnapshot("rcc_serve_token_seconds", labels);
-    const double rec_tokens =
-        reg.CounterValue("rcc_serve_recovery_tokens_total", labels);
-    const double rec_seconds =
-        reg.CounterValue("rcc_serve_recovery_seconds_total", labels);
-    goodput[i] = rec_seconds > 0 ? rec_tokens / rec_seconds : 0.0;
+    const ModeOutcome& out = *rows[i].out;
+    const obs::Histogram::Snapshot& ttft = out.ttft;
+    const obs::Histogram::Snapshot& tok = out.token;
+    goodput[i] = out.recovery_seconds > 0
+                     ? out.recovery_tokens / out.recovery_seconds
+                     : 0.0;
     const serve::ServeReport& ref = rows[i].out->finished.empty()
                                         ? serve::ServeReport{}
                                         : rows[i].out->finished.front();

@@ -52,13 +52,9 @@ serve::ServeOptions ServeOptionsFromSchedule(const Schedule& s) {
 }
 
 CampaignOutcome RunSchedule(const Schedule& schedule) {
-  // Each schedule runs in a fresh simulation with its own event logs, so
-  // a post-abort dump holds only this reproducer's history. The metrics
-  // registry is process-wide and reset here: the policy inputs read the
-  // failure counter and the recovery-phase maxima, and those must be
-  // campaign-local for a schedule to replay to a byte-identical
-  // decision log in a process that already ran other campaigns.
-  obs::Registry::Global().ResetAll();
+  // Each schedule runs in a fresh simulation with its own event logs and
+  // metrics, so a post-abort dump holds only this reproducer's history
+  // and the policy inputs read only this campaign's failures.
   const Shape& sh = schedule.shape;
   sim::SimConfig cfg;
   cfg.gpus_per_node = sh.gpus_per_node;
@@ -123,10 +119,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     cluster.AddPendingFailure(sim::FailureEvent{k.scope, k.target, k.at});
   }
 
-  auto& reg = obs::Registry::Global();
-  const double repairs0 = reg.CounterValue("rcc_recovery_repairs_total");
-  const double replayed0 = reg.CounterValue("rcc_recovery_replayed_ops_total");
-
   std::vector<int> pids(sh.world);
   std::iota(pids.begin(), pids.end(), 0);
   std::vector<WorkerResult> results;
@@ -147,10 +139,9 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     for (const WorkerResult& r : out.results) {
       out.horizon = std::max(out.horizon, r.end_time);
     }
-    out.repairs_metric =
-        reg.CounterValue("rcc_recovery_repairs_total") - repairs0;
-    out.replayed_metric =
-        reg.CounterValue("rcc_recovery_replayed_ops_total") - replayed0;
+    const obs::Registry& reg = cluster.fabric().metrics();
+    out.repairs_metric = reg.CounterValue("rcc_recovery_repairs_total");
+    out.replayed_metric = reg.CounterValue("rcc_recovery_replayed_ops_total");
     out.repair_span_count = static_cast<int>(
         rec.EventsForPhase(std::string("recovery/") +
                            horovod::phase::kUlfmRepair)

@@ -49,8 +49,7 @@ struct WorkerResult {
 struct CampaignOutcome {
   std::vector<WorkerResult> results;  // sorted by pid
   double horizon = 0.0;               // max end_time over all workers
-  // Global-registry deltas across the run (the process-wide counters are
-  // snapshotted around the campaign, so campaigns isolate cleanly).
+  // The campaign simulation's own counters (sim::Fabric::metrics()).
   double repairs_metric = 0.0;   // rcc_recovery_repairs_total
   double replayed_metric = 0.0;  // rcc_recovery_replayed_ops_total
   // Trace-derived evidence.

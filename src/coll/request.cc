@@ -8,17 +8,20 @@
 
 namespace rcc::coll {
 
-RequestMetrics::Algo::Algo(const char* algo)
-    : queue_wait("rcc_coll_queue_wait_seconds", {{"algo", algo}}),
-      service("rcc_coll_service_seconds", {{"algo", algo}}),
-      ops("rcc_coll_ops_total", {{"algo", algo}}),
-      ops_failed("rcc_coll_ops_failed_total", {{"algo", algo}}) {}
+RequestMetrics::Algo::Algo(const char* algo, obs::Registry& reg)
+    : queue_wait(reg, "rcc_coll_queue_wait_seconds", {{"algo", algo}}),
+      service(reg, "rcc_coll_service_seconds", {{"algo", algo}}),
+      ops(reg, "rcc_coll_ops_total", {{"algo", algo}}),
+      ops_failed(reg, "rcc_coll_ops_failed_total", {{"algo", algo}}) {}
 
-StackMetrics::StackMetrics(const char* algo, const char* stack)
-    : latency("rcc_collective_latency_seconds",
+StackMetrics::StackMetrics(const char* algo, const char* stack,
+                           obs::Registry& reg)
+    : latency(reg, "rcc_collective_latency_seconds",
               {{"algo", algo}, {"stack", stack}}),
-      bytes("rcc_collective_bytes_total", {{"algo", algo}, {"stack", stack}}),
-      ops("rcc_collective_ops_total", {{"algo", algo}, {"stack", stack}}) {}
+      bytes(reg, "rcc_collective_bytes_total",
+            {{"algo", algo}, {"stack", stack}}),
+      ops(reg, "rcc_collective_ops_total",
+          {{"algo", algo}, {"stack", stack}}) {}
 
 void StackMetrics::Record(double latency_s, double op_bytes) {
   latency->Observe(latency_s);
@@ -38,10 +41,10 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   st->complete = submit;
   obs::Gauge* inflight = metrics.inflight.Get();
   inflight->Add(1.0);
-  // Queue-wait vs service breakdown per algo; the gauge is global
-  // across communicators.
+  // Queue-wait vs service breakdown per algo; the gauge is shared by
+  // every communicator of the simulation.
   std::shared_ptr<RequestMetrics::Algo> algo_metrics =
-      metrics.algos.For(info.algo);
+      metrics.algos.For(info.algo, ep.metrics());
   std::shared_ptr<State> pred =
       (after != nullptr) ? after->state_ : nullptr;
   sim::TaskOptions opts;

@@ -29,17 +29,20 @@
 
 namespace rcc::coll {
 
-// Request-pipeline instruments of one communicator: the in-flight gauge
-// plus, per algo, the queue-wait and service histograms and the op
-// counters. Owned by the communicator and handed to Request::Start, so
-// each series is resolved once per communicator rather than per op.
+// Request-pipeline instruments of one communicator, in its simulation's
+// registry: the in-flight gauge plus, per algo, the queue-wait and
+// service histograms and the op counters. Owned by the communicator and
+// handed to Request::Start, so each series is resolved once per
+// communicator rather than per op.
 struct RequestMetrics {
   struct Algo {
-    explicit Algo(const char* algo);
+    Algo(const char* algo, obs::Registry& registry);
     obs::HistogramHandle queue_wait, service;
     obs::CounterHandle ops, ops_failed;
   };
-  obs::GaugeHandle inflight{"rcc_coll_inflight"};
+  explicit RequestMetrics(obs::Registry& registry)
+      : inflight(registry, "rcc_coll_inflight") {}
+  obs::GaugeHandle inflight;
   obs::ByAlgo<Algo> algos;
 };
 
@@ -47,7 +50,7 @@ struct RequestMetrics {
 // gloo): the latency histogram and the byte and op counters, all
 // labelled {algo, stack}. Communicators keep an obs::ByAlgo of these.
 struct StackMetrics {
-  StackMetrics(const char* algo, const char* stack);
+  StackMetrics(const char* algo, const char* stack, obs::Registry& registry);
   void Record(double latency, double bytes);
 
   obs::HistogramHandle latency;

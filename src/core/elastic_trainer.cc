@@ -19,7 +19,7 @@ ElasticTrainer::ElasticTrainer(ResilientComm* rc, Workload* work,
       failure_flags_(failure_flags),
       base_workers_(rc->size()),
       policy_(opts_.policy_mode),
-      step_metrics_(work->stack()) {}
+      step_metrics_(rc->endpoint().metrics(), work->stack()) {}
 
 std::string ElasticTrainer::JoinSession(int epoch) {
   return "trainer-epoch" + std::to_string(epoch);
@@ -144,7 +144,8 @@ Status ElasticTrainer::DeltaSync(ResilientComm* rc, Workload* work,
     hi = std::max(hi, v);
   }
   const uint64_t behind = std::max<uint64_t>(1, hi - lo);
-  obs::Registry::Global()
+  rc->endpoint()
+      .metrics()
       .GetHistogram("rcc_delta_sync_steps_behind")
       ->Observe(static_cast<double>(hi - lo));
   const double fraction =
@@ -156,7 +157,7 @@ Status ElasticTrainer::DeltaSync(ResilientComm* rc, Workload* work,
   if (receiver && rc->rank() != 0) {
     RCC_RETURN_IF_ERROR(work->Restore(blob, fraction, cursor));
   }
-  obs::Registry::Global().GetCounter("rcc_delta_sync_total")->Increment();
+  rc->endpoint().metrics().GetCounter("rcc_delta_sync_total")->Increment();
   return Status::Ok();
 }
 
@@ -237,7 +238,8 @@ constexpr double kPolicyGraceSeconds = 0.005;
 
 policy::PolicyInputs ElasticTrainer::ComposeInputs(policy::EventKind ev,
                                                    int lost, int64_t gstep) {
-  auto& reg = obs::Registry::Global();
+  // This simulation's own history: its failures and recovery phases.
+  const obs::Registry& reg = rc_->endpoint().metrics();
   policy::PolicyInputs in;
   in.event = static_cast<int32_t>(ev);
   in.seq = policy_.next_seq();

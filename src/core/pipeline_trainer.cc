@@ -391,10 +391,10 @@ Status PipelineTrainer::ColumnAllreduce() {
   return dp_comm_->Allreduce(in, out, kProxyFloats);
 }
 
-PipelineTrainer::StageMetrics::StageMetrics(int stage)
-    : busy("rcc_pp_stage_busy_seconds_total",
+PipelineTrainer::StageMetrics::StageMetrics(int stage, obs::Registry& reg)
+    : busy(reg, "rcc_pp_stage_busy_seconds_total",
            {{"stage", std::to_string(stage)}}),
-      bubble("rcc_pp_stage_bubble_seconds_total",
+      bubble(reg, "rcc_pp_stage_bubble_seconds_total",
              {{"stage", std::to_string(stage)}}) {}
 
 void PipelineTrainer::Commit(int64_t gstep) {
@@ -426,7 +426,7 @@ void PipelineTrainer::Commit(int64_t gstep) {
   pending_.clear();
   if (c.d >= 0 && grid_.Functional(c.d, c.p)) {
     const double span = rc_->endpoint().now() - step_start_;
-    StageMetrics& stage = stage_metrics_.try_emplace(c.p, c.p).first->second;
+    StageMetrics& stage = stage_metrics_.try_emplace(c.p, c.p, metrics_).first->second;
     stage.busy->Add(step_busy_);
     stage.bubble->Add(std::max(0.0, span - step_busy_));
     step_seconds_->Observe(span);

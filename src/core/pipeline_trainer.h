@@ -189,13 +189,14 @@ class PipelineTrainer {
   // Pipeline instruments, resolved once per trainer; the per-stage busy
   // and bubble counters once per stage this rank has served.
   struct StageMetrics {
-    explicit StageMetrics(int stage);
+    StageMetrics(int stage, obs::Registry& registry);
     obs::CounterHandle busy, bubble;
   };
-  obs::CounterHandle microbatches_{"rcc_pp_microbatches_total"};
-  obs::CounterHandle adopted_{"rcc_pp_adopted_microbatches_total"};
-  obs::CounterHandle reroutes_{"rcc_pp_reroutes_total"};
-  obs::HistogramHandle step_seconds_{"rcc_pp_step_seconds"};
+  obs::Registry& metrics_ = rc_->endpoint().metrics();
+  obs::CounterHandle microbatches_{metrics_, "rcc_pp_microbatches_total"};
+  obs::CounterHandle adopted_{metrics_, "rcc_pp_adopted_microbatches_total"};
+  obs::CounterHandle reroutes_{metrics_, "rcc_pp_reroutes_total"};
+  obs::HistogramHandle step_seconds_{metrics_, "rcc_pp_step_seconds"};
   std::map<int, StageMetrics> stage_metrics_;
 };
 

@@ -108,9 +108,7 @@ Status ResilientComm::Repair(const Status& failure) {
   if (!ep_.alive()) return Status(Code::kAborted, "self dead");
   ++repairs_;
   const int64_t repair = repairs_;
-  obs::Registry::Global()
-      .GetCounter("rcc_recovery_repairs_total")
-      ->Increment();
+  ep_.metrics().GetCounter("rcc_recovery_repairs_total")->Increment();
   const double repair_t0 = ep_.now();
   const std::vector<int> prior_pids = comm_->pids();
   const std::vector<int> noted_failed = failure.failed_pids();
@@ -118,7 +116,7 @@ Status ResilientComm::Repair(const Status& failure) {
   flight_->Record(obs::flight::Ev::kRepairBegin, repair_t0, repair);
   for (int pid : noted_failed) {
     flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
-    logs.NoteFailureDetected(pid, repair_t0);
+    logs.NoteFailureDetected(ep_.metrics(), pid, repair_t0);
   }
   RCC_LOG(kDebug) << "pid " << ep_.pid() << " repair start: "
                   << failure.ToString();
@@ -195,8 +193,9 @@ Status ResilientComm::Repair(const Status& failure) {
     if (!shrunk.ok()) return shrunk.status();
     comm_ = std::make_unique<mpi::Comm>(shrunk.take());
   }
-  obs::flight::RecordRecoveryPhase(flight_, obs::flight::Phase::kRebuild,
-                                   ep_.now(), repair, ep_.now() - rebuild_t0);
+  obs::flight::RecordRecoveryPhase(ep_.metrics(), flight_,
+                                   obs::flight::Phase::kRebuild, ep_.now(),
+                                   repair, ep_.now() - rebuild_t0);
   // The triggering Status often lacks the casualty list (a collective
   // reports a generic peer failure; the pids only become certain after
   // the shrink agreement). Attribute every member that dropped out of
@@ -211,7 +210,7 @@ Status ResilientComm::Repair(const Status& failure) {
       continue;
     }
     flight_->Record(obs::flight::Ev::kFailureDetected, repair_t0, pid);
-    logs.NoteFailureDetected(pid, repair_t0);
+    logs.NoteFailureDetected(ep_.metrics(), pid, repair_t0);
   }
   flight_->Record(obs::flight::Ev::kRepairDone, ep_.now(), repair, 0,
                   ep_.now() - repair_t0);
@@ -395,9 +394,10 @@ Status ResilientComm::ReplayWindowFrom(int64_t min_id) {
     op.done = true;
     op.req = coll::Request();  // the pre-failure request is retired
   }
-  obs::flight::RecordRecoveryPhase(flight_, obs::flight::Phase::kReplay,
-                                   ep_.now(), repairs_, ep_.now() - replay_t0);
-  obs::Registry::Global()
+  obs::flight::RecordRecoveryPhase(ep_.metrics(), flight_,
+                                   obs::flight::Phase::kReplay, ep_.now(),
+                                   repairs_, ep_.now() - replay_t0);
+  ep_.metrics()
       .GetHistogram("rcc_recovery_replay_depth")
       ->Observe(static_cast<double>(depth));
   return Status::Ok();
@@ -619,8 +619,8 @@ std::string ExpandKvPrefix(const std::string& session) {
   return "expand/" + session + "/";
 }
 
-void CountAdmission(const char* outcome) {
-  obs::Registry::Global()
+void CountAdmission(sim::Endpoint& ep, const char* outcome) {
+  ep.metrics()
       .GetCounter("rcc_admission_total", {{"outcome", outcome}})
       ->Increment();
 }
@@ -703,14 +703,14 @@ ResilientComm::PollResult ResilientComm::ExpandPoll(bool finalize) {
   // decision, clean the staging keys (rank 0 of the pre-splice
   // membership, which is a survivor either way).
   const bool cleaner = comm_->rank() == 0;
-  obs::Registry::Global()
+  ep_.metrics()
       .GetHistogram("rcc_admission_latency_seconds",
                     {{"outcome", decided.value() == ulfm::ExpandStatus::kSpliced
                                      ? "spliced"
                                      : "aborted"}})
       ->Observe(ep_.now() - expand_begin_time_);
   if (decided.value() == ulfm::ExpandStatus::kAborted) {
-    CountAdmission("aborted");
+    CountAdmission(ep_, "aborted");
     flight_->Record(obs::flight::Ev::kExpandAbort, ep_.now(), 0, 0,
                     ep_.now() - expand_begin_time_);
     RCC_LOG(kDebug) << "pid " << ep_.pid() << " expand '" << expand_session_
@@ -727,7 +727,7 @@ ResilientComm::PollResult ResilientComm::ExpandPoll(bool finalize) {
   // bootstrap is free (scale 0); the synchronizing barrier still runs,
   // so a member dying mid-splice surfaces here and is deferred to the
   // next resilient op exactly like the blocking Expand.
-  CountAdmission("spliced");
+  CountAdmission(ep_, "spliced");
   {
     obs::Span span(rec_, ep_,
                    std::string("recovery/") + horovod::phase::kExpandSplice);

@@ -297,12 +297,14 @@ class ResilientComm {
   std::deque<WindowOp> window_;
   double comm_service_acc_ = 0.0;  // see TakeCommServiceSeconds
   // Instruments of the per-op re-execution path, resolved once.
-  obs::SpanPhase retry_phase_{std::string("recovery/") +
-                              horovod::phase::kRetryCollective};
-  obs::SpanPhase agree_phase_{"recovery/agree"};
+  obs::SpanPhase retry_phase_{
+      ep_.metrics(),
+      std::string("recovery/") + horovod::phase::kRetryCollective};
+  obs::SpanPhase agree_phase_{ep_.metrics(), "recovery/agree"};
   const uint32_t window_depth_name_ = obs::flight::Intern("in_flight_window");
   obs::ByAlgo<obs::flight::Name> algo_names_;
-  obs::CounterHandle replayed_ops_{"rcc_recovery_replayed_ops_total"};
+  obs::CounterHandle replayed_ops_{ep_.metrics(),
+                                   "rcc_recovery_replayed_ops_total"};
 
   // --- async-admission state (one pending expand at a time) ---
   ulfm::ExpandOp expand_op_;

@@ -64,7 +64,7 @@ std::unique_ptr<Context> Context::Connect(sim::Endpoint& ep, kv::Store& store,
   }
 
   auto group = mpi::GetOrCreateGroup(ep.fabric(), "gloo/" + round_key, pids);
-  obs::Registry::Global()
+  ep.metrics()
       .GetHistogram("rcc_rendezvous_seconds", {{"stack", "gloo"}})
       ->Observe(ep.now() - rendezvous_start);
   return std::unique_ptr<Context>(
@@ -85,7 +85,7 @@ void Context::BeginOp(const char* algo, double bytes) {
 void Context::Raise(const Status& s) {
   current_phase_ = 0;
   if (s.ok()) {
-    stack_metrics_.For(op_algo_, "gloo")
+    stack_metrics_.For(op_algo_, "gloo", ep_->metrics())
         ->Record(ep_->now() - op_start_, op_bytes_);
     return;
   }

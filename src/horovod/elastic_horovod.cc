@@ -477,8 +477,8 @@ class EhWorker {
   bool have_state_;
   bool in_recovery_;
   bool recompute_pending_ = false;
-  obs::StepMetrics step_metrics_{"elastic_horovod"};
-  obs::SpanPhase negotiation_{"negotiation"};
+  obs::StepMetrics step_metrics_{ep_.metrics(), "elastic_horovod"};
+  obs::SpanPhase negotiation_{ep_.metrics(), "negotiation"};
   obs::ByAlgo<obs::flight::Name> algo_names_;
 };
 

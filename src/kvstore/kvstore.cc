@@ -1,8 +1,10 @@
 #include "kvstore/kvstore.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "obs/flight.h"
+#include "obs/metrics.h"
 
 namespace rcc::kv {
 namespace {
@@ -30,25 +32,50 @@ int64_t KeyHash(const std::string& key) {
   return static_cast<int64_t>(h & ((1ull << 53) - 1));
 }
 
+// The kvstore instruments of one simulation, each resolved on first use
+// and shared by every store its ranks use. They live in the fabric's
+// rendezvous table, so they go with the simulation and a store never
+// holds an instrument of one that has ended.
+struct SimInstruments {
+  obs::Counter* ops[std::size(kOpNames)] = {};
+  obs::Gauge* keys = nullptr;
+};
+
+SimInstruments& InstrumentsOf(sim::Endpoint& ep) {
+  return *ep.fabric().Rendezvous<SimInstruments>("kv/metrics");
+}
+
 }  // namespace
 
 Store::Store(sim::Seconds roundtrip) : roundtrip_(roundtrip) {
-  static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) == kNumOps);
-  ops_.reserve(kNumOps);
-  for (const char* op : kOpNames) {
-    ops_.emplace_back("rcc_kv_ops_total", obs::Labels{{"op", op}});
+  static_assert(std::size(kOpNames) == kNumOps);
+}
+
+void Store::CountOp(sim::Endpoint* ep, Op op) {
+  if (ep == nullptr) return;
+  obs::Counter*& ops = InstrumentsOf(*ep).ops[op];
+  if (ops == nullptr) {
+    ops = ep->metrics().GetCounter("rcc_kv_ops_total", {{"op", kOpNames[op]}});
   }
+  ops->Increment();
+}
+
+void Store::SetKeysGauge(sim::Endpoint* ep) const {
+  if (ep == nullptr) return;
+  obs::Gauge*& keys = InstrumentsOf(*ep).keys;
+  if (keys == nullptr) keys = ep->metrics().GetGauge("rcc_kv_keys");
+  keys->Set(static_cast<double>(data_.size()));
 }
 
 Status Store::Set(sim::Endpoint* ep, const std::string& key,
                   std::vector<uint8_t> value) {
-  CountOp(kSet);
+  CountOp(ep, kSet);
   Charge(ep);
   Entry& entry = data_[key];
   entry.value = std::move(value);
   entry.visible_at = ep != nullptr ? ep->now() : 0.0;
   ++entry.version;
-  SetKeysGauge(data_.size());
+  SetKeysGauge(ep);
   wp_.NotifyAll();
   return Status::Ok();
 }
@@ -60,7 +87,7 @@ Status Store::SetString(sim::Endpoint* ep, const std::string& key,
 
 Result<std::vector<uint8_t>> Store::Get(sim::Endpoint* ep,
                                         const std::string& key) {
-  CountOp(kGet);
+  CountOp(ep, kGet);
   Charge(ep);
   auto it = data_.find(key);
   if (it == data_.end()) {
@@ -79,7 +106,7 @@ Result<std::string> Store::GetString(sim::Endpoint* ep,
 
 Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
                                          const std::string& key) {
-  CountOp(kWait);
+  CountOp(ep, kWait);
   Charge(ep);
   obs::flight::Ring* fly = ep != nullptr ? ep->log() : nullptr;
   const double wait_begin = ep != nullptr ? ep->now() : 0.0;
@@ -108,7 +135,7 @@ Result<std::vector<uint8_t>> Store::Wait(sim::Endpoint* ep,
 }
 
 Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
-  CountOp(kWaitEntry);
+  CountOp(ep, kWaitEntry);
   Charge(ep);
   obs::flight::Ring* fly = ep != nullptr ? ep->log() : nullptr;
   const double wait_begin = ep != nullptr ? ep->now() : 0.0;
@@ -133,16 +160,16 @@ Result<Entry> Store::WaitEntry(sim::Endpoint* ep, const std::string& key) {
 }
 
 Status Store::Delete(sim::Endpoint* ep, const std::string& key) {
-  CountOp(kDelete);
+  CountOp(ep, kDelete);
   Charge(ep);
   data_.erase(key);
-  SetKeysGauge(data_.size());
+  SetKeysGauge(ep);
   return Status::Ok();
 }
 
 Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
                                  int64_t delta) {
-  CountOp(kAddAndGet);
+  CountOp(ep, kAddAndGet);
   Charge(ep);
   Entry& entry = data_[key];
   int64_t current = 0;
@@ -154,7 +181,7 @@ Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
   std::memcpy(entry.value.data(), &current, sizeof(current));
   entry.visible_at = ep != nullptr ? ep->now() : 0.0;
   ++entry.version;
-  SetKeysGauge(data_.size());
+  SetKeysGauge(ep);
   wp_.NotifyAll();
   return current;
 }
@@ -162,7 +189,7 @@ Result<int64_t> Store::AddAndGet(sim::Endpoint* ep, const std::string& key,
 Result<bool> Store::CompareAndSwap(sim::Endpoint* ep, const std::string& key,
                                    uint64_t expected_version,
                                    std::vector<uint8_t> value) {
-  CountOp(kCompareAndSwap);
+  CountOp(ep, kCompareAndSwap);
   Charge(ep);
   auto it = data_.find(key);
   const uint64_t version = it == data_.end() ? 0 : it->second.version;
@@ -177,7 +204,7 @@ Result<bool> Store::CompareAndSwap(sim::Endpoint* ep, const std::string& key,
 
 std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
                                            const std::string& prefix) {
-  CountOp(kListPrefix);
+  CountOp(ep, kListPrefix);
   Charge(ep);
   std::vector<std::string> keys;
   for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
@@ -188,7 +215,7 @@ std::vector<std::string> Store::ListPrefix(sim::Endpoint* ep,
 }
 
 Result<uint64_t> Store::VersionOf(sim::Endpoint* ep, const std::string& key) {
-  CountOp(kVersionOf);
+  CountOp(ep, kVersionOf);
   Charge(ep);
   auto it = data_.find(key);
   if (it == data_.end()) {
@@ -199,7 +226,6 @@ Result<uint64_t> Store::VersionOf(sim::Endpoint* ep, const std::string& key) {
 
 void Store::Clear() {
   data_.clear();
-  SetKeysGauge(0);
   wp_.NotifyAll();
 }
 

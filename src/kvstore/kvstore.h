@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "sim/endpoint.h"
 #include "sim/engine.h"
 
@@ -66,7 +65,7 @@ class Store {
 
   Result<uint64_t> VersionOf(sim::Endpoint* ep, const std::string& key);
 
-  // Drops every key (a fresh rendezvous round).
+  // Drops every key (a fresh rendezvous round). Not counted: no endpoint.
   void Clear();
 
   size_t size() const;
@@ -90,16 +89,16 @@ class Store {
     if (ep != nullptr) ep->Busy(roundtrip_);
   }
   // Per-operation traffic counter (the rendezvous path is O(P) reads per
-  // joiner, worth watching at scale).
-  void CountOp(Op op) { ops_[op]->Increment(); }
-  // The store key count, updated wherever the map mutates.
-  void SetKeysGauge(size_t n) { keys_->Set(static_cast<double>(n)); }
+  // joiner, worth watching at scale) and the store key count, updated
+  // wherever the map mutates. Both record into the simulation of the
+  // endpoint performing the op; an op without an endpoint (an
+  // orchestrator or a probe) is not counted.
+  void CountOp(sim::Endpoint* ep, Op op);
+  void SetKeysGauge(sim::Endpoint* ep) const;
 
   sim::WaitPoint wp_;
   std::map<std::string, Entry> data_;
   sim::Seconds roundtrip_;
-  std::vector<obs::CounterHandle> ops_;  // indexed by Op
-  obs::GaugeHandle keys_{"rcc_kv_keys"};
 };
 
 }  // namespace rcc::kv

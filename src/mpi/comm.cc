@@ -51,7 +51,7 @@ Status Comm::Wait(coll::Request* req) {
   Status s = req->Join();
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
-    stack_metrics_.For(req->info().algo, "mpi")
+    stack_metrics_.For(req->info().algo, "mpi", ep_->metrics())
         ->Record(req->complete_time() - req->submit_time(),
                  req->info().bytes);
   }

@@ -237,7 +237,7 @@ class Comm : public coll::Transport {
   uint64_t agree_seq_ = 0;
   coll::Request engine_tail_;  // last submitted op (ordering chain)
   std::set<int> observed_failed_;
-  coll::RequestMetrics request_metrics_;
+  coll::RequestMetrics request_metrics_{ep_->metrics()};
   obs::ByAlgo<coll::StackMetrics> stack_metrics_;
 };
 

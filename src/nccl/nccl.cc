@@ -77,7 +77,7 @@ Status Comm::Wait(coll::Request* req) {
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
     service_acc_ += req->complete_time() - req->start_time();
-    stack_metrics_.For(req->info().algo, "nccl")
+    stack_metrics_.For(req->info().algo, "nccl", ep_->metrics())
         ->Record(req->complete_time() - req->submit_time(),
                  req->info().bytes);
   }

@@ -263,7 +263,7 @@ class Comm : public coll::Transport {
   uint64_t op_seq_ = 0;
   uint64_t current_phase_ = 0;
   coll::Request engine_tail_;  // last submitted op (stream-order chain)
-  coll::RequestMetrics request_metrics_;
+  coll::RequestMetrics request_metrics_{ep_->metrics()};
   obs::ByAlgo<coll::StackMetrics> stack_metrics_;
   // Service-seconds accumulator (rank-thread only; see TakeServiceSeconds).
   double service_acc_ = 0.0;

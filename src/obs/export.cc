@@ -39,7 +39,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 }  // namespace
 
 bool WriteMetricsFiles(const std::string& path) {
-  Registry& reg = Registry::Global();
+  const Registry reg = ExportSinkSnapshot();
   std::string prom_path = path;
   std::string csv_path = path + ".csv";
   if (EndsWith(path, ".csv")) {

@@ -3,13 +3,16 @@
 //
 //   RCC_TRACE_JSON=<path>   write the run's trace::Recorder as Chrome
 //                           trace-event JSON (open in Perfetto)
-//   RCC_METRICS_OUT=<path>  write the global metrics registry as
-//                           Prometheus text at <path> and CSV at
-//                           <path>.csv (or, when <path> ends in .csv,
-//                           CSV there and Prometheus alongside)
+//   RCC_METRICS_OUT=<path>  write the metrics export sink (every
+//                           finished simulation's registry, folded;
+//                           see obs/metrics.h) as Prometheus text at
+//                           <path> and CSV at <path>.csv (or, when
+//                           <path> ends in .csv, CSV there and
+//                           Prometheus alongside)
 //
-// Callers invoke DumpIfRequested once per run; a later call overwrites
-// an earlier one, so the files hold the final run's data.
+// Callers invoke DumpIfRequested once per run, after its sim::Cluster is
+// gone (a live simulation has not folded yet); a later call overwrites
+// an earlier one, so the files hold every simulation finished so far.
 //
 // DumpIfUnexplainedExit is the flight-dump rule for worker exits
 // (RCC_FLIGHT_DIR, see obs/flight.h).
@@ -26,7 +29,8 @@ namespace rcc::obs {
 // (metrics only). Returns false if any requested write failed.
 bool DumpIfRequested(const trace::Recorder* rec);
 
-// Unconditional writers, for callers managing their own paths.
+// Unconditional writer of the export sink, for callers managing their
+// own paths.
 bool WriteMetricsFiles(const std::string& path);
 
 // The worker-exit rule, shared by every driver that runs workers (chaos

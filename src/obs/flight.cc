@@ -1,11 +1,13 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <mutex>
 #include <unordered_map>
 
 #include "common/env.h"
@@ -145,102 +147,50 @@ const std::string& NameOf(uint32_t id) {
 
 Ring::Ring(int pid, uint64_t slots) : pid_(pid), slots_(slots) {}
 
-Ring::~Ring() {
-  for (auto& segment : segments_) {
-    delete[] segment.load(std::memory_order_relaxed);
-  }
-}
-
-Ring::Slot& Ring::WriteSlot(uint64_t p) {
+Event& Ring::Slot(uint64_t p) const {
   const int s = SegmentOf(p);
-  std::atomic<Slot*>& segment = segments_[s];
-  Slot* seg = segment.load(std::memory_order_acquire);
-  if (seg == nullptr) {
-    // First write into this segment: commit it. Racing writers keep
-    // whichever segment was published first.
-    Slot* fresh = new Slot[SegmentSize(s)];
-    if (segment.compare_exchange_strong(seg, fresh, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      seg = fresh;
-    } else {
-      delete[] fresh;
-    }
-  }
-  return seg[p - SegmentStart(s)];
-}
-
-const Ring::Slot* Ring::ReadSlot(uint64_t p) const {
-  const int s = SegmentOf(p);
-  const Slot* seg = segments_[s].load(std::memory_order_acquire);
-  return seg == nullptr ? nullptr : &seg[p - SegmentStart(s)];
+  return segments_[s][p - SegmentStart(s)];
 }
 
 uint64_t Ring::committed_slots() const {
   uint64_t n = 0;
   for (int s = 0; s < kSegments; ++s) {
-    if (segments_[s].load(std::memory_order_acquire) != nullptr) {
-      n += SegmentSize(s);
-    }
+    if (segments_[s] != nullptr) n += SegmentSize(s);
   }
   return n;
 }
 
 uint64_t Ring::FirstHeld(uint64_t head) const {
-  return !keeps_all() && head > slots_ ? head - slots_ : 0;
+  return !keep_all_ && head > slots_ ? head - slots_ : 0;
 }
 
 void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c,
                   uint32_t name) {
-  if (!keeps_all() && !Enabled()) return;
-  const uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = WriteSlot(Position(i));
-  // Seqlock publication: odd while the fields are being replaced, then
-  // 2*i+2 (even, index-stamped) once the event is whole. A reader that
-  // sees any other value skips the slot.
-  s.seq.store(2 * i + 1, std::memory_order_relaxed);
-  s.t.store(t, std::memory_order_relaxed);
-  s.kind.store(static_cast<uint16_t>(kind), std::memory_order_relaxed);
-  s.name.store(name, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.c.store(c, std::memory_order_relaxed);
-  s.seq.store(2 * i + 2, std::memory_order_release);
+  if (!keep_all_ && !Enabled()) return;
+  const uint64_t i = head_++;
+  const uint64_t p = Position(i);
+  std::unique_ptr<Event[]>& segment = segments_[SegmentOf(p)];
+  if (segment == nullptr) {
+    segment = std::make_unique<Event[]>(SegmentSize(SegmentOf(p)));
+  }
+  Slot(p) = Event{i, t, kind, name, a, b, c};
 }
 
 std::vector<Event> Ring::Snapshot() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first = FirstHeld(head);
+  const uint64_t first = FirstHeld(head_);
   std::vector<Event> out;
-  out.reserve(head - first);
-  for (uint64_t i = first; i < head; ++i) {
-    const Slot* slot = ReadSlot(Position(i));
-    if (slot == nullptr) continue;  // claimed, segment not yet committed
-    const Slot& s = *slot;
-    if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
-    Event e;
-    e.index = i;
-    e.t = s.t.load(std::memory_order_relaxed);
-    e.kind = static_cast<Ev>(s.kind.load(std::memory_order_relaxed));
-    e.name = s.name.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.c = s.c.load(std::memory_order_relaxed);
-    // Re-check: if a writer lapped us mid-copy the fields are torn.
-    if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
-    out.push_back(e);
-  }
+  out.reserve(head_ - first);
+  for (uint64_t i = first; i < head_; ++i) out.push_back(Slot(Position(i)));
   return out;
 }
 
-uint64_t Ring::dropped() const {
-  return FirstHeld(head_.load(std::memory_order_relaxed));
-}
+uint64_t Ring::dropped() const { return FirstHeld(head_); }
 
 void Ring::KeepAll() {
   RCC_CHECK(dropped() == 0)
       << "flight: rank " << pid_ << " already wrapped its " << slots_
       << "-event ring; attach the Recorder before the run records";
-  keep_all_.store(true, std::memory_order_relaxed);
+  keep_all_ = true;
 }
 
 std::string Ring::ToJson(const std::string& reason) const {
@@ -284,7 +234,6 @@ std::string Ring::ToJson(const std::string& reason) const {
 }
 
 Ring* Logs::For(int pid) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<Ring>& ring = rings_[pid];
   if (ring == nullptr) {
     ring = std::make_unique<Ring>(pid, RingSlots());
@@ -294,7 +243,6 @@ Ring* Logs::For(int pid) {
 }
 
 std::vector<const Ring*> Logs::rings() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Ring*> out;
   out.reserve(rings_.size());
   for (const auto& [pid, ring] : rings_) out.push_back(ring.get());
@@ -302,16 +250,12 @@ std::vector<const Ring*> Logs::rings() const {
 }
 
 void Logs::KeepAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (keep_all_) return;
   keep_all_ = true;
   for (auto& [pid, ring] : rings_) ring->KeepAll();
 }
 
-void Logs::NoteFailureDetected(int failed_pid, double t) {
-  static const CounterHandle failures("rcc_failures_observed_total");
-  static const GaugeHandle mtbf("rcc_mtbf_seconds");
-  std::lock_guard<std::mutex> lock(mu_);
+void Logs::NoteFailureDetected(Registry& metrics, int failed_pid, double t) {
   if (!failed_pids_.insert(failed_pid).second) return;
   const size_t n = failed_pids_.size();
   if (n == 1) {
@@ -321,10 +265,10 @@ void Logs::NoteFailureDetected(int failed_pid, double t) {
     first_failure_t_ = std::min(first_failure_t_, t);
     last_failure_t_ = std::max(last_failure_t_, t);
   }
-  failures->Increment();
+  metrics.GetCounter("rcc_failures_observed_total")->Increment();
   // MTBF estimate over the run so far: mean inter-failure virtual time,
   // or time-to-first-failure while only one failure has been seen.
-  mtbf->Set(n >= 2 ? (last_failure_t_ - first_failure_t_) /
+  metrics.GetGauge("rcc_mtbf_seconds")->Set(n >= 2 ? (last_failure_t_ - first_failure_t_) /
                          static_cast<double>(n - 1)
                    : first_failure_t_);
 }
@@ -344,8 +288,8 @@ std::string DumpDir(const std::string& dir_override) {
 std::vector<std::string> DumpAll(const Logs& logs, const std::string& reason,
                                  const std::string& dir_override,
                                  const std::string& prefix) {
-  // Serialize dumps: aborts on different OS threads (the main thread and
-  // a raw std::thread) must not write the same files at once.
+  // Serialize dumps: simulations on different host threads must not
+  // write the same files at once.
   static std::mutex dump_mu;
   std::lock_guard<std::mutex> dump_lock(dump_mu);
   const std::string dir = DumpDir(dir_override);
@@ -373,28 +317,27 @@ std::vector<std::string> DumpAll(const Logs& logs, const std::string& reason,
   return paths;
 }
 
-void RecordRecoveryPhase(Ring* ring, Phase phase, double t_end,
-                         int64_t repair_ordinal, double duration) {
+void RecordRecoveryPhase(Registry& metrics, Ring* ring, Phase phase,
+                         double t_end, int64_t repair_ordinal,
+                         double duration) {
   if (ring != nullptr) {
     ring->Record(Ev::kRecoveryPhase, t_end, static_cast<int64_t>(phase),
                  repair_ordinal, duration);
   }
-  static Histogram* hists[6] = {};
   const int idx = static_cast<int>(phase);
   if (idx < 1 || idx > 5) return;
-  static std::once_flag once;
-  std::call_once(once, [] {
-    Registry& reg = Registry::Global();
-    reg.SetHelp("rcc_recovery_phase_seconds",
-                "Per-phase recovery duration (revoke/agree/shrink/"
-                "rebuild/replay), one observation per repair per rank.");
+  constexpr const char* kFamily = "rcc_recovery_phase_seconds";
+  if (!metrics.HasFamily(kFamily)) {
+    metrics.SetHelp(kFamily,
+                    "Per-phase recovery duration (revoke/agree/shrink/"
+                    "rebuild/replay), one observation per repair per rank.");
     for (int p = 1; p <= 5; ++p) {
-      hists[p] = reg.GetHistogram(
-          "rcc_recovery_phase_seconds",
-          {{"phase", PhaseName(static_cast<Phase>(p))}});
+      metrics.GetHistogram(kFamily,
+                           {{"phase", PhaseName(static_cast<Phase>(p))}});
     }
-  });
-  hists[idx]->Observe(duration);
+  }
+  metrics.GetHistogram(kFamily, {{"phase", PhaseName(phase)}})
+      ->Observe(duration);
 }
 
 }  // namespace rcc::obs::flight

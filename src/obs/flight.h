@@ -12,11 +12,11 @@
 // attached to its run; then it keeps every event, because the tables and
 // oracles need the whole history, and records even under RCC_FLIGHT=0.
 //
-// Recording costs a few relaxed atomics per event (one fetch_add to
-// claim a slot, relaxed field stores, one release store publishing the
-// slot's sequence number). Readers snapshot a ring seqlock-style: a slot
-// whose sequence is odd or moved during the copy is being overwritten
-// and is skipped.
+// A log has one writer: its simulation's host thread (one simulation,
+// one host thread; see sim/engine.h). Recording is a plain slot store
+// and a head increment, and readers run on the same thread. State that
+// simulations on different host threads still share keeps its lock: the
+// Intern name table, DumpAll's dump mutex and the Enabled() switch.
 //
 // Dumps — one JSON file per rank, flight_rank<pid>.json — are written
 // only when something unexplained happened: a worker that exits aborted
@@ -31,15 +31,17 @@
 // per rank, default 4096), RCC_FLIGHT_DIR (dump directory, default ".").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace rcc::obs {
+class Registry;
+}  // namespace rcc::obs
 
 namespace rcc::obs::flight {
 
@@ -131,9 +133,9 @@ const char* EvName(Ev kind);
 
 // Recovery critical-path phases (the `a` field of kRecoveryPhase and of
 // recovery kSpans). The same durations are observed into the
-// rcc_recovery_phase_seconds{phase=...} histograms at the recording
-// site, so a postmortem's per-phase sums match the metric deltas
-// exactly.
+// simulation's rcc_recovery_phase_seconds{phase=...} histograms at the
+// recording site, so a postmortem's per-phase sums match the metric
+// sums exactly.
 enum class Phase : int64_t {
   kRevoke = 1,
   kAgree = 2,
@@ -145,7 +147,8 @@ enum class Phase : int64_t {
 const char* PhaseName(Phase p);
 
 // Process-wide table of event names (phases, algorithms, series); id 0
-// is "". Hot-path owners intern once and keep the id.
+// is "". Hot-path owners intern once and keep the id. Shared by every
+// simulation, so it keeps a mutex.
 uint32_t Intern(std::string_view name);
 const std::string& NameOf(uint32_t id);
 
@@ -171,29 +174,27 @@ struct Event {
 class Ring {
  public:
   Ring(int pid, uint64_t slots);
-  ~Ring();
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
   int pid() const { return pid_; }
 
-  // Hot path: claims a slot and publishes the event, unless recording is
-  // off (RCC_FLIGHT=0 and no Recorder attached). Safe from any thread.
+  // Hot path: stores the event in the next slot, unless recording is off
+  // (RCC_FLIGHT=0 and no Recorder attached).
   void Record(Ev kind, double t, int64_t a = 0, int64_t b = 0,
               double c = 0.0, uint32_t name = 0);
 
-  // Events still held, oldest first. Lock-free readers: events
-  // overwritten or in-flight during the copy are dropped.
+  // Events still held, oldest first.
   std::vector<Event> Snapshot() const;
 
-  uint64_t recorded() const { return head_.load(std::memory_order_relaxed); }
+  uint64_t recorded() const { return head_; }
   // Events pushed out by wraparound.
   uint64_t dropped() const;
 
   // Keeps every event from now on, even under RCC_FLIGHT=0. Only valid
   // before the ring first wraps.
   void KeepAll();
-  bool keeps_all() const { return keep_all_.load(std::memory_order_relaxed); }
+  bool keeps_all() const { return keep_all_; }
 
   // JSON dump ({"schema":"rcc-flight-v1",...}; "ring" 0 keeps all).
   std::string ToJson(const std::string& reason) const;
@@ -205,30 +206,19 @@ class Ring {
   static constexpr uint64_t kBaseSlots = 64;
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 2*index+1 while writing, 2*index+2 done
-    std::atomic<double> t{0.0};
-    std::atomic<uint16_t> kind{0};
-    std::atomic<uint32_t> name{0};
-    std::atomic<int64_t> a{0};
-    std::atomic<int64_t> b{0};
-    std::atomic<double> c{0.0};
-  };
   static constexpr int kSegments = 59;  // covers every uint64_t position
 
-  // Slot at position p for a writer, committing its segment first.
-  Slot& WriteSlot(uint64_t p);
-  // Slot at position p for a reader, or null while uncommitted.
-  const Slot* ReadSlot(uint64_t p) const;
+  // Slot at position p (its segment must be committed).
+  Event& Slot(uint64_t p) const;
   // Position of record index i, and the first index still held.
-  uint64_t Position(uint64_t i) const { return keeps_all() ? i : i % slots_; }
+  uint64_t Position(uint64_t i) const { return keep_all_ ? i : i % slots_; }
   uint64_t FirstHeld(uint64_t head) const;
 
   int pid_;
   uint64_t slots_;
-  std::atomic<bool> keep_all_{false};
-  std::atomic<uint64_t> head_{0};
-  std::atomic<Slot*> segments_[kSegments] = {};
+  bool keep_all_ = false;
+  uint64_t head_ = 0;
+  std::unique_ptr<Event[]> segments_[kSegments];
 };
 
 // One simulation's logs, one Ring per rank (created on first use,
@@ -243,15 +233,14 @@ class Logs {
 
   // Failure observations feeding the Chameleon-facing live metrics:
   // called once per failed pid per repair by the recovery path. The first
-  // observation of a pid in this simulation updates
-  // rcc_failures_observed_total and the rcc_mtbf_seconds gauge (mean
-  // inter-failure virtual time across the run so far). Duplicate
-  // detections of the same pid (every survivor repairs the same failure)
-  // are ignored.
-  void NoteFailureDetected(int failed_pid, double t);
+  // observation of a pid in this simulation updates the simulation's
+  // (`metrics`) rcc_failures_observed_total and the rcc_mtbf_seconds
+  // gauge (mean inter-failure virtual time across the run so far).
+  // Duplicate detections of the same pid (every survivor repairs the
+  // same failure) are ignored.
+  void NoteFailureDetected(Registry& metrics, int failed_pid, double t);
 
  private:
-  mutable std::mutex mu_;
   std::map<int, std::unique_ptr<Ring>> rings_;
   bool keep_all_ = false;
   std::set<int> failed_pids_;
@@ -261,7 +250,7 @@ class Logs {
 
 // Global on/off for always-on recording. Initialized from RCC_FLIGHT
 // (default on); SetEnabled overrides at runtime (the overhead bench
-// toggles it).
+// toggles it). An atomic: every simulation reads it.
 bool Enabled();
 void SetEnabled(bool on);
 
@@ -270,15 +259,19 @@ void SetEnabled(bool on);
 std::string DumpDir(const std::string& dir_override = "");
 
 // Writes every ring of `logs` as <dir>/<prefix>flight_rank<pid>.json and
-// returns the paths. `reason` is stamped into each file.
+// returns the paths. `reason` is stamped into each file. Dumps are
+// serialized by a process-wide mutex: simulations on different host
+// threads may dump into the same directory at once.
 std::vector<std::string> DumpAll(const Logs& logs, const std::string& reason,
                                  const std::string& dir_override = "",
                                  const std::string& prefix = "");
 
 // Records one recovery phase: a kRecoveryPhase event on `ring` (skipped
-// when null) plus an observation into rcc_recovery_phase_seconds{phase}
-// with the identical duration value.
-void RecordRecoveryPhase(Ring* ring, Phase phase, double t_end,
-                         int64_t repair_ordinal, double duration);
+// when null) plus an observation into the simulation's (`metrics`)
+// rcc_recovery_phase_seconds{phase} with the identical duration value.
+// The first phase a simulation records registers all five series.
+void RecordRecoveryPhase(Registry& metrics, Ring* ring, Phase phase,
+                         double t_end, int64_t repair_ordinal,
+                         double duration);
 
 }  // namespace rcc::obs::flight

@@ -85,28 +85,37 @@ int Histogram::BucketIndex(double v) {
 }
 
 void Histogram::Observe(double v) {
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  detail::AtomicAdd(&sum_, v);
-  const uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  if (prev == 0) {
-    // First observation seeds min; racing observers fix it up below.
-    double zero = 0.0;
-    min_.compare_exchange_strong(zero, v, std::memory_order_relaxed);
+  ++buckets_[BucketIndex(v)];
+  sum_ += v;
+  // The first observation seeds min; max starts from 0.
+  if (count_++ == 0 || v < min_) min_ = v;
+  if (v > max_) max_ = v;
+}
+
+void Histogram::Merge(const Histogram& other) {
+  if (other.count_ == 0) return;
+  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  sum_ += other.sum_;
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
   }
-  detail::AtomicMin(&min_, v);
-  detail::AtomicMax(&max_, v);
+  count_ += other.count_;
 }
 
 Histogram::Snapshot Histogram::TakeSnapshot() const {
   Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min = min_.load(std::memory_order_relaxed);
-  s.max = max_.load(std::memory_order_relaxed);
+  s.count = count_;
+  s.sum = sum_;
+  s.min = min_;
+  s.max = max_;
   s.cumulative.reserve(kBuckets);
   uint64_t running = 0;
   for (int i = 0; i < kBuckets; ++i) {
-    running += buckets_[i].load(std::memory_order_relaxed);
+    running += buckets_[i];
     const double bound = (i == kBuckets - 1)
                              ? std::numeric_limits<double>::infinity()
                              : BucketBound(i);
@@ -143,34 +152,12 @@ double Histogram::Snapshot::Quantile(double q) const {
   return max;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 // --- Registry ---
-
-Registry& Registry::Global() {
-  static Registry* g = new Registry();  // leaked: instruments outlive exit
-  return *g;
-}
 
 Registry::Instrument* Registry::GetOrCreate(const std::string& name,
                                             const Labels& labels,
                                             Instrument::Kind kind) {
   const std::string key = LabelString(labels);
-  {
-    std::shared_lock lock(mu_);
-    auto fit = families_.find(name);
-    if (fit != families_.end()) {
-      auto iit = fit->second.instruments.find(key);
-      if (iit != fit->second.instruments.end()) return iit->second.get();
-    }
-  }
-  std::unique_lock lock(mu_);
   Family& fam = families_[name];
   fam.kind = kind;  // first registration decides; mixed kinds are a bug
   auto& slot = fam.instruments[key];
@@ -210,13 +197,11 @@ Histogram* Registry::GetHistogram(const std::string& name,
 }
 
 void Registry::SetHelp(const std::string& name, const std::string& help) {
-  std::unique_lock lock(mu_);
   families_[name].help = help;
 }
 
 const Registry::Instrument* Registry::Find(const std::string& name,
                                            const Labels& labels) const {
-  std::shared_lock lock(mu_);
   auto fit = families_.find(name);
   if (fit == families_.end()) return nullptr;
   auto iit = fit->second.instruments.find(LabelString(labels));
@@ -244,7 +229,6 @@ Histogram::Snapshot Registry::HistogramSnapshot(const std::string& name,
 }
 
 std::string Registry::PrometheusText() const {
-  std::shared_lock lock(mu_);
   std::ostringstream os;
   for (const auto& [name, fam] : families_) {
     if (!fam.help.empty()) os << "# HELP " << name << " " << fam.help << "\n";
@@ -299,7 +283,6 @@ std::string Registry::PrometheusText() const {
 }
 
 std::string Registry::CsvText() const {
-  std::shared_lock lock(mu_);
   std::ostringstream os;
   os << "metric,labels,type,value,count,sum,mean,min,max,p50,p90,p99,p999\n";
   for (const auto& [name, fam] : families_) {
@@ -338,35 +321,66 @@ std::string Registry::CsvText() const {
   return os.str();
 }
 
-void Registry::ResetAll() {
-  std::unique_lock lock(mu_);
-  for (auto& [name, fam] : families_) {
-    for (auto& [key, in] : fam.instruments) {
+void Registry::Merge(const Registry& other) {
+  for (const auto& [name, fam] : other.families_) {
+    if (!fam.help.empty()) SetHelp(name, fam.help);
+    for (const auto& [key, in] : fam.instruments) {
+      Instrument* mine = GetOrCreate(name, in->labels, in->kind);
       switch (in->kind) {
         case Instrument::Kind::kCounter:
-          in->counter->Reset();
+          mine->counter->Add(in->counter->Value());
           break;
         case Instrument::Kind::kGauge:
-          in->gauge->Reset();
+          mine->gauge->Set(in->gauge->Value());
           break;
         case Instrument::Kind::kHistogram:
-          in->histogram->Reset();
+          mine->histogram->Merge(*in->histogram);
           break;
       }
     }
   }
 }
 
+// --- Export sink ---
+
+namespace {
+
+struct ExportSink {
+  std::mutex mu;
+  Registry registry;
+};
+
+ExportSink& Sink() {
+  static ExportSink* sink = new ExportSink();  // leaked: read at exit
+  return *sink;
+}
+
+}  // namespace
+
+void FoldIntoExportSink(const Registry& finished) {
+  ExportSink& sink = Sink();
+  std::lock_guard<std::mutex> lock(sink.mu);
+  sink.registry.Merge(finished);
+}
+
+Registry ExportSinkSnapshot() {
+  ExportSink& sink = Sink();
+  std::lock_guard<std::mutex> lock(sink.mu);
+  Registry copy;
+  copy.Merge(sink.registry);
+  return copy;
+}
+
 // --- StepMetrics ---
 
-StepMetrics::StepMetrics(const char* stack)
-    : steps_("rcc_steps_total", {{"stack", stack}}),
-      seconds_("rcc_step_seconds_total", {{"stack", stack}}),
-      compute_("rcc_step_compute_seconds_total", {{"stack", stack}}),
-      service_("rcc_step_comm_service_seconds_total", {{"stack", stack}}),
-      exposed_("rcc_step_comm_exposed_seconds_total", {{"stack", stack}}),
-      step_seconds_("rcc_step_seconds", {{"stack", stack}}),
-      world_("rcc_world_size", {{"stack", stack}}) {}
+StepMetrics::StepMetrics(Registry& reg, const char* stack)
+    : steps_(reg, "rcc_steps_total", {{"stack", stack}}),
+      seconds_(reg, "rcc_step_seconds_total", {{"stack", stack}}),
+      compute_(reg, "rcc_step_compute_seconds_total", {{"stack", stack}}),
+      service_(reg, "rcc_step_comm_service_seconds_total", {{"stack", stack}}),
+      exposed_(reg, "rcc_step_comm_exposed_seconds_total", {{"stack", stack}}),
+      step_seconds_(reg, "rcc_step_seconds", {{"stack", stack}}),
+      world_(reg, "rcc_world_size", {{"stack", stack}}) {}
 
 void StepMetrics::Record(double wall, double compute, double service,
                          int world) {

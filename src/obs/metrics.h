@@ -1,22 +1,24 @@
-// Process-wide metrics registry: counters, gauges, and log-bucketed
-// histograms, all with label support.
+// Metrics registry: counters, gauges, and log-bucketed histograms, all
+// with label support.
 //
 // Design goals, in order:
-//   1. Lock-cheap hot paths. Recording into an instrument is a handful
-//      of relaxed atomics (a CAS-add for the double counters, a
-//      fetch_add for histogram buckets) - no mutex, no allocation.
-//      Looking an instrument up sorts and serializes its labels and
-//      takes a shared lock on the registry map, so per-op and per-step
-//      paths never do it per event: they hold a Handle (below), which
-//      resolves once and caches the pointer (instruments are never
-//      deallocated while the registry lives).
-//   2. One registry per process (Registry::Global()), matching how the
-//      simulated cluster runs every rank as a thread of one process:
-//      cross-rank aggregation is free, and benches snapshot/diff the
-//      registry around a run to get per-run deltas.
-//   3. Text exposition in Prometheus format plus CSV, so any bench or
-//      example can drop a scrapeable snapshot via RCC_METRICS_OUT (see
-//      obs/export.h).
+//   1. One registry per simulation. sim::Fabric owns one (next to its
+//      event logs), so every fact a run records, and every modeled input
+//      read back from it (the adaptive policy's failure count and
+//      recovery-phase maxima), belongs to that run alone. A simulation is
+//      driven by one host thread, so a registry has one writer and its
+//      instruments hold plain values: no locks, no atomics.
+//   2. Cheap hot paths. Recording is a plain add or store. Looking an
+//      instrument up sorts and serializes its labels and walks two maps,
+//      so per-op and per-step paths never do it per event: they hold a
+//      Handle (below), which resolves once and caches the pointer
+//      (instruments are never deallocated while the registry lives).
+//   3. One process-level export sink. When a simulation ends, its
+//      fabric folds the registry into the sink once (counters add,
+//      histograms merge, gauges take the last value). RCC_METRICS_OUT
+//      (obs/export.h) writes the sink as Prometheus text plus CSV; no
+//      modeled code reads it. The fold is the only write that crosses
+//      simulations, so the sink keeps a mutex.
 //
 // Histograms are log-bucketed (powers of two over a seconds-oriented
 // range): recovery spans stretch from microseconds (revoke) to tens of
@@ -25,11 +27,9 @@
 // 64 buckets.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -40,52 +40,26 @@ namespace rcc::obs {
 // Sorted (key, value) pairs identifying one instrument of a family.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-namespace detail {
-// Lock-free add for std::atomic<double> (fetch_add on doubles is C++20
-// but not universally lowered; the CAS loop is portable and the
-// contention case - many ranks on one counter - stays short).
-inline void AtomicAdd(std::atomic<double>* target, double v) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + v,
-                                        std::memory_order_relaxed)) {
-  }
-}
-inline void AtomicMax(std::atomic<double>* target, double v) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (v > cur && !target->compare_exchange_weak(cur, v,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-inline void AtomicMin(std::atomic<double>* target, double v) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (v < cur && !target->compare_exchange_weak(cur, v,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-}  // namespace detail
-
 // Monotonically increasing value (events, bytes, accumulated seconds).
 class Counter {
  public:
-  void Add(double v) { detail::AtomicAdd(&value_, v); }
+  void Add(double v) { value_ += v; }
   void Increment() { Add(1.0); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  double Value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // Last-write-wins instantaneous value (world size, in-flight depth).
 class Gauge {
  public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double v) { detail::AtomicAdd(&value_, v); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Set(double v) { value_ = v; }
+  void Add(double v) { value_ += v; }
+  double Value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // Log-bucketed histogram. Bucket i collects observations in
@@ -116,36 +90,37 @@ class Histogram {
     double Quantile(double q) const;
   };
   Snapshot TakeSnapshot() const;
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  void Reset();
+  // Adds `other`'s observations to this histogram.
+  void Merge(const Histogram& other);
 
   static double BucketBound(int i);  // upper bound of bucket i
   static int BucketIndex(double v);
 
  private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  uint64_t buckets_[kBuckets] = {};
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
-// Process-wide instrument registry. Get* registers on first use and
-// returns a pointer that stays valid for the registry's lifetime, so
-// hot paths can cache it. Metric names should already be
-// Prometheus-shaped (snake_case, unit-suffixed); the exporters only
-// escape label values.
+// Instrument registry: sim::Fabric owns one per simulation. Get*
+// registers on first use and returns a pointer that stays valid for the
+// registry's lifetime, so hot paths can cache it. Metric names should
+// already be Prometheus-shaped (snake_case, unit-suffixed); the
+// exporters only escape label values.
 class Registry {
  public:
-  static Registry& Global();
-
   Counter* GetCounter(const std::string& name, const Labels& labels = {});
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
   Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
   // Optional HELP text attached to a metric family.
   void SetHelp(const std::string& name, const std::string& help);
+  // Whether any instrument or HELP text of family `name` exists.
+  bool HasFamily(const std::string& name) const {
+    return families_.count(name) != 0;
+  }
 
   // Point lookups for tests and benches (0 / empty when absent).
   double CounterValue(const std::string& name, const Labels& labels = {}) const;
@@ -161,8 +136,10 @@ class Registry {
   // p50,p90,p99,p999 (quantile columns filled for histograms only).
   std::string CsvText() const;
 
-  // Zeroes every instrument, keeping registrations (a fresh bench run).
-  void ResetAll();
+  // Folds every instrument of `other` into this registry, registering
+  // what is missing: counters add, histograms merge, gauges take
+  // `other`'s value. HELP text carries over.
+  void Merge(const Registry& other);
 
  private:
   struct Instrument {
@@ -183,67 +160,56 @@ class Registry {
                           Instrument::Kind kind);
   const Instrument* Find(const std::string& name, const Labels& labels) const;
 
-  mutable std::shared_mutex mu_;
   std::map<std::string, Family> families_;
 };
+
+// The process-level export sink. Every sim::Fabric folds its registry in
+// once, when it is destroyed; the sink is read only by the exporters
+// (obs/export.h). Safe from any thread: simulations on different host
+// threads may end at once.
+void FoldIntoExportSink(const Registry& finished);
+// A copy of everything folded so far.
+Registry ExportSinkSnapshot();
 
 // Serializes labels canonically ("{a=\"x\",b=\"y\"}", empty string for
 // no labels); shared by the registry key and the Prometheus exporter.
 std::string LabelString(const Labels& labels);
 
-// One instrument (family name + labels), resolved on first use and then
-// cached. The first Get() pays the registry lookup (label sort, label
-// string, shared lock, two map finds); every later one is one acquire
-// load. Registration stays exactly as lazy as a direct Get* call, so a
-// series appears in the exposition only once something was recorded
-// into it. Hot paths keep their handles with the object that owns the
-// work (a communicator, store, driver or trainer) instead of looking an
-// instrument up per event. Get() is safe from any thread: racing first
-// resolutions return the same pointer. `name` must have static storage
-// (a string literal); `registry` defaults to Registry::Global().
+// One instrument (family name + labels) of one registry, resolved on
+// first use and then cached. The first Get() pays the registry lookup
+// (label sort, label string, two map finds); every later one is a
+// pointer load. Registration stays exactly as lazy as a direct Get*
+// call, so a series appears in the exposition only once something was
+// recorded into it. Hot paths keep their handles with the object that
+// owns the work (a communicator, driver or trainer, which reaches its
+// simulation's registry through its endpoint) instead of looking an
+// instrument up per event. Copies share the resolved instrument. `name`
+// must have static storage (a string literal).
 template <class T>
 class Handle {
  public:
-  explicit Handle(const char* name, Labels labels = {},
-                  Registry* registry = nullptr)
-      : name_(name), labels_(std::move(labels)), registry_(registry) {}
-  // Copies share the resolved instrument.
-  Handle(const Handle& other)
-      : name_(other.name_),
-        labels_(other.labels_),
-        registry_(other.registry_),
-        ptr_(other.ptr_.load(std::memory_order_acquire)) {}
-  Handle& operator=(const Handle& other) {
-    name_ = other.name_;
-    labels_ = other.labels_;
-    registry_ = other.registry_;
-    ptr_.store(other.ptr_.load(std::memory_order_acquire),
-               std::memory_order_release);
-    return *this;
-  }
+  Handle(Registry& registry, const char* name, Labels labels = {})
+      : registry_(&registry), name_(name), labels_(std::move(labels)) {}
 
   T* Get() const {
-    T* p = ptr_.load(std::memory_order_acquire);
-    if (p == nullptr) {
-      Registry& reg = registry_ != nullptr ? *registry_ : Registry::Global();
+    if (ptr_ == nullptr) {
       if constexpr (std::is_same_v<T, Counter>) {
-        p = reg.GetCounter(name_, labels_);
+        ptr_ = registry_->GetCounter(name_, labels_);
       } else if constexpr (std::is_same_v<T, Gauge>) {
-        p = reg.GetGauge(name_, labels_);
+        ptr_ = registry_->GetGauge(name_, labels_);
       } else {
-        p = reg.GetHistogram(name_, labels_);
+        ptr_ = registry_->GetHistogram(name_, labels_);
       }
-      ptr_.store(p, std::memory_order_release);
     }
-    return p;
+    return ptr_;
   }
   T* operator->() const { return Get(); }
 
  private:
+  Registry* registry_;
   const char* name_;
   Labels labels_;
-  Registry* registry_;
-  mutable std::atomic<T*> ptr_{nullptr};
+  mutable T* ptr_ = nullptr;
 };
 
 using CounterHandle = Handle<Counter>;
@@ -254,9 +220,7 @@ using HistogramHandle = Handle<Histogram>;
 // record one series per kernel. Algo names are static strings, so the
 // lookup is a short scan comparing addresses; a name met at a second
 // address gets a second entry resolving to the same instruments.
-// For(algo, args...) builds Entry(algo, args...) on first use. Only the
-// owning rank looks entries up; the entries' handles may then be used
-// from any thread.
+// For(algo, args...) builds Entry(algo, args...) on first use.
 template <class Entry>
 class ByAlgo {
  public:
@@ -280,7 +244,7 @@ class ByAlgo {
 // the step-time histogram and the world-size gauge.
 class StepMetrics {
  public:
-  explicit StepMetrics(const char* stack);
+  StepMetrics(Registry& registry, const char* stack);
   // Exposed comm is the wall time not covered by compute.
   void Record(double wall, double compute, double service, int world);
 

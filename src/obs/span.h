@@ -1,11 +1,11 @@
 // Instrumentation span: on destruction the [construction, destruction]
 // interval of the endpoint's virtual clock is (a) recorded as a kSpan on
 // the rank's event log (read by trace::Recorder and the Perfetto export)
-// and (b) observed into the `metric{phase=...}` histogram. A span marked
-// with SetRecoveryPhase is also that recovery phase (the event carries
-// the code; rcc_recovery_phase_seconds observes it too). Spans on
-// per-step or per-op paths take a SpanPhase their owner keeps, so the
-// name and histogram are resolved once rather than per span.
+// and (b) observed into the simulation's `metric{phase=...}` histogram.
+// A span marked with SetRecoveryPhase is also that recovery phase (the
+// event carries the code; rcc_recovery_phase_seconds observes it too).
+// Spans on per-step or per-op paths take a SpanPhase their owner keeps,
+// so the name and histogram are resolved once rather than per span.
 #pragma once
 
 #include <string>
@@ -19,12 +19,14 @@
 namespace rcc::obs {
 
 // A span phase with its interned name and histogram handle, kept by the
-// owner of a hot path and passed to every Span of that phase.
+// owner of a hot path and passed to every Span of that phase. `registry`
+// is the owner's simulation's (sim::Endpoint::metrics()).
 struct SpanPhase {
   // `metric` defaults to the cross-layer phase-duration family.
-  explicit SpanPhase(std::string phase,
-                     const char* metric = "rcc_phase_seconds")
-      : name(flight::Intern(phase)), hist(metric, {{"phase", phase}}) {}
+  SpanPhase(Registry& registry, std::string phase,
+            const char* metric = "rcc_phase_seconds")
+      : name(flight::Intern(phase)),
+        hist(registry, metric, {{"phase", phase}}) {}
 
   uint32_t name;
   HistogramHandle hist;
@@ -37,7 +39,7 @@ class Span {
   Span(trace::Recorder* rec, sim::Endpoint& ep, const std::string& phase,
        const char* metric = "rcc_phase_seconds")
       : Span(rec, ep, flight::Intern(phase),
-             Registry::Global().GetHistogram(metric, {{"phase", phase}})) {}
+             ep.metrics().GetHistogram(metric, {{"phase", phase}})) {}
 
   Span(trace::Recorder* rec, sim::Endpoint& ep, const SpanPhase& phase)
       : Span(rec, ep, phase.name, phase.hist.Get()) {}
@@ -48,8 +50,8 @@ class Span {
                       repair_, start_, name_);
     hist_->Observe(end - start_);
     if (recovery_ != flight::Phase{}) {
-      flight::RecordRecoveryPhase(nullptr, recovery_, end, repair_,
-                                  end - start_);
+      flight::RecordRecoveryPhase(ep_.metrics(), nullptr, recovery_, end,
+                                  repair_, end - start_);
     }
   }
 

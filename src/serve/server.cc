@@ -24,24 +24,26 @@ ServingDriver::ServingDriver(core::ResilientComm* rc, const ServeOptions& opts)
       batcher_(opts.max_batch),
       ctl_(opts.autoscale),
       last_repairs_(rc->repairs()),
-      metrics_(ModeName(opts.mode)) {
+      metrics_(rc->endpoint().metrics(), ModeName(opts.mode)) {
   rc_->SetReplayHook(
       [this](int64_t /*op_id*/, int64_t /*min_id*/) { ++decode_replays_; });
 }
 
-ServingDriver::Metrics::Metrics(const char* mode)
-    : ttft("rcc_serve_ttft_seconds", {{"mode", mode}}),
-      token("rcc_serve_token_seconds", {{"mode", mode}}),
-      completions("rcc_serve_completions_total", {{"mode", mode}}),
-      decode_replays("rcc_serve_decode_replays_total", {{"mode", mode}}),
-      tokens("rcc_serve_tokens_total", {{"mode", mode}}),
-      queue_depth("rcc_serve_queue_depth", {{"mode", mode}}),
-      world_size("rcc_serve_world_size", {{"mode", mode}}),
-      goodput("rcc_serve_goodput_tokens_per_s", {{"mode", mode}}),
-      recovery_steps("rcc_serve_recovery_steps_total", {{"mode", mode}}),
-      recovery_seconds("rcc_serve_recovery_seconds_total", {{"mode", mode}}),
-      recovery_tokens("rcc_serve_recovery_tokens_total", {{"mode", mode}}),
-      recovery_goodput("rcc_serve_goodput_during_recovery_tokens_per_s",
+ServingDriver::Metrics::Metrics(obs::Registry& reg, const char* mode)
+    : ttft(reg, "rcc_serve_ttft_seconds", {{"mode", mode}}),
+      token(reg, "rcc_serve_token_seconds", {{"mode", mode}}),
+      completions(reg, "rcc_serve_completions_total", {{"mode", mode}}),
+      decode_replays(reg, "rcc_serve_decode_replays_total", {{"mode", mode}}),
+      tokens(reg, "rcc_serve_tokens_total", {{"mode", mode}}),
+      queue_depth(reg, "rcc_serve_queue_depth", {{"mode", mode}}),
+      world_size(reg, "rcc_serve_world_size", {{"mode", mode}}),
+      goodput(reg, "rcc_serve_goodput_tokens_per_s", {{"mode", mode}}),
+      recovery_steps(reg, "rcc_serve_recovery_steps_total", {{"mode", mode}}),
+      recovery_seconds(reg, "rcc_serve_recovery_seconds_total",
+                       {{"mode", mode}}),
+      recovery_tokens(reg, "rcc_serve_recovery_tokens_total",
+                      {{"mode", mode}}),
+      recovery_goodput(reg, "rcc_serve_goodput_during_recovery_tokens_per_s",
                        {{"mode", mode}}) {}
 
 std::string ServingDriver::StandbyKey(const std::string& session, int index) {

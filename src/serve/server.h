@@ -141,7 +141,7 @@ class ServingDriver {
   // Rank 0's serving instruments, all labelled {mode}; resolved once
   // per driver instead of per decode step.
   struct Metrics {
-    explicit Metrics(const char* mode);
+    Metrics(obs::Registry& registry, const char* mode);
     obs::HistogramHandle ttft, token;
     obs::CounterHandle completions, decode_replays, tokens;
     obs::GaugeHandle queue_depth, world_size, goodput;

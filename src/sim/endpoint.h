@@ -28,6 +28,8 @@ class Endpoint {
   int node() const { return fabric_->NodeOf(pid_); }
   // This rank's event log, owned by the fabric's simulation.
   obs::flight::Ring* log() const { return log_; }
+  // This simulation's metrics registry.
+  obs::Registry& metrics() const { return fabric_->metrics(); }
   Seconds now() const { return now_; }
   // Stable address of this rank's virtual clock: the engine's run queue
   // orders a parked task by *clock() (read only while the rank is not

@@ -14,6 +14,8 @@ Fabric::Fabric(SimConfig cfg)
   });
 }
 
+Fabric::~Fabric() { obs::FoldIntoExportSink(metrics_); }
+
 int Fabric::RegisterProcess(int node) {
   Proc proc;
   proc.node = node;

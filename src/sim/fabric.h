@@ -37,6 +37,7 @@
 #include "common/log.h"
 #include "common/status.h"
 #include "obs/flight.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/params.h"
 
@@ -76,6 +77,8 @@ class CancelToken {
 class Fabric {
  public:
   explicit Fabric(SimConfig cfg);
+  // Folds metrics() into the process's export sink.
+  ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -92,6 +95,11 @@ class Fabric {
   const std::shared_ptr<obs::flight::Logs>& shared_logs() const {
     return logs_;
   }
+
+  // This simulation's metrics registry: every counter, gauge and
+  // histogram its ranks record, and the only one modeled code reads
+  // (the adaptive policy's inputs). One writer, like the logs.
+  obs::Registry& metrics() { return metrics_; }
 
   // This simulation's rendezvous table: every rank naming the same key
   // gets the same shared object, default-constructed by the first
@@ -181,6 +189,7 @@ class Fabric {
 
   SimConfig cfg_;
   std::shared_ptr<obs::flight::Logs> logs_;
+  obs::Registry metrics_;
   Engine engine_;
   // After engine_: the synchronizers hold WaitPoints, which must go
   // before the engine their fibers ran on.

@@ -279,37 +279,43 @@ TEST(UlfmElastic, ForwardRecoveryRepairsInPlace) {
 }
 
 // Each simulation counts its own failures. Two sequential runs, each
-// with one scripted failure of the same pid at a different step, add two
-// to rcc_failures_observed_total, and the MTBF gauge holds the second
-// run's time to its first failure (failure state is per simulation, not
-// per process).
+// with one scripted failure of the same pid at a different step, each
+// record one failure in their own registry, and each MTBF gauge holds
+// that run's time to its first failure (failure state and metrics are
+// per simulation, not per process).
 TEST(UlfmElastic, SequentialRunsEachCountTheirFailure) {
-  auto& reg = obs::Registry::Global();
-  const double failures0 = reg.CounterValue("rcc_failures_observed_total");
-  // Runs the plan with rank 3 failing at `step`; returns the earliest
-  // failure detection in that run's logs.
+  struct RunMetrics {
+    double first_detection = std::numeric_limits<double>::infinity();
+    double failures = 0.0;
+    double mtbf = 0.0;
+  };
+  // Runs the plan with rank 3 failing at `step`.
   auto run = [](int step) {
     SyntheticPlan plan = SmallPlan();
     plan.drop_policy = DropPolicy::kProcess;
     plan.failures.push_back({1, step, 0, 3, sim::FailScope::kProcess});
     sim::Cluster cluster;
     EXPECT_EQ(RunUlfmElastic(cluster, plan, nullptr).final_world, 11);
-    double first = std::numeric_limits<double>::infinity();
+    RunMetrics m;
     for (const obs::flight::Ring* ring : cluster.fabric().logs().rings()) {
       for (const obs::flight::Event& e : ring->Snapshot()) {
         if (e.kind == obs::flight::Ev::kFailureDetected) {
-          first = std::min(first, e.t);
+          m.first_detection = std::min(m.first_detection, e.t);
         }
       }
     }
-    return first;
+    const obs::Registry& reg = cluster.fabric().metrics();
+    m.failures = reg.CounterValue("rcc_failures_observed_total");
+    m.mtbf = reg.GaugeValue("rcc_mtbf_seconds");
+    return m;
   };
-  const double t1 = run(1);
-  const double t2 = run(2);
-  ASSERT_GT(t2, t1);
-  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total") - failures0,
-                   2.0);
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), t2);
+  const RunMetrics r1 = run(1);
+  const RunMetrics r2 = run(2);
+  ASSERT_GT(r2.first_detection, r1.first_detection);
+  EXPECT_DOUBLE_EQ(r1.failures, 1.0);
+  EXPECT_DOUBLE_EQ(r2.failures, 1.0);
+  EXPECT_DOUBLE_EQ(r1.mtbf, r1.first_detection);
+  EXPECT_DOUBLE_EQ(r2.mtbf, r2.first_detection);
 }
 
 TEST(UlfmElastic, NodePolicyShrinksBySix) {
@@ -685,6 +691,62 @@ TEST(ElasticTrainer, ResumeIntoJoinEpochStillExpands) {
 // published snapshot through the kvstore, splices at a step boundary,
 // catches up via the delta sync, and ends bitwise-identical to the
 // founders.
+// The adaptive policy reads its modeled inputs (failures observed,
+// measured rebuild time) from its own simulation's registry. Two
+// identical 3-rank adaptive runs, back to back in one process with no
+// reset between them, each with one scripted kill, must produce the
+// same decision log: the second run must not see the first run's
+// failure or recovery phases.
+TEST(ElasticTrainer, BackToBackAdaptiveRunsDecideIdentically) {
+  auto run = [] {
+    constexpr int kWorld = 3;
+    sim::Cluster cluster;
+    dnn::ClusterDataset data(8, 3, 512, 7);
+    TrainerOptions opts;
+    opts.epochs = 2;
+    opts.steps_per_epoch = 3;
+    opts.policy_mode = policy::Mode::kAdaptive;
+    opts.failures.push_back({0, 1, 0, 1, sim::FailScope::kProcess});
+    std::vector<bool> flags(1);
+    std::vector<int> pids{0, 1, 2};
+    std::vector<std::pair<int, TrainerReport>> reports;
+    cluster.Spawn(kWorld, [&](sim::Endpoint& ep) {
+      dnn::Model model = dnn::BuildMlp(8, {12}, 3, 99);
+      dnn::Sgd opt(model.Params(), opts.sgd);
+      DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
+                       opts.grad_buckets);
+      ResilientComm rc(ep, pids, opts.drop_policy, nullptr);
+      ElasticTrainer trainer(&rc, &work, opts, &flags);
+      reports.emplace_back(ep.pid(), trainer.Run());
+    });
+    cluster.Join();
+    // The lowest surviving pid's decision log.
+    std::sort(reports.begin(), reports.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [pid, report] : reports) {
+      if (!report.aborted) return report.decisions;
+    }
+    return std::vector<policy::Decision>{};
+  };
+  const std::vector<policy::Decision> first = run();
+  const std::vector<policy::Decision> second = run();
+  ASSERT_FALSE(first.empty());
+  EXPECT_DOUBLE_EQ(first.front().in.failures_observed, 1.0);
+  EXPECT_GT(first.front().in.rebuild_seconds, 0.0);
+  ASSERT_EQ(second.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    SCOPED_TRACE("decision " + std::to_string(i));
+    EXPECT_EQ(second[i].in.failures_observed, first[i].in.failures_observed);
+    EXPECT_EQ(second[i].in.rebuild_seconds, first[i].in.rebuild_seconds);
+    EXPECT_EQ(policy::EncodeInputs(second[i].in),
+              policy::EncodeInputs(first[i].in));
+    EXPECT_EQ(second[i].chosen, first[i].chosen);
+    for (int s = 0; s < policy::kStrategyCount; ++s) {
+      EXPECT_EQ(second[i].cost[s], first[i].cost[s]);
+    }
+  }
+}
+
 TEST(ElasticTrainer, AsyncAdmissionJoinerConvergesIdentically) {
   sim::Cluster cluster;
   dnn::ClusterDataset data(8, 3, 512, 7);

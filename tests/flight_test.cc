@@ -1,14 +1,11 @@
-// Event log unit tests: seqlock ring semantics (ordering, wraparound,
-// keep-all growth, torn-write rejection under concurrency), the
-// per-simulation Logs, the JSON dump round-trip through the postmortem
-// parser, and the live-metric feeds (recovery-phase histograms, MTBF
-// estimator).
+// Event log unit tests: ring semantics (ordering, wraparound, keep-all
+// growth), the per-simulation Logs, the JSON dump round-trip through the
+// postmortem parser, and the live-metric feeds into a simulation's
+// registry (recovery-phase histograms, MTBF estimator).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/flight.h"
@@ -71,49 +68,6 @@ TEST(FlightRing, KeepAllStopsWraparound) {
   }
 }
 
-// Writers hammer a deliberately tiny ring while a reader snapshots
-// continuously: every event a snapshot returns must be internally
-// consistent (the seqlock must reject torn slots). The TSan preset runs
-// this under both engines.
-TEST(FlightRing, ConcurrentSnapshotsNeverSeeTornEvents) {
-  Ring ring(/*pid=*/3, /*slots=*/32);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> torn{0};
-
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const Event& e : ring.Snapshot()) {
-        // Writer w records a=w, b=i, c=w*1e6+i: any mix of two writes
-        // breaks the identity.
-        if (e.c != static_cast<double>(e.a) * 1e6 + static_cast<double>(e.b)) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        ring.Record(Ev::kCollPost, static_cast<double>(i), w, i,
-                    static_cast<double>(w) * 1e6 + i);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(ring.recorded(),
-            static_cast<uint64_t>(kWriters) * kPerWriter);
-  // Quiescent snapshot: the last `slots` events are all intact.
-  EXPECT_EQ(ring.Snapshot().size(), 32u);
-}
-
 // Storage is committed in segments as events land: an idle ring holds
 // none, and one that recorded k events holds less than 2k + one base
 // segment, not its whole capacity — whether it wraps or keeps all.
@@ -144,49 +98,6 @@ TEST(FlightRing, CommittedStorageTracksRecordedEvents) {
   EXPECT_EQ(all.Snapshot().size(), n);
 }
 
-// Concurrent writers on a ring that keeps every event: segments are
-// committed under contention, a concurrent reader never sees a torn
-// event, and the quiescent snapshot holds every event exactly once.
-TEST(FlightRing, KeepAllGrowsUnderConcurrentWriters) {
-  Ring ring(/*pid=*/14, /*slots=*/96);
-  ring.KeepAll();
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 2000;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> torn{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const Event& e : ring.Snapshot()) {
-        if (e.kind != Ev::kCollPost ||
-            e.c != static_cast<double>(e.a) * 1e6 + static_cast<double>(e.b)) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        ring.Record(Ev::kCollPost, static_cast<double>(i), w, i,
-                    static_cast<double>(w) * 1e6 + i);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0u);
-  const std::vector<Event> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), static_cast<size_t>(kWriters) * kPerWriter);
-  std::vector<int> per_writer(kWriters, 0);
-  for (size_t k = 0; k < events.size(); ++k) {
-    EXPECT_EQ(events[k].index, k);
-    // Each writer's events appear in its own program order.
-    EXPECT_EQ(events[k].b, per_writer[events[k].a]++);
-  }
-}
-
 TEST(Flight, EnabledToggles) {
   ASSERT_TRUE(Enabled());  // default-on (RCC_FLIGHT unset in tests)
   SetEnabled(false);
@@ -210,24 +121,18 @@ TEST(Flight, LogsForReturnsStablePointer) {
   EXPECT_TRUE(a->keeps_all());
 }
 
-// Rings created concurrently each belong to their own pid, every later
-// lookup returns the same ring, and events recorded through the lookups
-// stay on their own pid's ring.
-TEST(Flight, LogsKeepPidsDistinctUnderConcurrency) {
+// Rings of distinct pids stay distinct, far-apart pids included, every
+// later lookup returns the same ring, and events recorded through the
+// lookups stay on their own pid's ring.
+TEST(Flight, LogsKeepPidsDistinct) {
   Logs logs;
   const std::vector<int> pids = {2000, 2001, 2002, 3071, 3072,
                                  9000, 70000, 70001, 1 << 20};
-  std::vector<std::thread> threads;
-  std::vector<Ring*> first(pids.size(), nullptr);
-  for (size_t k = 0; k < pids.size(); ++k) {
-    threads.emplace_back([&, k] {
-      first[k] = logs.For(pids[k]);
-      for (int i = 0; i < 200; ++i) {
-        logs.For(pids[k])->Record(Ev::kCollSvc, 0.0, pids[k], i);
-      }
-    });
+  std::vector<Ring*> first;
+  for (int pid : pids) first.push_back(logs.For(pid));
+  for (int i = 0; i < 200; ++i) {
+    for (int pid : pids) logs.For(pid)->Record(Ev::kCollSvc, 0.0, pid, i);
   }
-  for (auto& t : threads) t.join();
   for (size_t k = 0; k < pids.size(); ++k) {
     Ring* ring = logs.For(pids[k]);
     EXPECT_EQ(ring, first[k]);
@@ -303,19 +208,14 @@ TEST(Flight, DumpAllWritesPerRankFiles) {
 }
 
 // RecordRecoveryPhase must observe the *identical* duration into the
-// flight event and the rcc_recovery_phase_seconds histogram — the
-// phase-sum == metric-delta acceptance check rests on this.
+// flight event and the simulation's rcc_recovery_phase_seconds histogram
+// (the phase-sum == metric-sum acceptance check rests on this); the
+// first phase registers all five series.
 TEST(Flight, RecoveryPhaseFeedsEventAndHistogramIdentically) {
-  auto& reg = Registry::Global();
-  const Labels agree{{"phase", "agree"}};
-  const double sum0 =
-      reg.HistogramSnapshot("rcc_recovery_phase_seconds", agree).sum;
-  const uint64_t count0 =
-      reg.HistogramSnapshot("rcc_recovery_phase_seconds", agree).count;
-
+  Registry reg;
   Ring ring(/*pid=*/5555, /*slots=*/64);
   const double duration = 0.015625;  // exactly representable
-  RecordRecoveryPhase(&ring, Phase::kAgree, /*t_end=*/12.0,
+  RecordRecoveryPhase(reg, &ring, Phase::kAgree, /*t_end=*/12.0,
                       /*repair_ordinal=*/4, duration);
 
   const auto events = ring.Snapshot();
@@ -326,39 +226,45 @@ TEST(Flight, RecoveryPhaseFeedsEventAndHistogramIdentically) {
   EXPECT_DOUBLE_EQ(events[0].c, duration);
 
   const auto snap =
-      reg.HistogramSnapshot("rcc_recovery_phase_seconds", agree);
-  EXPECT_EQ(snap.count, count0 + 1);
-  EXPECT_DOUBLE_EQ(snap.sum - sum0, duration);
+      reg.HistogramSnapshot("rcc_recovery_phase_seconds", {{"phase", "agree"}});
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, duration);
+  const std::string text = reg.PrometheusText();
+  for (const char* phase : {"revoke", "agree", "shrink", "rebuild", "replay"}) {
+    EXPECT_NE(text.find(std::string("rcc_recovery_phase_seconds_count{phase=\"") +
+                        phase + "\"}"),
+              std::string::npos)
+        << phase;
+  }
 }
 
 // MTBF estimator: dedupes by pid within one simulation (every survivor
 // reports the same victim), estimates mean inter-failure time once two
-// distinct pids have failed.
+// distinct pids have failed, and records into that simulation's
+// registry only.
 TEST(Flight, MtbfEstimatorDedupesAndAverages) {
-  auto& reg = Registry::Global();
-  const double failures0 = reg.CounterValue("rcc_failures_observed_total");
-
+  Registry reg;
   Logs run;
-  run.NoteFailureDetected(50, 10.0);
-  run.NoteFailureDetected(50, 11.0);  // duplicate detection, ignored
-  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
-                   failures0 + 1);
+  run.NoteFailureDetected(reg, 50, 10.0);
+  run.NoteFailureDetected(reg, 50, 11.0);  // duplicate detection, ignored
+  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"), 1.0);
   EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 10.0);
 
-  run.NoteFailureDetected(51, 30.0);
-  run.NoteFailureDetected(52, 50.0);
-  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
-                   failures0 + 3);
+  run.NoteFailureDetected(reg, 51, 30.0);
+  run.NoteFailureDetected(reg, 52, 50.0);
+  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"), 3.0);
   // (50 - 10) / (3 - 1)
   EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 20.0);
 
   // A fresh simulation counts its own failures, even a pid the first
   // one already reported: time-to-first-failure again.
+  Registry next_reg;
   Logs next;
-  next.NoteFailureDetected(50, 5.0);
-  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"),
-                   failures0 + 4);
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 5.0);
+  next.NoteFailureDetected(next_reg, 50, 5.0);
+  EXPECT_DOUBLE_EQ(next_reg.CounterValue("rcc_failures_observed_total"), 1.0);
+  EXPECT_DOUBLE_EQ(next_reg.GaugeValue("rcc_mtbf_seconds"), 5.0);
+  EXPECT_DOUBLE_EQ(reg.CounterValue("rcc_failures_observed_total"), 3.0);
+  EXPECT_DOUBLE_EQ(reg.GaugeValue("rcc_mtbf_seconds"), 20.0);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
@@ -15,9 +20,6 @@
 
 namespace rcc::obs {
 namespace {
-
-// A private registry per test is not possible (Global() is a process
-// singleton), so tests use uniquely named metrics.
 
 // Ranks of one simulation with a recorder attached, for tests that write
 // kSpan/kOp/kCounter events onto the logs directly.
@@ -44,7 +46,7 @@ struct TracedSim {
 };
 
 TEST(Metrics, CounterGaugeBasics) {
-  auto& reg = Registry::Global();
+  Registry reg;
   Counter* c = reg.GetCounter("obs_test_counter", {{"k", "v"}});
   c->Add(2.5);
   c->Increment();
@@ -135,46 +137,8 @@ TEST(Metrics, QuantileSingleObservationIsExact) {
   EXPECT_DOUBLE_EQ(Histogram::Snapshot{}.Quantile(0.5), 0.0);  // empty
 }
 
-// The registry must tolerate many threads hammering the same and
-// different instruments concurrently (the TSan preset runs this).
-TEST(Metrics, ConcurrentRecording) {
-  auto& reg = Registry::Global();
-  constexpr int kWriters = 8;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters);
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&reg, t] {
-      Counter* shared = reg.GetCounter("obs_test_conc_shared");
-      Histogram* hist = reg.GetHistogram("obs_test_conc_hist");
-      for (int i = 0; i < kIters; ++i) {
-        shared->Increment();
-        // First-use registration races on purpose.
-        reg.GetCounter("obs_test_conc_labeled",
-                       {{"t", std::to_string((t + i) % 4)}})
-            ->Add(1.0);
-        hist->Observe(1e-6 * (i + 1));
-        reg.GetGauge("obs_test_conc_gauge")->Set(static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_conc_shared"),
-                   kWriters * kIters);
-  double labeled = 0;
-  for (int k = 0; k < 4; ++k) {
-    labeled += reg.CounterValue("obs_test_conc_labeled",
-                                {{"t", std::to_string(k)}});
-  }
-  EXPECT_DOUBLE_EQ(labeled, kWriters * kIters);
-  const auto s = reg.HistogramSnapshot("obs_test_conc_hist");
-  EXPECT_EQ(s.count, static_cast<uint64_t>(kWriters) * kIters);
-  EXPECT_DOUBLE_EQ(s.min, 1e-6);
-  EXPECT_DOUBLE_EQ(s.max, 1e-6 * kIters);
-}
-
 TEST(Metrics, PrometheusTextShape) {
-  auto& reg = Registry::Global();
+  Registry reg;
   reg.GetCounter("obs_test_prom_total", {{"algo", "ring"}})->Add(3);
   reg.SetHelp("obs_test_prom_total", "test counter");
   reg.GetHistogram("obs_test_prom_seconds")->Observe(0.25);
@@ -212,7 +176,7 @@ TEST(Metrics, PrometheusTextShape) {
 // scrape is the paper's tail-latency data source, so the two paths may
 // never drift.
 TEST(Metrics, PrometheusQuantilesRoundTrip) {
-  auto& reg = Registry::Global();
+  Registry reg;
   Histogram* h = reg.GetHistogram("obs_test_quant_rt_seconds");
   for (int i = 1; i <= 500; ++i) h->Observe(1e-4 * i);
   const Histogram::Snapshot snap =
@@ -388,7 +352,7 @@ TEST(Span, RecordsTraceAndHistogram) {
   const auto events = rec.EventsForPhase("obs_test/span_phase");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NEAR(events[0].duration(), 0.125, 1e-9);
-  const auto s = Registry::Global().HistogramSnapshot(
+  const auto s = cluster.fabric().metrics().HistogramSnapshot(
       "obs_test_span_seconds", {{"phase", "obs_test/span_phase"}});
   ASSERT_EQ(s.count, 1u);
   EXPECT_NEAR(s.sum, 0.125, 1e-9);
@@ -416,23 +380,11 @@ TEST(JsonLite, SurrogatePairsDecodeToUtf8NotCesu8) {
   EXPECT_FALSE(json::Parse(R"(["\uDE00"])", &v, &err));  // low first
 }
 
-TEST(Metrics, ResetAllZeroesButKeepsRegistrations) {
-  auto& reg = Registry::Global();
-  Counter* c = reg.GetCounter("obs_test_reset_total");
-  c->Add(5);
-  reg.GetHistogram("obs_test_reset_seconds")->Observe(1.0);
-  reg.ResetAll();
-  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_reset_total"), 0.0);
-  EXPECT_EQ(reg.HistogramSnapshot("obs_test_reset_seconds").count, 0u);
-  // Pointer stability across reset.
-  EXPECT_EQ(reg.GetCounter("obs_test_reset_total"), c);
-}
-
 // A cached handle resolves to exactly the instrument a fresh lookup
 // returns, registers nothing until first use, and copies share it.
 TEST(Handle, ResolvesToTheLookedUpInstrument) {
-  auto& reg = Registry::Global();
-  CounterHandle c("obs_test_handle_total", {{"b", "2"}, {"a", "1"}});
+  Registry reg;
+  CounterHandle c(reg, "obs_test_handle_total", {{"b", "2"}, {"a", "1"}});
   EXPECT_EQ(reg.PrometheusText().find("obs_test_handle_total"),
             std::string::npos);  // lazy: not registered before first use
   c->Add(2.0);
@@ -444,48 +396,13 @@ TEST(Handle, ResolvesToTheLookedUpInstrument) {
   const CounterHandle copy = c;
   EXPECT_EQ(copy.Get(), c.Get());
 
-  GaugeHandle g("obs_test_handle_gauge");
+  GaugeHandle g(reg, "obs_test_handle_gauge");
   g->Set(7.0);
   EXPECT_EQ(g.Get(), reg.GetGauge("obs_test_handle_gauge"));
-  HistogramHandle h("obs_test_handle_seconds", {{"phase", "x"}});
+  HistogramHandle h(reg, "obs_test_handle_seconds", {{"phase", "x"}});
   h->Observe(0.5);
   EXPECT_EQ(h.Get(),
             reg.GetHistogram("obs_test_handle_seconds", {{"phase", "x"}}));
-
-  // Racing first resolutions agree on the pointer.
-  CounterHandle shared("obs_test_handle_race_total", {{"k", "v"}});
-  std::vector<Counter*> seen(8, nullptr);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < seen.size(); ++t) {
-    threads.emplace_back([&, t] {
-      seen[t] = shared.Get();
-      seen[t]->Increment();
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (Counter* p : seen) EXPECT_EQ(p, seen[0]);
-  EXPECT_DOUBLE_EQ(
-      reg.CounterValue("obs_test_handle_race_total", {{"k", "v"}}), 8.0);
-}
-
-TEST(Handle, StaysValidAcrossResetAll) {
-  auto& reg = Registry::Global();
-  CounterHandle c("obs_test_handle_reset_total");
-  HistogramHandle h("obs_test_handle_reset_seconds");
-  Counter* before = c.Get();
-  c->Add(5.0);
-  h->Observe(1.0);
-  reg.ResetAll();
-  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_handle_reset_total"), 0.0);
-  EXPECT_EQ(reg.HistogramSnapshot("obs_test_handle_reset_seconds").count,
-            0u);
-  c->Increment();
-  h->Observe(2.0);
-  EXPECT_EQ(c.Get(), before);
-  EXPECT_EQ(reg.GetCounter("obs_test_handle_reset_total"), before);
-  EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_handle_reset_total"), 1.0);
-  EXPECT_EQ(reg.HistogramSnapshot("obs_test_handle_reset_seconds").count,
-            1u);
 }
 
 // The same recording sequence through cached handles and through
@@ -496,20 +413,20 @@ TEST(Handle, ExpositionMatchesPerEventLookups) {
   Registry via_handles;
   Registry via_lookups;
   struct Algo {
-    Algo(const char* algo, Registry* reg)
-        : ops("t_ops_total", {{"algo", algo}, {"stack", "t"}}, reg),
-          failed("t_ops_failed_total", {{"algo", algo}}, reg),
-          latency("t_latency_seconds", {{"algo", algo}, {"stack", "t"}}, reg) {}
+    Algo(const char* algo, Registry& reg)
+        : ops(reg, "t_ops_total", {{"algo", algo}, {"stack", "t"}}),
+          failed(reg, "t_ops_failed_total", {{"algo", algo}}),
+          latency(reg, "t_latency_seconds", {{"algo", algo}, {"stack", "t"}}) {}
     CounterHandle ops, failed;
     HistogramHandle latency;
   };
   ByAlgo<Algo> table;
-  GaugeHandle inflight("t_inflight", {}, &via_handles);
+  GaugeHandle inflight(via_handles, "t_inflight");
   const char ring_copy[] = "ring";  // same name, another address
   const std::vector<std::pair<const char*, double>> ops = {
       {"ring", 1e-3}, {"tree", 2e-4}, {ring_copy, 5e-3}, {"ring", 0.25}};
   for (const auto& [algo, latency] : ops) {
-    Algo& m = *table.For(algo, &via_handles);
+    Algo& m = *table.For(algo, via_handles);
     m.ops->Increment();
     m.latency->Observe(latency);
     inflight->Add(1.0);
@@ -530,7 +447,9 @@ TEST(Handle, ExpositionMatchesPerEventLookups) {
 TEST(Span, CachedPhaseMatchesLookupForm) {
   trace::Recorder rec;
   sim::Cluster cluster;
-  const SpanPhase phase("obs_test/cached_phase", "obs_test_cached_span_seconds");
+  Registry& reg = cluster.fabric().metrics();
+  const SpanPhase phase(reg, "obs_test/cached_phase",
+                        "obs_test_cached_span_seconds");
   cluster.Spawn(1, [&](sim::Endpoint& ep) {
     {
       Span span(&rec, ep, phase);
@@ -541,14 +460,156 @@ TEST(Span, CachedPhaseMatchesLookupForm) {
   });
   cluster.Join();
   ASSERT_EQ(rec.EventsForPhase("obs_test/cached_phase").size(), 2u);
-  const auto s = Registry::Global().HistogramSnapshot(
+  const auto s = reg.HistogramSnapshot(
       "obs_test_cached_span_seconds", {{"phase", "obs_test/cached_phase"}});
   EXPECT_EQ(s.count, 2u);
   EXPECT_NEAR(s.sum, 0.75, 1e-9);
   EXPECT_EQ(phase.hist.Get(),
-            Registry::Global().GetHistogram(
+            reg.GetHistogram(
                 "obs_test_cached_span_seconds",
                 {{"phase", "obs_test/cached_phase"}}));
+}
+
+// Merge registers every instrument of the source (touched or not),
+// adds counters, merges histogram buckets, count, sum, min and max,
+// takes the source's gauge value and carries HELP text.
+TEST(Metrics, MergeFoldsEveryInstrumentKind) {
+  Registry a;
+  a.GetCounter("m_total", {{"k", "v"}})->Add(2.0);
+  a.GetHistogram("m_seconds")->Observe(0.5);
+  a.GetHistogram("m_seconds")->Observe(4.0);
+  a.GetGauge("m_gauge")->Set(9.0);
+  a.GetCounter("m_idle_total");
+  a.SetHelp("m_total", "merged counter");
+  Registry b;
+  b.GetCounter("m_total", {{"k", "v"}})->Add(3.0);
+  b.GetHistogram("m_seconds")->Observe(0.25);
+  b.GetGauge("m_gauge")->Set(1.0);
+
+  Registry sum;
+  sum.Merge(a);
+  EXPECT_EQ(sum.PrometheusText(), a.PrometheusText());  // into empty: a copy
+  sum.Merge(b);
+  EXPECT_DOUBLE_EQ(sum.CounterValue("m_total", {{"k", "v"}}), 5.0);
+  const Histogram::Snapshot h = sum.HistogramSnapshot("m_seconds");
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_DOUBLE_EQ(h.sum, 4.75);
+  EXPECT_DOUBLE_EQ(h.min, 0.25);
+  EXPECT_DOUBLE_EQ(h.max, 4.0);
+  EXPECT_EQ(h.cumulative.back().second, 3u);
+  EXPECT_DOUBLE_EQ(sum.GaugeValue("m_gauge"), 1.0);  // the last fold's
+  EXPECT_NE(sum.PrometheusText().find("m_idle_total 0"), std::string::npos);
+  EXPECT_NE(sum.PrometheusText().find("# HELP m_total merged counter"),
+            std::string::npos);
+}
+
+// Reads a whole file ("" when missing).
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// Each simulation folds its registry into the export sink when it ends,
+// so two sequential runs export as summed counters, merged histograms
+// and the second run's gauge, written after both clusters are gone.
+TEST(ExportSink, SequentialSimulationsFoldIntoTheMetricsFiles) {
+  auto run = [](double add, double observe, double gauge) {
+    sim::Cluster cluster;
+    cluster.Spawn(2, [&](sim::Endpoint& ep) {
+      Registry& reg = ep.metrics();
+      reg.GetCounter("obs_test_fold_total")->Add(add);
+      reg.GetHistogram("obs_test_fold_seconds")
+          ->Observe(observe * (ep.pid() + 1));
+      reg.GetGauge("obs_test_fold_gauge")->Set(gauge);
+    });
+    cluster.Join();
+  };
+  run(1.5, 0.25, 7.0);  // counter 3, observations {0.25, 0.5}, gauge 7
+  run(2.0, 1.0, 3.0);   // counter 4, observations {1, 2}, gauge 3
+
+  const std::string path = "obs_test_fold_metrics.prom";
+  ASSERT_EQ(::setenv("RCC_METRICS_OUT", path.c_str(), 1), 0);
+  const bool written = DumpIfRequested(nullptr);
+  ::unsetenv("RCC_METRICS_OUT");
+  ASSERT_TRUE(written);
+  const std::string prom = Slurp(path);
+  const std::string csv = Slurp(path + ".csv");
+  std::remove(path.c_str());
+  std::remove((path + ".csv").c_str());
+  EXPECT_NE(prom.find("\nobs_test_fold_total 7\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nobs_test_fold_gauge 3\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nobs_test_fold_seconds_count 4\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\nobs_test_fold_seconds_sum 3.75\n"),
+            std::string::npos);
+  // CSV: metric,labels,type,value,count,sum,mean,min,max,...
+  EXPECT_NE(csv.find("obs_test_fold_total,\"\",counter,7,"), std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find("obs_test_fold_gauge,\"\",gauge,3,"), std::string::npos);
+  EXPECT_NE(csv.find("obs_test_fold_seconds,\"\",histogram,,4,3.75,0.9375,"
+                     "0.25,2,"),
+            std::string::npos);
+}
+
+// Two simulations on two host threads at once: every lock that remains
+// shared between simulations is taken from both threads (the Intern
+// table, Enabled() on every record, DumpAll's dump mutex and the export
+// sink's fold), and neither fold nor any interned name is lost. The
+// TSan preset runs this.
+TEST(ExportSink, SimulationsOnTwoHostThreadsFoldWithoutLoss) {
+  constexpr int kRanks = 3;
+  constexpr int kEvents = 50;
+  const double before =
+      ExportSinkSnapshot().CounterValue("obs_test_threads_total");
+  std::vector<std::string> dumps[2];
+  auto run = [&dumps](int t) {
+    sim::Cluster cluster;
+    cluster.Spawn(kRanks, [t](sim::Endpoint& ep) {
+      const uint32_t name =
+          flight::Intern("obs_test/thread" + std::to_string(t) + "/rank" +
+                         std::to_string(ep.pid()));
+      for (int i = 0; i < kEvents; ++i) {
+        ep.Busy(1e-3);
+        ep.metrics().GetCounter("obs_test_threads_total")->Increment();
+        ep.metrics()
+            .GetHistogram("obs_test_threads_seconds",
+                          {{"thread", std::to_string(t)}})
+            ->Observe(1e-3 * (i + 1));
+        ep.log()->Record(flight::Ev::kCounter, ep.now(), 0, 0, i, name);
+      }
+    });
+    cluster.Join();
+    dumps[t] = flight::DumpAll(cluster.fabric().logs(), "obs_test: threads",
+                               ".", "obs_test_thread" + std::to_string(t) +
+                                        "_");
+  };
+  std::thread a(run, 0);
+  std::thread b(run, 1);
+  a.join();
+  b.join();
+
+  const Registry sink = ExportSinkSnapshot();
+  EXPECT_DOUBLE_EQ(sink.CounterValue("obs_test_threads_total") - before,
+                   2.0 * kRanks * kEvents);
+  for (int t = 0; t < 2; ++t) {
+    const Histogram::Snapshot h = sink.HistogramSnapshot(
+        "obs_test_threads_seconds", {{"thread", std::to_string(t)}});
+    EXPECT_EQ(h.count, static_cast<uint64_t>(kRanks * kEvents));
+    EXPECT_DOUBLE_EQ(h.min, 1e-3);
+    EXPECT_DOUBLE_EQ(h.max, 1e-3 * kEvents);
+    ASSERT_EQ(dumps[t].size(), static_cast<size_t>(kRanks));
+    for (int pid = 0; pid < kRanks; ++pid) {
+      const std::string name = "obs_test/thread" + std::to_string(t) +
+                               "/rank" + std::to_string(pid);
+      EXPECT_EQ(flight::NameOf(flight::Intern(name)), name);
+      // Each rank's dump carries its own interned name on every event.
+      EXPECT_NE(Slurp(dumps[t][pid]).find("\"name\":\"" + name + "\""),
+                std::string::npos);
+    }
+    for (const std::string& p : dumps[t]) std::remove(p.c_str());
+  }
 }
 
 }  // namespace

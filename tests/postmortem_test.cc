@@ -155,15 +155,8 @@ TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
     std::remove(old.c_str());
   }
 
-  auto& reg = Registry::Global();
   const char* phases[] = {"", "revoke", "agree", "shrink", "rebuild",
                           "replay"};
-  double sum0[6] = {};
-  for (int p = 1; p <= 5; ++p) {
-    sum0[p] = reg.HistogramSnapshot("rcc_recovery_phase_seconds",
-                                    {{"phase", phases[p]}})
-                  .sum;
-  }
 
   constexpr int kWorld = 4;
   constexpr int kVictim = 2;
@@ -213,21 +206,21 @@ TEST(PostmortemEndToEnd, MidAllreduceKillNamesVictimAndPhaseSumsMatch) {
   const RepairBreakdown& rb = rep.repairs.begin()->second;
   EXPECT_EQ(rb.ranks, kWorld - 1);
 
-  // Phase-sum == metric-delta: the dumps' per-phase rank-second totals
-  // must equal the histogram deltas (identical doubles at the recording
-  // site; only summation order differs).
+  // Phase-sum == metric-sum: the dumps' per-phase rank-second totals
+  // must equal the simulation's histogram sums (identical doubles at the
+  // recording site; only summation order differs).
+  const Registry& reg = cluster.fabric().metrics();
   for (int p = 1; p <= 5; ++p) {
     double dump_sum = 0.0;
     for (const auto& [repair, breakdown] : rep.repairs) {
       dump_sum += breakdown.total[p];
     }
-    const double metric_delta =
+    const double metric_sum =
         reg.HistogramSnapshot("rcc_recovery_phase_seconds",
                               {{"phase", phases[p]}})
-            .sum -
-        sum0[p];
-    EXPECT_NEAR(dump_sum, metric_delta,
-                1e-12 * std::max(1.0, std::abs(metric_delta)))
+            .sum;
+    EXPECT_NEAR(dump_sum, metric_sum,
+                1e-12 * std::max(1.0, std::abs(metric_sum)))
         << "phase " << phases[p];
   }
   // The repair actually spent time somewhere.

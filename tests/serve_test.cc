@@ -183,6 +183,7 @@ struct RunOut {
   std::vector<ServeReport> finished;  // reports from ranks that drained
   std::vector<ServeReport> left;
   std::vector<ServeReport> joined;  // standby joiners that served
+  obs::Registry metrics;  // a copy of the run's simulation registry
 };
 
 // Every admitted request completes exactly once across the union of any
@@ -259,6 +260,7 @@ RunOut RunServe(int world, const ServeOptions& opts, kv::Store* store,
         /*start_time=*/0.0);
   }
   cluster.Join();
+  out.metrics.Merge(cluster.fabric().metrics());
   return out;
 }
 
@@ -272,7 +274,6 @@ TEST(Serving, DrainsEveryRequestWithoutFailures) {
 }
 
 TEST(Serving, RankFailureMidDecodePreservesEveryAdmittedRequest) {
-  obs::Registry::Global().ResetAll();
   const ServeOptions o = SmallServe(40, 200.0);
   RunOut out = RunServe(4, o, nullptr, sim::SimConfig{}, {{3, 0.05}});
   ASSERT_EQ(out.finished.size(), 3u);
@@ -282,7 +283,7 @@ TEST(Serving, RankFailureMidDecodePreservesEveryAdmittedRequest) {
   // The in-flight decode step was re-executed, not rolled back: the run
   // recovered within the step and recovery metrics captured it.
   EXPECT_GE(out.finished[0].recovery_steps, 1);
-  obs::Registry& reg = obs::Registry::Global();
+  const obs::Registry& reg = out.metrics;
   const obs::Labels labels{{"mode", "resilient"}};
   EXPECT_GT(reg.CounterValue("rcc_serve_tokens_total", labels), 0.0);
   EXPECT_GE(reg.CounterValue("rcc_serve_recovery_steps_total", labels), 1.0);

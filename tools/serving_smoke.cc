@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
 
   const obs::Labels labels{{"mode", "resilient"}};
   const obs::Histogram::Snapshot ttft =
-      obs::Registry::Global().HistogramSnapshot("rcc_serve_ttft_seconds",
-                                                labels);
+      cluster.fabric().metrics().HistogramSnapshot("rcc_serve_ttft_seconds",
+                                                   labels);
   const double p999 = ttft.Quantile(0.999) * 1e3;
   const bool slo_ok = p999 <= p999_ms;
 
