@@ -55,16 +55,16 @@ int main() {
       ep.Busy(ep.fabric().config().costs.worker_warmstart);
       return true;
     };
-    core::ElasticTrainer::Admission adm = core::ElasticTrainer::Join(
-        ep, &work, opts, /*store=*/nullptr,
-        core::ElasticTrainer::JoinSession(1), /*joiners=*/1,
-        /*async=*/false, nullptr, provision);
+    core::TrainerState state(&work, opts.steps_per_epoch);
+    core::StepBoundary::Admission adm = core::StepBoundary::Join(
+        ep, &state, opts.store, core::ElasticTrainer::JoinSession(1),
+        /*joiners=*/1, /*async=*/false, opts.drop_policy, nullptr, provision);
     if (adm.rc == nullptr || !adm.synced.ok()) return;
     std::printf("[replacement] joined at epoch %d with synced state\n",
-                adm.cursor.epoch);
+                state.cursor.epoch);
     core::ElasticTrainer trainer(adm.rc.get(), &work, opts, &flags);
     reports.push_back(
-        trainer.Run(adm.cursor, /*joined_at_epoch=*/adm.cursor.epoch));
+        trainer.Run(state.cursor, /*joined_at_epoch=*/state.cursor.epoch));
   }, /*start_time=*/0.0);
   cluster.Join();
 

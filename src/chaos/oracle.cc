@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "policy/policy.h"
 
@@ -50,6 +52,64 @@ void CheckRecoveryAudit(const CampaignOutcome& o, int max_worker_repairs,
   }
   if (static_cast<size_t>(o.replayed_metric) != o.replay_events.size()) {
     violate("P7", "replayed counter != replay events (" + ctx + ")");
+  }
+}
+
+// P9, decision-oracle soundness over every finisher's decision log
+// (`logs` pairs a pid with its log), shared by the trainer and the
+// pipeline campaigns. Every logged decision must (a) re-derive
+// bitwise-identically from its own inputs - the controller is a pure
+// function of what it observed, (b) choose a strategy whose modeled cost
+// is within tolerance of the best applicable alternative under the
+// adaptive mode, and (c) agree byte-for-byte across every member that
+// took part in the same decision seq.
+void CheckDecisionAudit(
+    policy::Mode mode,
+    const std::vector<std::pair<int, const std::vector<policy::Decision>*>>&
+        logs,
+    std::vector<Violation>* out) {
+  auto violate = [out](const char* oracle, const std::string& detail) {
+    out->push_back(Violation{oracle, detail});
+  };
+  std::map<int64_t, std::pair<int, std::string>> canon;  // seq -> pid,fmt
+  for (const auto& [pid, decisions] : logs) {
+    for (const policy::Decision& d : *decisions) {
+      const policy::Decision rd = policy::Decide(mode, d.in);
+      if (rd.chosen != d.chosen ||
+          std::memcmp(rd.cost, d.cost, sizeof(rd.cost)) != 0) {
+        std::ostringstream os;
+        os << "pid " << pid << " decision seq " << d.in.seq
+           << " does not re-derive from its inputs (logged "
+           << policy::StrategyName(d.chosen) << ", re-derived "
+           << policy::StrategyName(rd.chosen) << ")";
+        violate("P9", os.str());
+        continue;
+      }
+      double best = -1.0;
+      for (int si = 0; si < policy::kStrategyCount; ++si) {
+        const auto s = static_cast<policy::Strategy>(si);
+        if (!policy::Applicable(s, d.in)) continue;
+        if (best < 0 || d.cost[si] < best) best = d.cost[si];
+      }
+      const double chosen_cost = d.cost[static_cast<int>(d.chosen)];
+      const double tol = 1e-9 + 1e-9 * (best < 0 ? 0.0 : best);
+      if (mode == policy::Mode::kAdaptive && best >= 0 &&
+          chosen_cost > best + tol) {
+        std::ostringstream os;
+        os << "pid " << pid << " decision seq " << d.in.seq << " chose "
+           << policy::StrategyName(d.chosen) << " at cost " << chosen_cost
+           << " but best applicable alternative costs " << best;
+        violate("P9", os.str());
+      }
+      const std::string fmt = policy::FormatDecision(d);
+      auto [it, inserted] = canon.emplace(d.in.seq, std::make_pair(pid, fmt));
+      if (!inserted && it->second.second != fmt) {
+        std::ostringstream os;
+        os << "decision seq " << d.in.seq << " differs between pid "
+           << it->second.first << " and pid " << pid;
+        violate("P9", os.str());
+      }
+    }
   }
 }
 
@@ -318,54 +378,16 @@ void CheckPipelineOracles(const Schedule& schedule, const CampaignOutcome& o,
 
   CheckRecoveryAudit(o, max_worker_repairs, out);
 
-  // P9: decision-oracle soundness over the pipeline recovery decisions
-  // (same contract as the trainer path: pure re-derivation, best
-  // applicable cost under the adaptive mode, per-seq byte agreement).
+  // P9 over the pipeline recovery decisions (same contract as the
+  // trainer path).
   policy::Mode mode = policy::Mode::kAdaptive;
   if (!sh.policy_mode.empty()) policy::ModeFromName(sh.policy_mode, &mode);
   if (mode == policy::Mode::kLegacy) mode = policy::Mode::kAdaptive;
-  std::map<int64_t, std::pair<int, std::string>> canon;  // seq -> pid,fmt
+  std::vector<std::pair<int, const std::vector<policy::Decision>*>> logs;
   for (const WorkerResult& r : o.results) {
-    if (r.pipe.aborted) continue;
-    for (const policy::Decision& d : r.pipe.decisions) {
-      const policy::Decision rd = policy::Decide(mode, d.in);
-      if (rd.chosen != d.chosen ||
-          std::memcmp(rd.cost, d.cost, sizeof(rd.cost)) != 0) {
-        std::ostringstream os;
-        os << "pid " << r.pid << " decision seq " << d.in.seq
-           << " does not re-derive from its inputs (logged "
-           << policy::StrategyName(d.chosen) << ", re-derived "
-           << policy::StrategyName(rd.chosen) << ")";
-        violate("P9", os.str());
-        continue;
-      }
-      double best = -1.0;
-      for (int si = 0; si < policy::kStrategyCount; ++si) {
-        const auto s = static_cast<policy::Strategy>(si);
-        if (!policy::Applicable(s, d.in)) continue;
-        if (best < 0 || d.cost[si] < best) best = d.cost[si];
-      }
-      const double chosen_cost = d.cost[static_cast<int>(d.chosen)];
-      const double tol = 1e-9 + 1e-9 * (best < 0 ? 0.0 : best);
-      if (mode == policy::Mode::kAdaptive && best >= 0 &&
-          chosen_cost > best + tol) {
-        std::ostringstream os;
-        os << "pid " << r.pid << " decision seq " << d.in.seq << " chose "
-           << policy::StrategyName(d.chosen) << " at cost " << chosen_cost
-           << " but best applicable alternative costs " << best;
-        violate("P9", os.str());
-      }
-      const std::string fmt = policy::FormatDecision(d);
-      auto [it, inserted] =
-          canon.emplace(d.in.seq, std::make_pair(r.pid, fmt));
-      if (!inserted && it->second.second != fmt) {
-        std::ostringstream os;
-        os << "decision seq " << d.in.seq << " differs between pid "
-           << it->second.first << " and pid " << r.pid;
-        violate("P9", os.str());
-      }
-    }
+    if (!r.pipe.aborted) logs.emplace_back(r.pid, &r.pipe.decisions);
   }
+  CheckDecisionAudit(mode, logs, out);
 }
 
 }  // namespace
@@ -504,58 +526,16 @@ std::vector<Violation> CheckOracles(const Schedule& schedule,
 
   CheckRecoveryAudit(o, max_worker_repairs, &out);
 
-  // P9: decision-oracle soundness (policy campaigns only). Every logged
-  // decision must (a) re-derive bitwise-identically from its own
-  // broadcast inputs — the controller is a pure function of what it
-  // observed, (b) choose a strategy whose modeled cost is within
-  // tolerance of the best applicable alternative under the campaign's
-  // mode, and (c) agree byte-for-byte across every member that took
-  // part in the same decision seq.
+  // P9 (policy campaigns only) over every finisher's decision log.
   if (!sh.policy_mode.empty()) {
     policy::Mode mode = policy::Mode::kAdaptive;
     policy::ModeFromName(sh.policy_mode, &mode);
-    std::map<int64_t, std::pair<int, std::string>> canon;  // seq -> pid,fmt
+    std::vector<std::pair<int, const std::vector<policy::Decision>*>> logs;
     for (const WorkerResult& r : o.results) {
       if (r.report.aborted || r.idle_replacement) continue;
-      for (const policy::Decision& d : r.report.decisions) {
-        const policy::Decision rd = policy::Decide(mode, d.in);
-        if (rd.chosen != d.chosen ||
-            std::memcmp(rd.cost, d.cost, sizeof(rd.cost)) != 0) {
-          std::ostringstream os;
-          os << "pid " << r.pid << " decision seq " << d.in.seq
-             << " does not re-derive from its inputs (logged "
-             << policy::StrategyName(d.chosen) << ", re-derived "
-             << policy::StrategyName(rd.chosen) << ")";
-          violate("P9", os.str());
-          continue;
-        }
-        double best = -1.0;
-        for (int si = 0; si < policy::kStrategyCount; ++si) {
-          const auto s = static_cast<policy::Strategy>(si);
-          if (!policy::Applicable(s, d.in)) continue;
-          if (best < 0 || d.cost[si] < best) best = d.cost[si];
-        }
-        const double chosen_cost = d.cost[static_cast<int>(d.chosen)];
-        const double tol = 1e-9 + 1e-9 * (best < 0 ? 0.0 : best);
-        if (mode == policy::Mode::kAdaptive && best >= 0 &&
-            chosen_cost > best + tol) {
-          std::ostringstream os;
-          os << "pid " << r.pid << " decision seq " << d.in.seq << " chose "
-             << policy::StrategyName(d.chosen) << " at cost " << chosen_cost
-             << " but best applicable alternative costs " << best;
-          violate("P9", os.str());
-        }
-        const std::string fmt = policy::FormatDecision(d);
-        auto [it, inserted] =
-            canon.emplace(d.in.seq, std::make_pair(r.pid, fmt));
-        if (!inserted && it->second.second != fmt) {
-          std::ostringstream os;
-          os << "decision seq " << d.in.seq << " differs between pid "
-             << it->second.first << " and pid " << r.pid;
-          violate("P9", os.str());
-        }
-      }
+      logs.emplace_back(r.pid, &r.report.decisions);
     }
+    CheckDecisionAudit(mode, logs, &out);
   }
 
   return out;

@@ -76,13 +76,11 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
   opts.drop_policy = sh.policy;
   opts.joins = sh.joins;
   kv::Store store;
-  if (sh.async_admission) {
-    opts.async_admission = true;
-    opts.admission_store = &store;
-  }
-  // Adaptive recovery policy: thread the mode + rendezvous store +
-  // replacement pool into every trainer (founders, joiners and
-  // replacements all tick collectively).
+  opts.store = &store;
+  opts.async_admission = sh.async_admission;
+  // Adaptive recovery policy: thread the mode + replacement pool into
+  // every trainer (founders, joiners and replacements all tick
+  // collectively).
   policy::Mode pmode = policy::Mode::kLegacy;
   if (!sh.policy_mode.empty()) {
     if (!policy::ModeFromName(sh.policy_mode, &pmode)) {
@@ -92,7 +90,6 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
   const bool policy_on = pmode != policy::Mode::kLegacy && !sh.serving;
   if (policy_on) {
     opts.policy_mode = pmode;
-    opts.policy_store = &store;
     opts.replacement_pool = sh.replacements;
   }
 
@@ -254,16 +251,18 @@ CampaignOutcome RunSchedule(const Schedule& schedule) {
     dnn::Sgd opt(model.Params(), opts.sgd);
     core::DnnWorkload work(ep, &model, &opt, &data, opts.batch_per_worker,
                            opts.grad_buckets);
-    core::ElasticTrainer::Admission adm = core::ElasticTrainer::Join(
-        ep, &work, opts, &store, session, count, async, &rec);
+    core::TrainerState state(&work, opts.steps_per_epoch);
+    core::StepBoundary::Admission adm = core::StepBoundary::Join(
+        ep, &state, opts.store, session, count, async, opts.drop_policy, &rec);
     r->joined_ok = adm.rc != nullptr;
     if (adm.rc == nullptr || !adm.synced.ok()) {
       r->report.aborted = true;
     } else {
-      r->start_epoch = adm.cursor.epoch;
-      r->start_step = adm.cursor.step;
+      r->start_epoch = state.cursor.epoch;
+      r->start_step = state.cursor.step;
       core::ElasticTrainer trainer(adm.rc.get(), &work, opts, &flags);
-      r->report = trainer.Run(adm.cursor, scheduled ? adm.cursor.epoch : -1);
+      r->report =
+          trainer.Run(state.cursor, scheduled ? state.cursor.epoch : -1);
     }
     // Same exit-is-a-failure rule as the founders: an aborted joiner
     // still registered in the fabric must die visibly.

@@ -70,9 +70,15 @@ std::string FormatExecLog(const std::vector<ExecRecord>& log) {
 }
 
 PipelineTrainer::PipelineTrainer(ResilientComm* rc, PipelineOptions opts)
-    : rc_(rc), opts_(opts) {
-  mode_ = opts_.policy_mode == policy::Mode::kLegacy ? policy::Mode::kAdaptive
-                                                     : opts_.policy_mode;
+    : rc_(rc),
+      opts_(opts),
+      // Nothing joins a pipeline run, and its policy inputs are composed
+      // from SPMD-agreed state, so every member decides locally.
+      boundary_(rc, /*state=*/nullptr, /*store=*/nullptr,
+                opts_.policy_mode == policy::Mode::kLegacy
+                    ? policy::Mode::kAdaptive
+                    : opts_.policy_mode,
+                StepBoundary::Inputs::kAgreed) {
   if (opts_.dims.pp < 1) opts_.dims.pp = 1;
   if (opts_.dims.tp < 1) opts_.dims.tp = 1;
   if (opts_.dims.dp < 1) {
@@ -180,7 +186,7 @@ policy::PolicyInputs PipelineTrainer::ComposeInputs(
   // step estimate is the cost model, not a measurement).
   policy::PolicyInputs in;
   in.event = static_cast<int32_t>(policy::EventKind::kFailure);
-  in.seq = seq_;
+  in.seq = boundary_.policy().next_seq();
   in.world = rc_->size();
   in.lost = lost;
   in.replacements = 0;
@@ -467,15 +473,10 @@ bool PipelineTrainer::Adapt(int64_t* gstep) {
 
   ProcessGroupGrid trial = grid_;
   trial.Update(rc_->pids());
-  const policy::PolicyInputs in = ComposeInputs(trial, lost, *gstep);
-  ++seq_;
-  policy::Decision d = policy::Decide(mode_, in);
+  policy::Decision d;
+  (void)boundary_.Decide([&] { return ComposeInputs(trial, lost, *gstep); },
+                         /*agreed=*/nullptr, &d);
   report_.decisions.push_back(d);
-  const double now = rc_->endpoint().now();
-  rc_->endpoint().log()->Record(
-      obs::flight::Ev::kSpan, now, 0, 0, now,
-      obs::flight::Intern("policy/pipeline_" +
-                          std::string(policy::StrategyName(d.chosen))));
 
   adopt_root_ = -1;
 

@@ -16,7 +16,7 @@
 // world (out-of-band Repair/Agree calls would desynchronize the
 // per-comm agreement sequence across members that abandoned the step
 // at different points). After the repair the survivors take ONE
-// policy decision (src/policy) among
+// policy decision (core::StepBoundary::Decide) among
 //
 //   re-route   surviving DP peers adopt the broken replica's
 //              microbatches (ReCycle bubble filling): only the
@@ -49,6 +49,7 @@
 
 #include "core/grid.h"
 #include "core/resilient.h"
+#include "core/step_boundary.h"
 #include "dnn/zoo.h"
 #include "obs/metrics.h"
 #include "policy/policy.h"
@@ -155,10 +156,9 @@ class PipelineTrainer {
 
   ResilientComm* rc_;
   PipelineOptions opts_;
-  policy::Mode mode_;
+  StepBoundary boundary_;  // the policy decision point
   ProcessGroupGrid grid_;
   int gen_ = 0;        // increments at every repair (SPMD)
-  int seq_ = 0;        // policy decision ordinal
   int64_t ckpt_ = -1;  // last checkpointed gstep (-1: founding state)
   int world_ = 0;      // membership at the previous agreement
   int adopt_root_ = -1;  // adoptee-side bcast root (see BuildSubComms)

@@ -52,7 +52,7 @@ horovod::RunStats RunUlfmElastic(sim::Cluster& cluster,
   opts.failures = plan.failures;
   for (const auto& join : plan.joins) opts.joins[join.epoch] += join.count;
   opts.async_admission = plan.async_admission;
-  opts.admission_store = &store;
+  opts.store = &store;
   std::vector<bool> failure_flags(plan.failures.size());
   double completion = 0;
   int repairs = 0;
@@ -104,12 +104,14 @@ horovod::RunStats RunUlfmElastic(sim::Cluster& cluster,
           ep.Busy(join.cold ? costs.worker_coldstart : costs.worker_warmstart);
           return true;
         };
-        ElasticTrainer::Admission adm = ElasticTrainer::Join(
-            ep, &work, opts, &store, ElasticTrainer::JoinSession(join.epoch),
-            opts.joins.at(join.epoch), plan.async_admission, rec, provision);
+        TrainerState state(&work, opts.steps_per_epoch);
+        StepBoundary::Admission adm = StepBoundary::Join(
+            ep, &state, opts.store, ElasticTrainer::JoinSession(join.epoch),
+            opts.joins.at(join.epoch), plan.async_admission, opts.drop_policy,
+            rec, provision);
         const bool finished =
             adm.rc != nullptr && adm.synced.ok() &&
-            train(ep, adm.rc.get(), &work, adm.cursor, adm.cursor.epoch);
+            train(ep, adm.rc.get(), &work, state.cursor, state.cursor.epoch);
         obs::DumpIfUnexplainedExit(ep, !finished);
       };
       cluster.SpawnOnFreshNodes(1, joiner, /*start_time=*/0.0);

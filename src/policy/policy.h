@@ -202,7 +202,7 @@ class PolicyController {
   Decision OnTick(const PolicyInputs& in);
 
   const std::vector<Decision>& log() const { return log_; }
-  MtbfEstimator& estimator() { return est_; }
+  const MtbfEstimator& estimator() const { return est_; }
   int slots_used() const { return slots_used_; }
   int next_seq() const { return next_seq_; }
 

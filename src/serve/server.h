@@ -27,11 +27,13 @@
 // that agreed value. This models the batch scheduler's coordination
 // round and costs one host-side small collective per step.
 //
-// Autoscaling (serve/autoscale.h): queue pressure opens PR 4's async
-// admission (ExpandAsyncBegin + per-step polls, standby joiners parked
-// on a kvstore key), sustained low load makes the highest rank leave
-// via ulfm::LeaveGracefully, with the survivors repairing down on their
-// next decode step.
+// Autoscaling (serve/autoscale.h): queue pressure opens an async
+// admission through the step boundary (core::StepBoundary: BeginAsync +
+// per-step polls, standby joiners parked on a kvstore key), sustained
+// low load makes the highest rank leave via ulfm::LeaveGracefully, with
+// the survivors repairing down on their next decode step. The driver's
+// replicated state (agreed clock, batcher, autoscaler) is what the
+// boundary captures, stages and syncs.
 //
 // RecoveryMode::kTeardownRebuild is the Gloo-style baseline: the same
 // failure instead charges the full exception-catch / shutdown /
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "core/resilient.h"
+#include "core/step_boundary.h"
 #include "obs/metrics.h"
 #include "serve/autoscale.h"
 #include "serve/batcher.h"
@@ -88,7 +91,7 @@ struct ServeReport {
   double end_time = 0.0;
 };
 
-class ServingDriver {
+class ServingDriver : private core::ReplicatedState {
  public:
   ServingDriver(core::ResilientComm* rc, const ServeOptions& opts);
 
@@ -101,38 +104,52 @@ class ServingDriver {
   // the empty string at drain to release unused standbys.
   static std::string StandbyKey(const std::string& session, int index);
 
-  // Standby joiner: park on StandbyKey(session, index), then run the
-  // async admission (JoinAsync + post-splice state sync) and keep
-  // serving as a member. Returns aborted=true if the admission failed
-  // or this rank died; left=false always (joiners don't re-leave).
+  // Standby joiner: park on StandbyKey(session, index), then admit
+  // through StepBoundary::Join (JoinAsync + post-splice state sync) and
+  // keep serving as a member. Returns aborted=true if the admission
+  // failed or this rank died; left=false always (joiners don't re-leave).
   static ServeReport RunStandbyJoiner(sim::Endpoint& ep, kv::Store* store,
                                       const ServeOptions& opts, int index,
                                       trace::Recorder* rec);
 
  private:
+  class Standby;
+
+  // --- the replicated state, as the step boundary moves it ---
+  std::vector<uint8_t> Capture() const override;
+  double DeclaredBytes(const std::vector<uint8_t>&) const override {
+    return opts_.model_bytes;
+  }
+  Status RestoreStaged(const std::vector<uint8_t>& blob) override;
+  // Every kind of sync moves the whole serving state: it is small (the
+  // weights were staged in the background), the payoff of async
+  // admission for inference.
+  Status SyncGrown(core::ResilientComm* rc, Sync kind,
+                   bool receiver) override;
+
   ServeReport Loop();
   // Snapshot of the replicated state into a report for this rank; an
   // aborted exit also goes through obs::DumpIfUnexplainedExit.
   ServeReport Finish(bool aborted);
   // Agree on the authoritative step clock (resilient MAX-allgather).
   Status AgreeClock();
-  // Handles a pending async expand at a step boundary; returns false if
-  // this rank died.
+  // Polls a pending async admission at a step boundary; false if this
+  // rank must stop.
   bool PollAdmission(bool finalize);
-  Status SpliceSync(bool receiver);
-  bool BeginExpand();  // false: this rank died
+  // Wakes the next standby and opens its async admission; false: this
+  // rank died.
+  bool ScaleUp();
   void TeardownPenalty();
   void ReleaseStandbys();
   void ExportStepMetrics(double step_seconds, int committed_tokens,
                          bool recovery_step);
-  std::vector<uint8_t> SerializeState() const;
-  Status RestoreState(const std::vector<uint8_t>& blob);
 
   core::ResilientComm* rc_;
   ServeOptions opts_;
   std::vector<Request> stream_;
   Batcher batcher_;
   AutoscaleController ctl_;
+  core::StepBoundary boundary_;
   double t_sync_ = 0.0;  // agreed step clock (identical on every rank)
   int last_repairs_ = 0;
   int64_t decode_replays_ = 0;

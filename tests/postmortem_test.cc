@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "core/elastic_trainer.h"
+#include "core/pipeline_trainer.h"
 #include "core/resilient.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -403,6 +405,98 @@ TEST(PostmortemEndToEnd, PolicyDecisionLineMatchesFlightEvent) {
     ss << in.rdbuf();
     EXPECT_NE(ss.str().find(chosen.str()), std::string::npos) << ss.str();
   }
+}
+
+
+constexpr const char* kPipelinePolicyDumpDir =
+    "postmortem_pipeline_policy_dumps";
+
+TEST(PostmortemEndToEnd, PipelineDecisionsRenderOnePolicyLineEach) {
+  ASSERT_TRUE(flight::Enabled());
+  ::mkdir(kPipelinePolicyDumpDir, 0755);
+  for (const std::string& old : ListDumpFiles(kPipelinePolicyDumpDir)) {
+    std::remove(old.c_str());
+  }
+
+  // A 2-stage pipeline over 4 ranks; pid 3 dies mid-run. Every surviving
+  // member decides the recovery at the step boundary and records the
+  // decision's kPolicyInputs/kPolicyDecision pair.
+  core::PipelineOptions opts;
+  opts.dims = core::GridDims{0, 2, 1};
+  opts.microbatches = 4;
+  opts.steps = 6;
+  opts.checkpoint_interval = 2;
+  constexpr int kWorld = 4;
+  auto run = [&](double kill_at, std::vector<core::PipelineReport>* reports,
+                 std::vector<std::string>* paths) {
+    sim::Cluster cluster;
+    if (kill_at > 0.0) {
+      cluster.AddPendingFailure(
+          sim::FailureEvent{sim::FailScope::kProcess, 3, kill_at});
+    }
+    std::vector<int> pids(kWorld);
+    std::iota(pids.begin(), pids.end(), 0);
+    double horizon = 0.0;
+    reports->assign(kWorld, {});
+    cluster.Spawn(kWorld, [&](sim::Endpoint& ep) {
+      core::ResilientComm rc(ep, pids, horovod::DropPolicy::kProcess,
+                             nullptr);
+      core::PipelineTrainer trainer(&rc, opts);
+      (*reports)[static_cast<size_t>(ep.pid())] = trainer.Run();
+      horizon = std::max(horizon, ep.now());
+    });
+    cluster.Join();
+    if (paths != nullptr) {
+      *paths = flight::DumpAll(cluster.fabric().logs(),
+                               "test: pipeline policy",
+                               kPipelinePolicyDumpDir);
+    }
+    return horizon;
+  };
+  std::vector<core::PipelineReport> reports;
+  const double horizon = run(0.0, &reports, nullptr);
+  ASSERT_GT(horizon, 0.0);
+  std::vector<std::string> paths;
+  run(0.5 * horizon, &reports, &paths);
+  ASSERT_EQ(paths.size(), static_cast<size_t>(kWorld));
+
+  size_t decisions = 0;
+  for (const core::PipelineReport& r : reports) {
+    if (!r.aborted) decisions += r.decisions.size();
+  }
+  ASSERT_GE(decisions, 3u);  // one decision on each of three survivors
+
+  std::vector<RankDump> dumps;
+  for (const std::string& p : ListDumpFiles(kPipelinePolicyDumpDir)) {
+    RankDump dmp;
+    std::string err;
+    ASSERT_TRUE(ParseDumpFile(p, &dmp, &err)) << p << ": " << err;
+    dumps.push_back(std::move(dmp));
+  }
+  Report rep = Analyze(std::move(dumps));
+  ASSERT_EQ(rep.policy.size(), decisions);
+  for (const PolicyNote& n : rep.policy) {
+    const core::PipelineReport& r = reports[static_cast<size_t>(n.pid)];
+    ASSERT_FALSE(r.aborted) << "pid " << n.pid;
+    const policy::Decision* d = nullptr;
+    for (const policy::Decision& x : r.decisions) {
+      if (x.in.seq == n.seq) d = &x;
+    }
+    ASSERT_NE(d, nullptr) << "pid " << n.pid << " seq " << n.seq;
+    EXPECT_EQ(n.event, d->in.event);
+    EXPECT_EQ(n.world, d->in.world);
+    EXPECT_EQ(n.strategy, static_cast<int>(d->chosen));
+    EXPECT_DOUBLE_EQ(n.cost, d->cost[static_cast<int>(d->chosen)]);
+  }
+
+  // The rendered report prints exactly one POLICY line per decision.
+  const std::string text = FormatReport(rep);
+  size_t lines = 0;
+  for (size_t at = text.find("POLICY rank="); at != std::string::npos;
+       at = text.find("POLICY rank=", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, decisions) << text;
 }
 
 }  // namespace

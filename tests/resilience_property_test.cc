@@ -288,9 +288,10 @@ TEST(JoinerParity, JoinerEndsBitIdenticalToFounders) {
           ep, "trainer-epoch" + std::to_string(join_epoch), 1,
           opts.drop_policy, nullptr);
       ASSERT_NE(rc, nullptr);
-      checkpoint::TrainingCursor cursor;
-      ASSERT_TRUE(ElasticTrainer::SyncState(rc.get(), &work, &cursor, true)
-                      .ok());
+      TrainerState state(&work, opts.steps_per_epoch);
+      ASSERT_TRUE(
+          state.SyncGrown(rc.get(), ReplicatedState::Sync::kFull, true).ok());
+      const checkpoint::TrainingCursor cursor = state.cursor;
       EXPECT_EQ(cursor.epoch, join_epoch);
       ElasticTrainer trainer(rc.get(), &work, opts, &flags);
       auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
@@ -348,10 +349,10 @@ TEST(FailurePlusJoin, ReplacementKeepsTrainingEquivalent) {
     auto rc = ResilientComm::JoinExisting(ep, "trainer-epoch1", 1,
                                           opts.drop_policy, nullptr);
     ASSERT_NE(rc, nullptr);
-    checkpoint::TrainingCursor cursor;
+    TrainerState state(&work, opts.steps_per_epoch);
     ASSERT_TRUE(
-        ElasticTrainer::SyncState(rc.get(), &work, &cursor, true)
-            .ok());
+        state.SyncGrown(rc.get(), ReplicatedState::Sync::kFull, true).ok());
+    const checkpoint::TrainingCursor cursor = state.cursor;
     ElasticTrainer trainer(rc.get(), &work, opts, &flags);
     auto report = trainer.Run(cursor, /*joined_at_epoch=*/cursor.epoch);
     std::lock_guard<std::mutex> lock(mu);
