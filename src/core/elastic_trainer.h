@@ -1,14 +1,14 @@
 // Elastic data-parallel trainer over the resilient collectives: the
 // paper's training loop. Each step reduces the workload's gradient
-// buckets through ResilientComm (blocking, or pipelined through the
-// resilient in-flight window), a failure is repaired in place and only
-// the failed collective re-executes (forward recovery), joiners are
-// admitted at epoch boundaries - blocking expand + full state sync, or
-// the asynchronous expand spliced at a later step boundary + delta sync
-// - and an optional policy tick picks the recovery strategy online. The
-// admission protocol and the policy decision point are the shared
-// core::StepBoundary; the trainer supplies its state (TrainerState) and
-// its policy inputs, and actuates the decisions.
+// buckets through ResilientComm's in-flight window (closed after every
+// bucket when blocking, or once per step when pipelined), a failure is
+// repaired in place and only the failed collective re-executes (forward
+// recovery), joiners are admitted at epoch boundaries - blocking expand
+// + full state sync, or the asynchronous expand spliced at a later step
+// boundary + delta sync - and an optional policy tick picks the recovery
+// strategy online. The admission protocol and the policy decision point
+// are the shared core::StepBoundary; the trainer supplies its state
+// (TrainerState) and its policy inputs, and actuates the decisions.
 //
 // The one loop runs both workloads (core/workload.h): real numerics for
 // the tests, the examples and the chaos oracles, and declared-size
@@ -45,9 +45,11 @@ struct TrainerOptions {
   // Gradient fusion (DnnWorkload): the flat gradient is split into this
   // many contiguous buckets, each reduced by its own resilient allreduce.
   int grad_buckets = 1;
-  // 0 = blocking allreduce per bucket. >= 1: buckets are submitted into
-  // the resilient in-flight window (rc->IAllreduce) and drained by a
-  // single WaitAll before the optimizer step.
+  // Every bucket is submitted into the resilient in-flight window
+  // (rc->IAllreduce). 0 = blocking: the window closes after each bucket
+  // (a window of one, exactly a blocking allreduce). >= 1: the window
+  // holds up to this many buckets and one WaitAll drains it before the
+  // optimizer step.
   int inflight_window = 0;
   horovod::DropPolicy drop_policy = horovod::DropPolicy::kProcess;
   // Scripted failures: victim `rank` dies right before reducing bucket

@@ -49,7 +49,14 @@ namespace rcc::obs::flight {
 // interned string (see Intern) for the kinds that carry one:
 //
 //   kCollPost       a=op id          b=element count   c=declared bytes
+//                     (a resilient op's post: an allreduce knows both;
+//                      a host op records what it knows before its data
+//                      phase: an allgather its own 1 element of 8 bytes,
+//                      a blob broadcast 0 and 0, the length being its
+//                      root's)
 //   kCollComplete   a=op id                            c=latency (s)
+//                     (a resilient host op's data phase; GPU ops
+//                      complete with kOp)
 //   kCollSvc        a=op id          b=ok (0/1)        c=service time (s)
 //   kCollReplay     a=op id          b=agreed MIN id
 //   kRevoke         a=comm context id

@@ -194,7 +194,10 @@ Report Analyze(std::vector<RankDump> dumps) {
     }
   }
   for (auto& [op, l] : rep.ops) {
-    l.stalled = !l.posted_by.empty() && l.completed_by.empty();
+    // A replay is recorded after its re-execution succeeded, so it
+    // completes the op on that rank too.
+    l.stalled = !l.posted_by.empty() && l.completed_by.empty() &&
+                l.replayed_by.empty();
   }
 
   // Per-repair recovery attribution, from kRecoveryPhase events and

@@ -56,7 +56,8 @@ struct OpLifecycle {
   std::vector<int> replayed_by;
   double first_post_t = 0.0;
   double last_complete_t = 0.0;
-  // Posted somewhere, completed nowhere: the op everyone is stuck on.
+  // Posted somewhere, completed (or replayed) nowhere: the op everyone
+  // is stuck on.
   bool stalled = false;
 };
 

@@ -776,5 +776,23 @@ TEST(ChaosSmoke, PlantedReplayBugIsCaughtAndShrunk) {
   EXPECT_TRUE(CheckOracles(parsed, clean).empty());
 }
 
+// The plant applies to every allreduce entry, blocking or windowed: the
+// same schedule run blocking (inflight_window 0, a window of one per
+// bucket) is caught as well.
+TEST(ChaosSmoke, PlantedReplayBugIsCaughtOnABlockingSchedule) {
+  Schedule s = GenerateSchedule(2);
+  s.shape.inflight_window = 0;
+  core::ResilientComm::TestOnlySetReplaySkip(
+      [](int pid, int64_t) { return pid == 0; });
+  CampaignOutcome planted = RunSchedule(s);
+  core::ResilientComm::TestOnlySetReplaySkip(nullptr);
+  EXPECT_TRUE(HasViolation(CheckOracles(s, planted), "P2"))
+      << "planted bug not caught:\n"
+      << FormatViolations(CheckOracles(s, planted));
+
+  CampaignOutcome clean = RunSchedule(s);
+  EXPECT_TRUE(CheckOracles(s, clean).empty());
+}
+
 }  // namespace
 }  // namespace rcc::chaos

@@ -8,8 +8,8 @@
 // Default mode generates and runs N seeded campaigns (seeds S..S+N-1),
 // checks every oracle, and on a violation shrinks the schedule to a
 // minimal reproducer written as JSON under --out (replayable with
-// --replay, byte-deterministically). Exit status: 0 clean, 1 any
-// violation, 2 usage/IO error.
+// --replay, byte-deterministically), created with its parents if
+// missing. Exit status: 0 clean, 1 any violation, 2 usage/IO error.
 //
 // Env knobs: RCC_CHAOS_CAMPAIGNS, RCC_CHAOS_SEED_BASE, RCC_CHAOS_OUT
 // mirror the flags (flags win); RCC_CHAOS_MIN_WORLD, RCC_CHAOS_MAX_WORLD,
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -154,6 +155,15 @@ int main(int argc, char** argv) {
   }
 
   if (!replay_path.empty()) return Replay(replay_path);
+
+  // A violation writes its reproducer and flight dumps here.
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "chaos_fuzz: cannot create %s: %s\n",
+                 out_dir.c_str(), ec.message().c_str());
+    return 2;
+  }
 
   const GenConfig cfg = GenConfig::FromEnv();
   int violated = 0;
