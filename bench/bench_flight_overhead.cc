@@ -18,9 +18,17 @@
 // runs first, and the overhead is the median over pairs of on/off - 1:
 // a slow phase of the host (thermal, cgroup, other tenants) hits both
 // halves of a pair, and the alternation cancels any order effect.
+//
+// A median alone can land on either side of the budget by noise, so
+// each case also takes the median's 95% confidence interval (order
+// statistics, no distribution assumed) and adds batches of pairs until
+// the interval clears the budget: wholly below it passes, wholly above
+// it fails. A case still unresolved after kMaxPairs says so, and is
+// judged by its median as before.
 #include <time.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -33,9 +41,26 @@ namespace {
 
 using namespace rcc;
 
-constexpr int kPairs = 25;
+constexpr int kBatchPairs = 25;
+constexpr int kMaxPairs = 100;
 constexpr int kRunsPerSample = 2;  // lifts a sample well above timer noise
 constexpr double kBudget = 0.05;
+
+// The median of `sorted` and its 95% confidence interval: the order
+// statistics n/2 -+ 0.98 sqrt(n) (normal approximation to the binomial
+// count of values below the median).
+struct MedianCi {
+  double median, lo, hi;
+};
+MedianCi MedianWithCi(const std::vector<double>& sorted) {
+  const int n = static_cast<int>(sorted.size());
+  const double half_width = 0.98 * std::sqrt(static_cast<double>(n));
+  const int lo =
+      std::max(0, static_cast<int>(std::floor(n / 2.0 - half_width)));
+  const int hi =
+      std::min(n - 1, static_cast<int>(std::ceil(n / 2.0 + half_width)));
+  return {sorted[n / 2], sorted[lo], sorted[hi]};
+}
 
 void RunClean() {
   horovod::SyntheticPlan plan;
@@ -94,29 +119,43 @@ int main() {
   for (const Case& c : cases) {
     TimeOnce(c.run, false);  // warm-up (allocators, lazy singletons)
     std::vector<double> on, off, ratio;
-    for (int r = 0; r < kPairs; ++r) {
-      const bool on_first = r % 2 == 1;
-      const double first = TimeOnce(c.run, on_first);
-      const double second = TimeOnce(c.run, !on_first);
-      on.push_back(on_first ? first : second);
-      off.push_back(on_first ? second : first);
-      ratio.push_back(on.back() / off.back());
+    MedianCi ci{};
+    bool resolved = false;
+    while (!resolved && static_cast<int>(ratio.size()) < kMaxPairs) {
+      for (int b = 0; b < kBatchPairs; ++b) {
+        const bool on_first = ratio.size() % 2 == 1;
+        const double first = TimeOnce(c.run, on_first);
+        const double second = TimeOnce(c.run, !on_first);
+        on.push_back(on_first ? first : second);
+        off.push_back(on_first ? second : first);
+        ratio.push_back(on.back() / off.back());
+      }
+      std::vector<double> sorted = ratio;
+      std::sort(sorted.begin(), sorted.end());
+      const MedianCi r = MedianWithCi(sorted);
+      ci = {r.median - 1.0, r.lo - 1.0, r.hi - 1.0};
+      resolved = ci.hi <= kBudget || ci.lo > kBudget;
     }
-    std::sort(ratio.begin(), ratio.end());
-    const double overhead = ratio[ratio.size() / 2] - 1.0;
+    const int pairs = static_cast<int>(ratio.size());
     const double best_off = *std::min_element(off.begin(), off.end());
     const double best_on = *std::min_element(on.begin(), on.end());
     std::printf("flight recorder overhead, %s (%s):\n", c.name, c.what);
-    std::printf("  off  best of %d  %.4f cpu-s (%d runs)\n", kPairs, best_off,
+    std::printf("  off  best of %d  %.4f cpu-s (%d runs)\n", pairs, best_off,
                 kRunsPerSample);
-    std::printf("  on   best of %d  %.4f cpu-s (%d runs)\n", kPairs, best_on,
+    std::printf("  on   best of %d  %.4f cpu-s (%d runs)\n", pairs, best_on,
                 kRunsPerSample);
-    std::printf("  overhead %.2f%% (median of %d on/off pairs; "
-                "budget %.0f%%)\n",
-                overhead * 100.0, kPairs, kBudget * 100.0);
+    std::printf("  overhead %.2f%% (median of %d on/off pairs, 95%% CI "
+                "%.2f%% to %.2f%%; budget %.0f%%)\n",
+                ci.median * 100.0, pairs, ci.lo * 100.0, ci.hi * 100.0,
+                kBudget * 100.0);
+    if (!resolved) {
+      std::printf("  unresolved: after %d pairs the interval still spans "
+                  "the budget; judged by the median\n",
+                  pairs);
+    }
     table.AddRow({c.name, FormatDouble(best_off, 4), FormatDouble(best_on, 4),
-                  FormatDouble(overhead * 100.0, 2)});
-    if (overhead > kBudget) {
+                  FormatDouble(ci.median * 100.0, 2)});
+    if (ci.median > kBudget) {
       std::printf("FAIL: %s overhead above the %.0f%% budget\n", c.name,
                   kBudget * 100.0);
       pass = false;

@@ -1,6 +1,5 @@
 #include "coll/request.h"
 
-#include <cstring>
 #include <utility>
 
 #include "obs/flight.h"
@@ -98,14 +97,6 @@ Status Request::Join() {
   return state_->status;
 }
 
-bool FabricChannel::SelfKilled() {
-  if (*now_ >= ep_->kill_at()) {
-    fabric_->Kill(ep_->pid());
-    return true;
-  }
-  return false;
-}
-
 Status FabricChannel::SendTo(int dst_rank, int tag, const void* data,
                              size_t bytes) {
   if (cancel_ != nullptr && cancel_->cancelled()) {
@@ -114,53 +105,20 @@ Status FabricChannel::SendTo(int dst_rank, int tag, const void* data,
   if (dst_rank < 0 || dst_rank >= size()) {
     return Status(Code::kInvalid, "dst rank out of range");
   }
-  if (SelfKilled()) return Status(Code::kAborted, "sender killed");
-  *now_ += fabric_->config().net.send_overhead;
-  sim::Message msg;
-  msg.src = ep_->pid();
-  msg.dst = (*pids_)[dst_rank];
-  msg.channel = channel_;
-  msg.tag = tag;
-  msg.depart = *now_;
-  msg.cost_bytes = static_cast<double>(bytes) * cost_scale_;
-  msg.payload.resize(bytes);
-  if (bytes != 0) std::memcpy(msg.payload.data(), data, bytes);
-  return fabric_->Send(std::move(msg));
+  return ep_->Send((*pids_)[dst_rank], channel_, tag, data, bytes,
+                   static_cast<double>(bytes) * cost_scale_, now_);
 }
 
-Status FabricChannel::RawRecv(int src_rank, int tag, sim::Message* out) {
+Status FabricChannel::RecvInto(int src_rank, int tag,
+                               sim::RecvBuffer* into) {
   if (cancel_ != nullptr && cancel_->cancelled()) {
     return Status(Code::kRevoked, "communicator revoked");
   }
   if (src_rank < 0 || src_rank >= size()) {
     return Status(Code::kInvalid, "src rank out of range");
   }
-  if (SelfKilled()) return Status(Code::kAborted, "receiver killed");
-  Status s = fabric_->Recv(ep_->pid(), now_, (*pids_)[src_rank], channel_,
-                           tag, out, cancel_, death_watch_);
-  if (s.ok() && SelfKilled()) {
-    return Status(Code::kAborted, "receiver killed");
-  }
-  return s;
-}
-
-Status FabricChannel::RecvFrom(int src_rank, int tag, void* data,
-                               size_t bytes) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(RawRecv(src_rank, tag, &msg));
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInvalid, "payload size mismatch");
-  }
-  if (bytes != 0) std::memcpy(data, msg.payload.data(), bytes);
-  return Status::Ok();
-}
-
-Status FabricChannel::RecvBlob(int src_rank, int tag,
-                               std::vector<uint8_t>* out) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(RawRecv(src_rank, tag, &msg));
-  *out = std::move(msg.payload);
-  return Status::Ok();
+  return ep_->Recv((*pids_)[src_rank], channel_, tag, into, cancel_,
+                   death_watch_, now_);
 }
 
 }  // namespace rcc::coll

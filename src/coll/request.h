@@ -123,10 +123,11 @@ class Request {
   std::shared_ptr<State> state_;
 };
 
-// A Transport over the raw fabric for background op workers: the same
-// send/recv cost accounting as sim::Endpoint + mpi::Comm::RawSend/RawRecv
-// (self-kill checks, per-byte cost scaling, cancel token or death watch),
-// but advancing a private clock instead of the rank's clock.
+// A Transport over the raw fabric for background op workers: the
+// endpoint's own send and receive (self-kill checks, per-byte cost
+// scaling, cancel token or death watch), but advancing a private clock
+// instead of the rank's clock, so deterministic virtual-time failure
+// injection still fires when the blocking wrappers run Start + Wait.
 class FabricChannel : public Transport {
  public:
   // `pids` must outlive the channel (the op body keeps the owning group
@@ -137,8 +138,7 @@ class FabricChannel : public Transport {
                 uint64_t channel, double cost_scale, sim::Seconds* now,
                 const sim::CancelToken* cancel,
                 const std::vector<int>* death_watch)
-      : fabric_(&ep.fabric()),
-        ep_(&ep),
+      : ep_(&ep),
         pids_(&pids),
         rank_(rank),
         channel_(channel),
@@ -152,17 +152,13 @@ class FabricChannel : public Transport {
 
   Status SendTo(int dst_rank, int tag, const void* data,
                 size_t bytes) override;
-  Status RecvFrom(int src_rank, int tag, void* data, size_t bytes) override;
-  Status RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) override;
+  Status RecvInto(int src_rank, int tag, sim::RecvBuffer* into) override;
+  Status SizeMismatch() const override {
+    return Status(Code::kInvalid, "payload size mismatch");
+  }
 
  private:
-  // Mirrors Endpoint::MaybeSelfKill against the op's private clock so
-  // deterministic virtual-time failure injection still fires when the
-  // blocking wrappers run Start + Wait.
-  bool SelfKilled();
-  Status RawRecv(int src_rank, int tag, sim::Message* out);
 
-  sim::Fabric* fabric_;
   sim::Endpoint* ep_;
   const std::vector<int>* pids_;
   int rank_;

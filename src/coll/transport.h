@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "sim/fabric.h"
 
 namespace rcc::coll {
 
@@ -24,13 +25,23 @@ class Transport {
   // Fixed-size exchange. Receive verifies the payload length matches.
   virtual Status SendTo(int dst_rank, int tag, const void* data,
                         size_t bytes) = 0;
-  virtual Status RecvFrom(int src_rank, int tag, void* data,
-                          size_t bytes) = 0;
+  Status RecvFrom(int src_rank, int tag, void* data, size_t bytes) {
+    sim::RecvBuffer into{data, bytes};
+    RCC_RETURN_IF_ERROR(RecvInto(src_rank, tag, &into));
+    return into.mismatched() ? SizeMismatch() : Status::Ok();
+  }
 
   // Variable-size receive (serialised blobs: agreement payloads, state
   // sync, rendezvous data).
-  virtual Status RecvBlob(int src_rank, int tag,
-                          std::vector<uint8_t>* out) = 0;
+  Status RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) {
+    sim::RecvBuffer into{.blob = out};
+    return RecvInto(src_rank, tag, &into);
+  }
+
+  // The one receive each transport implements, and the error RecvFrom
+  // returns for a payload of the wrong length.
+  virtual Status RecvInto(int src_rank, int tag, sim::RecvBuffer* into) = 0;
+  virtual Status SizeMismatch() const = 0;
 };
 
 // A rank-remapped view of a transport: collectives run over the subset
@@ -56,13 +67,10 @@ class SubgroupTransport : public Transport {
                 size_t bytes) override {
     return base_.SendTo(members_[dst_rank], tag + tag_offset_, data, bytes);
   }
-  Status RecvFrom(int src_rank, int tag, void* data, size_t bytes) override {
-    return base_.RecvFrom(members_[src_rank], tag + tag_offset_, data,
-                          bytes);
+  Status RecvInto(int src_rank, int tag, sim::RecvBuffer* into) override {
+    return base_.RecvInto(members_[src_rank], tag + tag_offset_, into);
   }
-  Status RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) override {
-    return base_.RecvBlob(members_[src_rank], tag + tag_offset_, out);
-  }
+  Status SizeMismatch() const override { return base_.SizeMismatch(); }
 
  private:
   Transport& base_;

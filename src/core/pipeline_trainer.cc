@@ -336,7 +336,8 @@ Status PipelineTrainer::RunStepOps(int64_t gstep, int attempt) {
     const int src_rank = RankOfPid(src_pid);
     if (src_rank < 0) return Status::ProcFailed({}, "peer left the world");
     int64_t token = -1;
-    RCC_RETURN_IF_ERROR(host.RecvWatched(src_rank, tag, &token, kTokenBytes));
+    RCC_RETURN_IF_ERROR(
+        host.Recv(src_rank, tag, &token, kTokenBytes, /*watch_members=*/true));
     if (token != want) {
       return Status(Code::kInternal, "pipeline token mismatch");
     }

@@ -35,7 +35,6 @@ class Model {
   void ZeroGrad();
 
   size_t ParameterCount() const;
-  size_t ParameterBytes() const { return ParameterCount() * sizeof(float); }
   // MACs of the last forward pass (drives the simulated compute time).
   double LastForwardFlops() const;
 

@@ -50,17 +50,4 @@ Status Sgd::Deserialize(ByteReader* r) {
   return Status::Ok();
 }
 
-Status Sgd::Rebind(std::vector<Param*> params) {
-  if (params.size() != params_.size()) {
-    return Status(Code::kInvalid, "rebind: parameter count mismatch");
-  }
-  for (size_t k = 0; k < params.size(); ++k) {
-    if (params[k]->value.shape() != velocity_[k].shape()) {
-      return Status(Code::kInvalid, "rebind: parameter shape mismatch");
-    }
-  }
-  params_ = std::move(params);
-  return Status::Ok();
-}
-
 }  // namespace rcc::dnn

@@ -32,10 +32,6 @@ class Sgd {
   void Serialize(ByteWriter* w) const;
   Status Deserialize(ByteReader* r);
 
-  // Rebinds the optimizer to a freshly-constructed model's parameters
-  // (used when a joiner builds its model then restores state).
-  Status Rebind(std::vector<Param*> params);
-
  private:
   std::vector<Param*> params_;
   std::vector<Tensor> velocity_;  // one per param, same shape

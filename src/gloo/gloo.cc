@@ -1,7 +1,5 @@
 #include "gloo/gloo.h"
 
-#include <cstring>
-
 #include "common/log.h"
 #include "common/serial.h"
 #include "obs/metrics.h"
@@ -95,37 +93,17 @@ void Context::Raise(const Status& s) {
 
 Status Context::SendTo(int dst_rank, int tag, const void* data,
                        size_t bytes) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  std::vector<uint8_t> payload(p, p + bytes);
   return ep_->Send(group_->pids[dst_rank],
-                   sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                   std::move(payload),
-                   static_cast<double>(bytes) * cost_scale_);
+                   sim::ChannelKey(group_->ctx_id, current_phase_), tag, data,
+                   bytes, static_cast<double>(bytes) * cost_scale_);
 }
 
-Status Context::RecvFrom(int src_rank, int tag, void* data, size_t bytes) {
-  sim::Message msg;
+Status Context::RecvInto(int src_rank, int tag, sim::RecvBuffer* into) {
   // Gloo watches the whole membership: any member death tears the
   // context down (TCP RST semantics), not just the awaited peer.
-  Status s = ep_->Recv(group_->pids[src_rank],
-                       sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                       &msg, /*cancel=*/nullptr, &group_->pids);
-  if (!s.ok()) return s;
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInternal, "gloo step size mismatch");
-  }
-  std::memcpy(data, msg.payload.data(), bytes);
-  return Status::Ok();
-}
-
-Status Context::RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) {
-  sim::Message msg;
-  Status s = ep_->Recv(group_->pids[src_rank],
-                       sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                       &msg, /*cancel=*/nullptr, &group_->pids);
-  if (!s.ok()) return s;
-  *out = std::move(msg.payload);
-  return Status::Ok();
+  return ep_->Recv(group_->pids[src_rank],
+                   sim::ChannelKey(group_->ctx_id, current_phase_), tag, into,
+                   /*cancel=*/nullptr, &group_->pids);
 }
 
 }  // namespace rcc::gloo

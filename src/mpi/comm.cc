@@ -1,7 +1,5 @@
 #include "mpi/comm.h"
 
-#include <cstring>
-
 #include "common/log.h"
 
 namespace rcc::mpi {
@@ -79,19 +77,17 @@ Status Comm::RawSend(int dst_rank, uint64_t channel, int tag,
   if (dst_rank < 0 || dst_rank >= size()) {
     return Status(Code::kInvalid, "send to out-of-range rank");
   }
-  const auto* p = static_cast<const uint8_t*>(data);
-  std::vector<uint8_t> payload(p, p + bytes);
-  return ep_->Send(group_->pids[dst_rank], channel, tag, std::move(payload),
+  return ep_->Send(group_->pids[dst_rank], channel, tag, data, bytes,
                    static_cast<double>(bytes) * cost_scale_);
 }
 
 Status Comm::RawRecv(int src_rank, uint64_t channel, int tag,
-                     sim::Message* out, bool watch_members) {
+                     sim::RecvBuffer* into, bool watch_members) {
   if (revoked()) return Status(Code::kRevoked, "communicator revoked");
   if (src_rank < 0 || src_rank >= size()) {
     return Status(Code::kInvalid, "recv from out-of-range rank");
   }
-  Status s = ep_->Recv(group_->pids[src_rank], channel, tag, out,
+  Status s = ep_->Recv(group_->pids[src_rank], channel, tag, into,
                        &group_->revoke,
                        watch_members ? &group_->pids : nullptr);
   if (s.code() == Code::kProcFailed) NoteFailedPids(s.failed_pids());
@@ -103,34 +99,18 @@ Status Comm::Send(int dst_rank, int tag, const void* data, size_t bytes) {
                  bytes);
 }
 
-Status Comm::Recv(int src_rank, int tag, void* data, size_t bytes) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(
-      RawRecv(src_rank, sim::ChannelKey(group_->ctx_id, 0), tag, &msg));
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInternal, "p2p size mismatch");
-  }
-  std::memcpy(data, msg.payload.data(), bytes);
-  return Status::Ok();
-}
-
-Status Comm::RecvWatched(int src_rank, int tag, void* data, size_t bytes) {
-  sim::Message msg;
+Status Comm::Recv(int src_rank, int tag, void* data, size_t bytes,
+                  bool watch_members) {
+  sim::RecvBuffer into{data, bytes};
   RCC_RETURN_IF_ERROR(RawRecv(src_rank, sim::ChannelKey(group_->ctx_id, 0),
-                              tag, &msg, /*watch_members=*/true));
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInternal, "p2p size mismatch");
-  }
-  std::memcpy(data, msg.payload.data(), bytes);
+                              tag, &into, watch_members));
+  if (into.mismatched()) return Status(Code::kInternal, "p2p size mismatch");
   return Status::Ok();
 }
 
 Status Comm::RecvBlobFrom(int src_rank, int tag, std::vector<uint8_t>* out) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(
-      RawRecv(src_rank, sim::ChannelKey(group_->ctx_id, 0), tag, &msg));
-  *out = std::move(msg.payload);
-  return Status::Ok();
+  sim::RecvBuffer into{.blob = out};
+  return RawRecv(src_rank, sim::ChannelKey(group_->ctx_id, 0), tag, &into);
 }
 
 Status Comm::SendTo(int dst_rank, int tag, const void* data, size_t bytes) {
@@ -138,23 +118,9 @@ Status Comm::SendTo(int dst_rank, int tag, const void* data, size_t bytes) {
                  tag, data, bytes);
 }
 
-Status Comm::RecvFrom(int src_rank, int tag, void* data, size_t bytes) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(RawRecv(
-      src_rank, sim::ChannelKey(group_->ctx_id, current_phase_), tag, &msg));
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInternal, "collective step size mismatch");
-  }
-  if (bytes != 0) std::memcpy(data, msg.payload.data(), bytes);
-  return Status::Ok();
-}
-
-Status Comm::RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) {
-  sim::Message msg;
-  RCC_RETURN_IF_ERROR(RawRecv(
-      src_rank, sim::ChannelKey(group_->ctx_id, current_phase_), tag, &msg));
-  *out = std::move(msg.payload);
-  return Status::Ok();
+Status Comm::RecvInto(int src_rank, int tag, sim::RecvBuffer* into) {
+  return RawRecv(src_rank, sim::ChannelKey(group_->ctx_id, current_phase_),
+                 tag, into);
 }
 
 Status Comm::BcastBlob(std::vector<uint8_t>* blob, int root) {

@@ -6,11 +6,11 @@
 // communicator stays usable for the survivor-side recovery operations in
 // rcc::ulfm (failure_ack / agree / shrink).
 //
-// Allreduce and Bcast are request-based: IAllreduce/IBcast submit the op
-// to a background worker (its own virtual clock over the fabric) and
+// Allreduce and broadcast are request-based: IAllreduce/IBcast submit the
+// op to a background worker (its own virtual clock over the fabric) and
 // return a coll::Request; Wait merges the op's completion time into the
-// rank's clock. The blocking calls are thin Start + Wait wrappers, so
-// their virtual-time behaviour is identical to the old inline kernels.
+// rank's clock. The blocking Allreduce is a thin Start + Wait wrapper, so
+// its virtual-time behaviour is identical to the old inline kernel.
 // Ops on one communicator execute in submission order (engine chaining).
 #pragma once
 
@@ -68,13 +68,13 @@ class Comm : public coll::Transport {
 
   // --- point-to-point (rank addressed, user tag space) ---
   Status Send(int dst_rank, int tag, const void* data, size_t bytes);
-  Status Recv(int src_rank, int tag, void* data, size_t bytes);
-  // Recv that additionally watches every member of the communicator:
-  // returns kProcFailed as soon as ANY member dies, instead of blocking
-  // forever on a sender that can no longer send (pipeline p2p needs
-  // this — the peer that owes the activation may be three stages away
-  // from the rank that died).
-  Status RecvWatched(int src_rank, int tag, void* data, size_t bytes);
+  // With `watch_members`, the receive also watches every member of the
+  // communicator: it returns kProcFailed as soon as ANY member dies,
+  // instead of blocking forever on a sender that can no longer send
+  // (pipeline p2p needs this — the peer that owes the activation may be
+  // three stages away from the rank that died).
+  Status Recv(int src_rank, int tag, void* data, size_t bytes,
+              bool watch_members = false);
   Status RecvBlobFrom(int src_rank, int tag, std::vector<uint8_t>* out);
 
   // --- nonblocking collectives ---
@@ -164,12 +164,6 @@ class Comm : public coll::Transport {
   }
 
   template <typename T>
-  Status Bcast(T* buf, size_t count, int root) {
-    coll::Request req = IBcast(buf, count, root);
-    return Wait(&req);
-  }
-
-  template <typename T>
   Status Reduce(const T* sendbuf, T* recvbuf, size_t count, int root) {
     RCC_RETURN_IF_ERROR(BeginCollective());
     return FinishCollective(
@@ -208,8 +202,10 @@ class Comm : public coll::Transport {
   // --- coll::Transport (used by the algorithm kernels) ---
   Status SendTo(int dst_rank, int tag, const void* data,
                 size_t bytes) override;
-  Status RecvFrom(int src_rank, int tag, void* data, size_t bytes) override;
-  Status RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) override;
+  Status RecvInto(int src_rank, int tag, sim::RecvBuffer* into) override;
+  Status SizeMismatch() const override {
+    return Status(Code::kInternal, "collective step size mismatch");
+  }
 
   // Used by ulfm::Agree to keep agreement instances aligned across ranks.
   uint64_t NextAgreeSeq() { return agree_seq_++; }
@@ -224,8 +220,8 @@ class Comm : public coll::Transport {
 
   Status RawSend(int dst_rank, uint64_t channel, int tag, const void* data,
                  size_t bytes);
-  Status RawRecv(int src_rank, uint64_t channel, int tag, sim::Message* out,
-                 bool watch_members = false);
+  Status RawRecv(int src_rank, uint64_t channel, int tag,
+                 sim::RecvBuffer* into, bool watch_members = false);
 
   sim::Endpoint* ep_;
   std::shared_ptr<CommGroup> group_;

@@ -1,6 +1,5 @@
 #include "nccl/nccl.h"
 
-#include <cstring>
 #include <map>
 
 #include "common/log.h"
@@ -123,41 +122,20 @@ Status Comm::FinishOp(Status s) {
 }
 
 Status Comm::SendTo(int dst_rank, int tag, const void* data, size_t bytes) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  std::vector<uint8_t> payload(p, p + bytes);
   return ep_->Send(group_->pids[dst_rank],
-                   sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                   std::move(payload),
-                   static_cast<double>(bytes) * cost_scale_);
+                   sim::ChannelKey(group_->ctx_id, current_phase_), tag, data,
+                   bytes, static_cast<double>(bytes) * cost_scale_);
 }
 
-Status Comm::RecvFrom(int src_rank, int tag, void* data, size_t bytes) {
-  sim::Message msg;
+Status Comm::RecvInto(int src_rank, int tag, sim::RecvBuffer* into) {
   RCC_LOG(kTrace) << "nccl pid " << ep_->pid() << " ctx " << group_->ctx_id
                   << " op " << op_seq_ << " recv from rank " << src_rank
-                  << " tag " << tag << " bytes " << bytes;
+                  << " tag " << tag << " bytes " << into->bytes;
   // Async error handling: any member death is communicator-fatal.
-  Status s = ep_->Recv(group_->pids[src_rank],
-                       sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                       &msg, /*cancel=*/nullptr,
-                       watch_ext_ ? watch_ext_.get() : &group_->pids);
-  if (!s.ok()) return s;
-  if (msg.payload.size() != bytes) {
-    return Status(Code::kInternal, "nccl step size mismatch");
-  }
-  std::memcpy(data, msg.payload.data(), bytes);
-  return Status::Ok();
-}
-
-Status Comm::RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) {
-  sim::Message msg;
-  Status s = ep_->Recv(group_->pids[src_rank],
-                       sim::ChannelKey(group_->ctx_id, current_phase_), tag,
-                       &msg, /*cancel=*/nullptr,
-                       watch_ext_ ? watch_ext_.get() : &group_->pids);
-  if (!s.ok()) return s;
-  *out = std::move(msg.payload);
-  return Status::Ok();
+  return ep_->Recv(group_->pids[src_rank],
+                   sim::ChannelKey(group_->ctx_id, current_phase_), tag, into,
+                   /*cancel=*/nullptr,
+                   watch_ext_ ? watch_ext_.get() : &group_->pids);
 }
 
 }  // namespace rcc::nccl

@@ -53,8 +53,11 @@ class Comm : public coll::Transport {
   int size() const override { return static_cast<int>(group_->pids.size()); }
   Status SendTo(int dst_rank, int tag, const void* data,
                 size_t bytes) override;
-  Status RecvFrom(int src_rank, int tag, void* data, size_t bytes) override;
-  Status RecvBlob(int src_rank, int tag, std::vector<uint8_t>* out) override;
+  // Receives on the current phase, watching the membership.
+  Status RecvInto(int src_rank, int tag, sim::RecvBuffer* into) override;
+  Status SizeMismatch() const override {
+    return Status(Code::kInternal, "nccl step size mismatch");
+  }
 
   // --- nonblocking collectives ---
   // Submits the op to a background worker (GPU-stream analogue: ops on

@@ -57,21 +57,6 @@ std::vector<int> Cluster::SpawnOnFreshNodes(int n, const RankFn& fn,
   return Spawn(n, fn, start_time);
 }
 
-int Cluster::SpawnOn(int node, const RankFn& fn, Seconds start_time) {
-  const int pid = fabric_->RegisterProcess(node);
-  RCC_CHECK(pid == static_cast<int>(endpoints_.size()))
-      << "pid/endpoint indexing out of sync";
-  endpoints_.push_back(
-      std::make_unique<Endpoint>(fabric_.get(), pid, start_time));
-  Endpoint* ep = endpoints_.back().get();
-  ArmFromPending(pid, node, *ep);
-  TaskOptions opts;
-  opts.pid = pid;
-  opts.clock = ep->clock();
-  tasks_.push_back(fabric_->engine().Spawn(opts, [fn, ep] { fn(*ep); }));
-  return pid;
-}
-
 Endpoint& Cluster::endpoint(int pid) {
   RCC_CHECK(pid >= 0 && pid < static_cast<int>(endpoints_.size()))
       << "unknown pid " << pid;

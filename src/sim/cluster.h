@@ -39,9 +39,6 @@ class Cluster {
   std::vector<int> SpawnOnFreshNodes(int n, const RankFn& fn,
                                      Seconds start_time);
 
-  // Spawns one process on an explicit node.
-  int SpawnOn(int node, const RankFn& fn, Seconds start_time);
-
   // Endpoint handle for failure injection / inspection. Valid for the
   // cluster's lifetime.
   Endpoint& endpoint(int pid);

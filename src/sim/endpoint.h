@@ -60,12 +60,11 @@ class Endpoint {
   void ArmKillAt(Seconds t) { kill_at_ = std::min(kill_at_, t); }
   // Immediately marks this rank dead at its next operation.
   void KillNow() { SetKillAtTime(0.0); }
-  // The scheduled self-kill time (collective op tasks replicate the
-  // MaybeSelfKill check against their private op clocks).
-  Seconds kill_at() const { return kill_at_; }
-  // Checks the trigger; returns true if this rank just died.
-  bool MaybeSelfKill() {
-    if (now_ >= kill_at_) {
+  // Checks the trigger against `clock` (the rank's own by default);
+  // returns true if this rank just died.
+  bool MaybeSelfKill() { return MaybeSelfKill(now_); }
+  bool MaybeSelfKill(Seconds clock) {
+    if (clock >= kill_at_) {
       fabric_->Kill(pid_);
       return true;
     }
@@ -73,38 +72,53 @@ class Endpoint {
   }
 
   // --- communication ---
-  // cost_bytes < 0 means "use payload size".
+  // Sends `bytes` bytes from `data`; cost_bytes < 0 charges their size.
+  // Every send and receive advances *clock: the rank's own, or a
+  // collective op task's private one (coll::FabricChannel).
+  Status Send(int dst, uint64_t channel, int tag, const void* data,
+              size_t bytes, double cost_bytes = -1.0,
+              Seconds* clock = nullptr) {
+    if (clock == nullptr) clock = &now_;
+    if (MaybeSelfKill(*clock)) return Status(Code::kAborted, "sender killed");
+    *clock += fabric_->config().net.send_overhead;
+    return fabric_->Send(
+        pid_, dst, channel, tag, *clock,
+        cost_bytes < 0 ? static_cast<double>(bytes) : cost_bytes, data,
+        bytes);
+  }
   Status Send(int dst, uint64_t channel, int tag,
-              std::vector<uint8_t> payload, double cost_bytes = -1.0) {
-    if (MaybeSelfKill()) return Status(Code::kAborted, "sender killed");
-    now_ += fabric_->config().net.send_overhead;
-    Message msg;
-    msg.src = pid_;
-    msg.dst = dst;
-    msg.channel = channel;
-    msg.tag = tag;
-    msg.depart = now_;
-    msg.cost_bytes =
-        cost_bytes < 0 ? static_cast<double>(payload.size()) : cost_bytes;
-    msg.payload = std::move(payload);
-    return fabric_->Send(std::move(msg));
+              const std::vector<uint8_t>& payload, double cost_bytes = -1.0) {
+    return Send(dst, channel, tag, payload.data(), payload.size(),
+                cost_bytes);
   }
 
-  Status Recv(int src, uint64_t channel, int tag, Message* out,
+  // Receives into *into (see RecvBuffer), or the whole message into *out.
+  Status Recv(int src, uint64_t channel, int tag, RecvBuffer* into,
               const CancelToken* cancel = nullptr,
-              const std::vector<int>* death_watch = nullptr) {
-    if (MaybeSelfKill()) return Status(Code::kAborted, "receiver killed");
-    Status s = fabric_->Recv(pid_, &now_, src, channel, tag, out, cancel,
+              const std::vector<int>* death_watch = nullptr,
+              Seconds* clock = nullptr) {
+    if (clock == nullptr) clock = &now_;
+    if (MaybeSelfKill(*clock)) {
+      return Status(Code::kAborted, "receiver killed");
+    }
+    Status s = fabric_->Recv(pid_, clock, src, channel, tag, into, cancel,
                              death_watch);
-    if (s.ok() && MaybeSelfKill()) {
+    if (s.ok() && MaybeSelfKill(*clock)) {
       return Status(Code::kAborted, "receiver killed");
     }
     return s;
   }
+  Status Recv(int src, uint64_t channel, int tag, Message* out,
+              const CancelToken* cancel = nullptr,
+              const std::vector<int>* death_watch = nullptr) {
+    RecvBuffer into{.message = out};
+    return Recv(src, channel, tag, &into, cancel, death_watch);
+  }
 
   Status TryRecv(int src, uint64_t channel, int tag, Message* out) {
     if (MaybeSelfKill()) return Status(Code::kAborted, "receiver killed");
-    return fabric_->TryRecv(pid_, &now_, src, channel, tag, out);
+    RecvBuffer into{.message = out};
+    return fabric_->TryRecv(pid_, &now_, src, channel, tag, &into);
   }
 
  private:

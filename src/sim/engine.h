@@ -53,6 +53,12 @@ struct FiberTask;
 // clear.
 void SetStallHandler(std::function<void(const std::string& report)> handler);
 
+// Fiber stacks the calling host thread has mapped so far. A stack
+// outlives its task and its engine: every engine draws from, and
+// returns to, a per-thread cache, so a thread that runs simulations one
+// after another maps only as many stacks as its largest one needs.
+uint64_t FiberStacksMapped();
+
 // Cooperative yield for busy-wait loops (spinning on a flag another rank
 // sets). The calling fiber re-queues itself *behind* every runnable peer
 // at the same virtual time (deterministically: yields sort after normal
@@ -181,7 +187,6 @@ class Engine {
   void JoinTask(FiberTask* t);
   void CheckOwnerThread(const char* what) const;
 
-  void AllocStack(FiberTask* t);
   void Push(FiberTask* t);
   void PushYielded(FiberTask* t);
   void Progress();
@@ -189,7 +194,7 @@ class Engine {
   static void FiberMain(FiberTask* t);
   void SwitchToScheduler(FiberTask* t, bool finished = false);
   void RunTask(FiberTask* t);
-  void RunScheduler(const std::function<bool()>& stop);
+  void RunScheduler(const FiberTask& joined);
   std::string StallReport(const char* where);
 
   // Live tasks in id order, plus finished ones not yet compacted away
@@ -203,8 +208,6 @@ class Engine {
   uint64_t next_task_id_ = 0;
   bool quiesce_armed_ = false;
   double quiesce_level_ = -1.0;  // largest timeout rung expired this round
-  std::vector<void*> stack_pool_;
-  std::vector<void*> all_stacks_;
 
   std::thread::id owner_;  // the first thread that pumped; unset before
   bool pumping_ = false;   // RunScheduler is on the stack

@@ -1,6 +1,8 @@
 #include "sim/fabric.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "common/log.h"
 
@@ -33,6 +35,7 @@ int Fabric::RegisterProcess(int node) {
 
 void Fabric::MarkDead(int pid) {
   procs_[pid].alive = false;
+  ++deaths_;
   auto it = std::lower_bound(alive_pids_.begin(), alive_pids_.end(), pid);
   if (it != alive_pids_.end() && *it == pid) alive_pids_.erase(it);
   dead_pids_.insert(
@@ -97,40 +100,75 @@ Seconds Fabric::ArrivalTime(const Message& msg, int dst_node) const {
   return msg.depart + latency + msg.cost_bytes / bandwidth;
 }
 
-Status Fabric::Send(Message msg) {
-  if (msg.src < 0 || msg.src >= static_cast<int>(procs_.size())) {
+Status Fabric::Send(int src, int dst, uint64_t channel, int tag,
+                    Seconds depart, double cost_bytes, const void* data,
+                    size_t bytes) {
+  if (src < 0 || src >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "send from unknown pid");
   }
-  if (msg.dst < 0 || msg.dst >= static_cast<int>(procs_.size())) {
+  if (dst < 0 || dst >= static_cast<int>(procs_.size())) {
     return Status(Code::kNotFound, "send to unregistered pid");
   }
-  if (!procs_[msg.src].alive) return Status(Code::kAborted, "sender is dead");
-  Proc& dst = procs_[msg.dst];
-  if (!dst.alive) {
+  if (!procs_[src].alive) return Status(Code::kAborted, "sender is dead");
+  Proc& to = procs_[dst];
+  if (!to.alive) {
     // Eagerly buffered transports drop traffic to dead peers; the sender
     // observes the failure at its next blocking operation on this peer.
     return Status::Ok();
   }
-  dst.mbox->queue.push_back(std::move(msg));
-  dst.mbox->wp.NotifyAll();
+  Node* n = free_ != nullptr ? free_ : &nodes_.emplace_back();
+  if (n == free_) free_ = std::exchange(n->next, nullptr);
+  Message& msg = n->msg;
+  msg.src = src;
+  msg.dst = dst;
+  msg.channel = channel;
+  msg.tag = tag;
+  msg.depart = depart;
+  msg.cost_bytes = cost_bytes;
+  msg.payload.Assign(data, bytes);
+  Mailbox& mbox = *to.mbox;
+  (mbox.head != nullptr ? mbox.tail->next : mbox.head) = n;
+  mbox.tail = n;
+  mbox.wp.NotifyAll();
   return Status::Ok();
 }
 
-bool Fabric::FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
-                       Message* out) {
-  for (auto it = mbox.queue.begin(); it != mbox.queue.end(); ++it) {
-    if (it->channel == channel && it->tag == tag &&
-        (src == kAnySource || it->src == src)) {
-      *out = std::move(*it);
-      mbox.queue.erase(it);
-      return true;
+void Fabric::Unlink(Mailbox& mbox, Node* prev, Node* n) {
+  (prev != nullptr ? prev->next : mbox.head) = n->next;
+  if (mbox.tail == n) mbox.tail = prev;
+  n->msg.payload = Payload();  // a free node holds no heap bytes
+  n->next = free_;
+  free_ = n;
+}
+
+bool Fabric::TakeMatch(int self, Seconds* now, int src, uint64_t channel,
+                       int tag, RecvBuffer* into) {
+  Mailbox& mbox = *procs_[self].mbox;
+  for (Node *prev = nullptr, *n = mbox.head; n != nullptr;
+       prev = n, n = n->next) {
+    Message& m = n->msg;
+    if (m.channel != channel || m.tag != tag ||
+        (src != kAnySource && m.src != src)) {
+      continue;
     }
+    const Seconds arrival = ArrivalTime(m, procs_[self].node);
+    *now = std::max(*now, arrival) + cfg_.net.recv_overhead;
+    into->size = m.payload.size();
+    if (into->message != nullptr) {
+      *into->message = std::move(m);
+    } else if (into->blob != nullptr) {
+      *into->blob = std::move(m.payload).TakeVector();
+    } else if (into->size == into->bytes && into->size != 0) {
+      std::memcpy(into->data, m.payload.data(), into->size);
+    }
+    Unlink(mbox, prev, n);
+    return true;
   }
   return false;
 }
 
 Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
-                    int tag, Message* out, const CancelToken* cancel,
+                    int tag, RecvBuffer* into, const CancelToken* cancel,
                     const std::vector<int>* death_watch) {
   if (self < 0 || self >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "recv on unknown pid");
@@ -141,15 +179,15 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
   }
   Mailbox& mbox = *procs_[self].mbox;
   bool watch_expired = false;
+  // The watched pids found dead at `deaths_seen` deaths: a pid never
+  // revives, so the walk is repeated only after another death.
+  std::vector<int> dead;
+  uint64_t deaths_seen = 0;
   for (;;) {
     if (!procs_[self].alive) return Status(Code::kAborted, "receiver is dead");
     // Delivered data is consumed even when the context is about to be
     // cancelled: matching first keeps completed point-to-point semantics.
-    if (FindMatch(mbox, src, channel, tag, out)) {
-      const Seconds arrival = ArrivalTime(*out, procs_[self].node);
-      *now = std::max(*now, arrival) + cfg_.net.recv_overhead;
-      return Status::Ok();
-    }
+    if (TakeMatch(self, now, src, channel, tag, into)) return Status::Ok();
     if (cancel != nullptr && cancel->cancelled()) {
       return Status(Code::kRevoked, "context revoked");
     }
@@ -157,55 +195,56 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
       *now += cfg_.net.failure_detect_latency;
       return Status::ProcFailed({src}, "peer failed");
     }
-    if (death_watch != nullptr) {
-      std::vector<int> dead;
+    if (death_watch != nullptr && deaths_ != deaths_seen) {
+      deaths_seen = deaths_;
+      dead.clear();
       for (int pid : *death_watch) {
         if (pid >= 0 && pid < static_cast<int>(procs_.size()) &&
             !procs_[pid].alive) {
           dead.push_back(pid);
         }
       }
-      if (!dead.empty()) {
-        // Grace period: let drainable in-flight chains complete so every
-        // survivor fails in the same logical op. The grace is the bottom
-        // rung (0s) of the quiescence ladder: WaitFor reports a timeout
-        // only when nothing else can run, so everything drainable has
-        // provably drained.
-        if (watch_expired) {
-          *now += cfg_.net.failure_detect_latency;
-          return Status::ProcFailed(std::move(dead), "watched peer failed");
-        }
-        if (!mbox.wp.WaitFor(0.0)) watch_expired = true;
-        continue;
+    }
+    if (!dead.empty()) {
+      // Grace period: let drainable in-flight chains complete so every
+      // survivor fails in the same logical op. The grace is the bottom
+      // rung (0s) of the quiescence ladder: WaitFor reports a timeout
+      // only when nothing else can run, so everything drainable has
+      // provably drained.
+      if (watch_expired) {
+        *now += cfg_.net.failure_detect_latency;
+        return Status::ProcFailed(std::move(dead), "watched peer failed");
       }
+      if (!mbox.wp.WaitFor(0.0)) watch_expired = true;
+      continue;
     }
     mbox.wp.Wait();
   }
 }
 
 Status Fabric::TryRecv(int self, Seconds* now, int src, uint64_t channel,
-                       int tag, Message* out) {
+                       int tag, RecvBuffer* into) {
   if (self < 0 || self >= static_cast<int>(procs_.size())) {
     return Status(Code::kInvalid, "recv on unknown pid");
   }
   if (!procs_[self].alive) return Status(Code::kAborted, "receiver is dead");
-  Mailbox& mbox = *procs_[self].mbox;
-  if (FindMatch(mbox, src, channel, tag, out)) {
-    const Seconds arrival = ArrivalTime(*out, procs_[self].node);
-    *now = std::max(*now, arrival) + cfg_.net.recv_overhead;
-    return Status::Ok();
-  }
+  if (TakeMatch(self, now, src, channel, tag, into)) return Status::Ok();
   return Status(Code::kUnavailable, "no matching message");
 }
 
 void Fabric::PurgeContext(uint64_t context_id) {
   for (auto& proc : procs_) {
-    auto& q = proc.mbox->queue;
-    q.erase(std::remove_if(q.begin(), q.end(),
-                           [context_id](const Message& m) {
-                             return ChannelContext(m.channel) == context_id;
-                           }),
-            q.end());
+    Mailbox& mbox = *proc.mbox;
+    Node* prev = nullptr;
+    for (Node* n = mbox.head; n != nullptr;) {
+      Node* next = n->next;
+      if (ChannelContext(n->msg.channel) == context_id) {
+        Unlink(mbox, prev, n);
+      } else {
+        prev = n;
+      }
+      n = next;
+    }
   }
 }
 

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -45,6 +46,40 @@ namespace rcc::sim {
 
 inline constexpr int kAnySource = -1;
 
+// A message's bytes: up to kInlineBytes inside the message (no heap
+// allocation), more in a heap vector that a blob receive moves out.
+class Payload {
+ public:
+  static constexpr size_t kInlineBytes = 64;
+
+  Payload() = default;
+  Payload(const std::vector<uint8_t>& v) { Assign(v.data(), v.size()); }
+
+  void Assign(const void* data, size_t bytes) {
+    size_ = bytes;
+    const auto* p = static_cast<const uint8_t*>(data);
+    if (bytes > kInlineBytes) {
+      heap_.assign(p, p + bytes);
+    } else if (bytes != 0) {
+      std::memcpy(inline_, p, bytes);
+    }
+  }
+  size_t size() const { return size_; }
+  const uint8_t* data() const {
+    return size_ > kInlineBytes ? heap_.data() : inline_;
+  }
+  uint8_t operator[](size_t i) const { return data()[i]; }
+  std::vector<uint8_t> TakeVector() && {
+    if (size_ > kInlineBytes) return std::move(heap_);
+    return {inline_, inline_ + size_};
+  }
+
+ private:
+  size_t size_ = 0;
+  std::vector<uint8_t> heap_;          // the bytes when size_ > kInlineBytes
+  uint8_t inline_[kInlineBytes] = {};  // the bytes otherwise
+};
+
 struct Message {
   int src = -1;
   int dst = -1;
@@ -52,7 +87,23 @@ struct Message {
   int tag = 0;
   Seconds depart = 0.0;      // sender's virtual time at send
   double cost_bytes = 0.0;   // size used by the time model (may exceed payload)
-  std::vector<uint8_t> payload;
+  Payload payload;
+};
+
+// Where a receive delivers what it matched: exactly `bytes` bytes into
+// `data` (a payload of another size is consumed uncopied and reported
+// as mismatched), or the whole payload into `blob`, or the whole
+// message into `message`.
+struct RecvBuffer {
+  void* data = nullptr;
+  size_t bytes = 0;
+  std::vector<uint8_t>* blob = nullptr;
+  Message* message = nullptr;
+  size_t size = 0;  // the matched payload's size
+
+  bool mismatched() const {
+    return blob == nullptr && message == nullptr && size != bytes;
+  }
 };
 
 // Composes a channel key from a communication-context id and a phase
@@ -134,22 +185,24 @@ class Fabric {
   std::vector<int> AlivePids() const { return alive_pids_; }
   std::vector<int> DeadPids() const { return dead_pids_; }
 
-  // Sends a message. Non-blocking (eager, buffered). Sending to a dead
-  // process silently drops the message: like a real transport, the sender
-  // only learns about the failure when it next *waits* on that peer.
-  Status Send(Message msg);
+  // Sends `bytes` bytes from `data`, charged as `cost_bytes`. Non-
+  // blocking (eager, buffered). Sending to a dead process silently drops
+  // the message: like a real transport, the sender only learns about the
+  // failure when it next *waits* on that peer.
+  Status Send(int src, int dst, uint64_t channel, int tag, Seconds depart,
+              double cost_bytes, const void* data, size_t bytes);
 
   // Blocks until a message matching (src, channel, tag) is available, the
   // awaited peer dies, a watched process dies, the token is cancelled, or
-  // this process itself is killed. On success merges network time into
-  // *now and charges the receive overhead.
+  // this process itself is killed. On success fills *into, merges
+  // network time into *now and charges the receive overhead.
   Status Recv(int self, Seconds* now, int src, uint64_t channel, int tag,
-              Message* out, const CancelToken* cancel = nullptr,
+              RecvBuffer* into, const CancelToken* cancel = nullptr,
               const std::vector<int>* death_watch = nullptr);
 
   // Non-blocking variant: kUnavailable if nothing matches right now.
   Status TryRecv(int self, Seconds* now, int src, uint64_t channel, int tag,
-                 Message* out);
+                 RecvBuffer* into);
 
   // Drops all queued messages belonging to a retired communication
   // context (called when a communicator/context is freed after shrink).
@@ -160,8 +213,15 @@ class Fabric {
   void WakeAll();
 
  private:
+  // A mailbox is a FIFO list of nodes from the fabric's free list: no
+  // allocation per message, and only as many nodes as were ever pending.
+  struct Node {
+    Message msg;
+    Node* next = nullptr;
+  };
   struct Mailbox {
-    std::deque<Message> queue;
+    Node* head = nullptr;
+    Node* tail = nullptr;
     WaitPoint wp;
   };
   struct Proc {
@@ -174,13 +234,20 @@ class Fabric {
   // Returns arrival time of msg at dst given link parameters.
   Seconds ArrivalTime(const Message& msg, int dst_node) const;
 
-  bool FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
-                 Message* out);
+  // Delivers and unlinks self's first message matching (src, channel,
+  // tag), charging its arrival to *now; false when none matches.
+  bool TakeMatch(int self, Seconds* now, int src, uint64_t channel, int tag,
+                 RecvBuffer* into);
   void MarkDead(int pid);
+  // Moves `n` (after `prev`; null at the head) to the free list.
+  void Unlink(Mailbox& mbox, Node* prev, Node* n);
 
   std::vector<Proc> procs_;
+  std::deque<Node> nodes_;  // every node ever used; stable addresses
+  Node* free_ = nullptr;
   std::vector<int> alive_pids_;              // sorted
   std::vector<int> dead_pids_;               // sorted
+  uint64_t deaths_ = 0;  // processes marked dead so far
   std::vector<std::vector<int>> node_pids_;  // node -> pids
   struct RendezvousEntry {
     std::shared_ptr<void> object;

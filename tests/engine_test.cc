@@ -24,7 +24,7 @@
 namespace rcc::sim {
 namespace {
 
-std::vector<uint8_t> Payload(size_t n, uint8_t fill = 0xAB) {
+std::vector<uint8_t> Bytes(size_t n, uint8_t fill = 0xAB) {
   return std::vector<uint8_t>(n, fill);
 }
 
@@ -34,7 +34,7 @@ TEST(EngineSeam, TryRecvNeverBlocks) {
   std::atomic<bool> delivered{false};
   cluster.Spawn(2, [&](Endpoint& ep) {
     if (ep.pid() == 0) {
-      ASSERT_TRUE(ep.Send(1, 10, 5, Payload(16)).ok());
+      ASSERT_TRUE(ep.Send(1, 10, 5, Bytes(16)).ok());
       return;
     }
     Message msg;
@@ -56,7 +56,7 @@ TEST(EngineSeam, AnySourceRecvMatchesEitherSender) {
   std::atomic<int> received{0};
   cluster.Spawn(3, [&](Endpoint& ep) {
     if (ep.pid() != 2) {
-      ASSERT_TRUE(ep.Send(2, 7, 1, Payload(1, uint8_t(ep.pid()))).ok());
+      ASSERT_TRUE(ep.Send(2, 7, 1, Bytes(1, uint8_t(ep.pid()))).ok());
       return;
     }
     for (int i = 0; i < 2; ++i) {
@@ -75,14 +75,14 @@ TEST(EngineSeam, PurgeContextDropsOnlyThatContext) {
   std::atomic<bool> other_kept{false};
   cluster.Spawn(2, [&](Endpoint& ep) {
     if (ep.pid() == 0) {
-      ASSERT_TRUE(ep.Send(1, ChannelKey(7, 1), 0, Payload(1)).ok());
-      ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Payload(1)).ok());
+      ASSERT_TRUE(ep.Send(1, ChannelKey(7, 1), 0, Bytes(1)).ok());
+      ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Bytes(1)).ok());
       return;
     }
     // Wait until both messages are queued.
     Message msg;
     ASSERT_TRUE(ep.Recv(0, ChannelKey(8, 1), 0, &msg).ok());
-    ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Payload(1)).ok());  // requeue
+    ASSERT_TRUE(ep.Send(1, ChannelKey(8, 1), 0, Bytes(1)).ok());  // requeue
     ep.fabric().PurgeContext(7);
     purged_gone =
         ep.TryRecv(0, ChannelKey(7, 1), 0, &msg).code() == Code::kUnavailable;
@@ -201,7 +201,7 @@ std::vector<trace::Event> TracedWorkload() {
       const Seconds start = ep.now();
       const int dst = (ep.pid() + 1) % world;
       const int src = (ep.pid() + world - 1) % world;
-      if (!ep.Send(dst, 1, round, Payload(64)).ok()) break;
+      if (!ep.Send(dst, 1, round, Bytes(64)).ok()) break;
       Message msg;
       std::vector<int> watch{src};
       if (!ep.Recv(src, 1, round, &msg, nullptr, &watch).ok()) break;
@@ -239,7 +239,7 @@ TEST(FiberScheduler, RunsReadyTasksInVirtualTimeOrder) {
     const double busy[] = {30e-3, 10e-3, 20e-3};
     ep.Busy(busy[ep.pid()]);
     // Cross-rank rendezvous forces a reschedule at the busy horizon.
-    ep.Send((ep.pid() + 1) % 3, 1, 0, Payload(1)).ok();
+    ep.Send((ep.pid() + 1) % 3, 1, 0, Bytes(1)).ok();
     Message msg;
     ep.Recv((ep.pid() + 2) % 3, 1, 0, &msg).ok();
     std::lock_guard<std::mutex> g(mu);
@@ -255,7 +255,7 @@ TEST(FiberScheduler, RunsReadyTasksInVirtualTimeOrder) {
   cluster2.Spawn(3, [&](Endpoint& ep) {
     const double busy[] = {30e-3, 10e-3, 20e-3};
     ep.Busy(busy[ep.pid()]);
-    ep.Send((ep.pid() + 1) % 3, 1, 0, Payload(1)).ok();
+    ep.Send((ep.pid() + 1) % 3, 1, 0, Bytes(1)).ok();
     Message msg;
     ep.Recv((ep.pid() + 2) % 3, 1, 0, &msg).ok();
     std::lock_guard<std::mutex> g(mu);
@@ -289,7 +289,7 @@ TEST(FiberScheduler, ManyCheapRanksComplete) {
   std::atomic<int> finished{0};
   cluster.Spawn(world, [&](Endpoint& ep) {
     const int peer = ep.pid() ^ 1;
-    ASSERT_TRUE(ep.Send(peer, 1, 0, Payload(8)).ok());
+    ASSERT_TRUE(ep.Send(peer, 1, 0, Bytes(8)).ok());
     Message msg;
     ASSERT_TRUE(ep.Recv(peer, 1, 0, &msg).ok());
     finished++;
@@ -357,7 +357,7 @@ TEST(FiberSwitch, StackIsAlignedOnEntryAndAfterPark) {
   cluster.Spawn(2, [&](Endpoint& ep) {
     EXPECT_TRUE(StackFrameIsAbiAligned());
     const int peer = ep.pid() ^ 1;
-    ASSERT_TRUE(ep.Send(peer, 1, 0, Payload(8)).ok());
+    ASSERT_TRUE(ep.Send(peer, 1, 0, Bytes(8)).ok());
     Message msg;
     ASSERT_TRUE(ep.Recv(peer, 1, 0, &msg).ok());  // parks until delivered
     EXPECT_TRUE(StackFrameIsAbiAligned());
@@ -408,6 +408,53 @@ TEST(FiberTaskTable, StaleWaitPointEntryOutlivesItsCluster) {
   }
   // The entry's task was reclaimed and its engine is gone.
   wp.NotifyAll();
+}
+
+// A small simulation: eight ranks exchange a ring of messages.
+void RunRing() {
+  Cluster cluster;
+  cluster.Spawn(8, [](Endpoint& ep) {
+    const int next = (ep.pid() + 1) % 8;
+    const int prev = (ep.pid() + 7) % 8;
+    ASSERT_TRUE(ep.Send(next, 1, 0, Bytes(8)).ok());
+    Message msg;
+    ASSERT_TRUE(ep.Recv(prev, 1, 0, &msg).ok());
+  });
+  cluster.Join();
+}
+
+TEST(FiberStacks, SecondSimulationOnAThreadMapsNoNewStack) {
+  RunRing();
+  const uint64_t mapped = FiberStacksMapped();
+  EXPECT_GE(mapped, 8u);
+  RunRing();
+  EXPECT_EQ(FiberStacksMapped(), mapped);
+}
+
+TEST(FiberStacks, AbandonedTasksHandTheirStacksOn) {
+  {
+    Engine engine;
+    engine.Spawn({}, [] {});  // never pumped: abandoned with its stack
+  }
+  const uint64_t mapped = FiberStacksMapped();
+  Engine engine;
+  engine.Spawn({}, [] {}).Join();
+  EXPECT_EQ(FiberStacksMapped(), mapped);
+}
+
+TEST(FiberStacks, EachHostThreadReusesItsOwnStacks) {
+  std::atomic<int> reused{0};
+  auto twice = [&reused] {
+    RunRing();
+    const uint64_t mapped = FiberStacksMapped();
+    RunRing();
+    if (FiberStacksMapped() == mapped) ++reused;
+  };
+  std::thread a(twice);
+  std::thread b(twice);
+  a.join();
+  b.join();
+  EXPECT_EQ(reused.load(), 2);
 }
 
 // One simulation, one host thread: blocking off a fiber and pumping from

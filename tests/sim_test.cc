@@ -4,6 +4,11 @@
 #include <chrono>
 #include <thread>
 
+#include "coll/request.h"
+#include "gloo/gloo.h"
+#include "kvstore/kvstore.h"
+#include "mpi/comm.h"
+#include "nccl/nccl.h"
 #include "sim/cluster.h"
 #include "sim/endpoint.h"
 #include "sim/engine.h"
@@ -18,7 +23,7 @@ SimConfig TestConfig() {
   return cfg;
 }
 
-std::vector<uint8_t> Payload(size_t n, uint8_t fill = 0xAB) {
+std::vector<uint8_t> Bytes(size_t n, uint8_t fill = 0xAB) {
   return std::vector<uint8_t>(n, fill);
 }
 
@@ -36,7 +41,7 @@ TEST(Fabric, SendRecvDeliversPayload) {
   fabric.RegisterProcess(0);
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1);
-  ASSERT_TRUE(a.Send(1, 10, 5, Payload(16)).ok());
+  ASSERT_TRUE(a.Send(1, 10, 5, Bytes(16)).ok());
   Message msg;
   ASSERT_TRUE(b.Recv(0, 10, 5, &msg).ok());
   EXPECT_EQ(msg.payload.size(), 16u);
@@ -48,9 +53,9 @@ TEST(Fabric, RecvMatchesChannelAndTag) {
   fabric.RegisterProcess(0);
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1);
-  ASSERT_TRUE(a.Send(1, 10, 1, Payload(1, 0x01)).ok());
-  ASSERT_TRUE(a.Send(1, 10, 2, Payload(1, 0x02)).ok());
-  ASSERT_TRUE(a.Send(1, 20, 1, Payload(1, 0x03)).ok());
+  ASSERT_TRUE(a.Send(1, 10, 1, Bytes(1, 0x01)).ok());
+  ASSERT_TRUE(a.Send(1, 10, 2, Bytes(1, 0x02)).ok());
+  ASSERT_TRUE(a.Send(1, 20, 1, Bytes(1, 0x03)).ok());
   Message msg;
   ASSERT_TRUE(b.Recv(0, 10, 2, &msg).ok());
   EXPECT_EQ(msg.payload[0], 0x02);
@@ -67,7 +72,7 @@ TEST(Fabric, VirtualTimeAdvancesWithBandwidth) {
   fabric.RegisterProcess(1);  // different node -> inter-node params
   Endpoint a(&fabric, 0), b(&fabric, 1);
   const double bytes = 23e9;  // exactly one second at injection bandwidth
-  ASSERT_TRUE(a.Send(1, 1, 0, Payload(8), bytes).ok());
+  ASSERT_TRUE(a.Send(1, 1, 0, Bytes(8), bytes).ok());
   Message msg;
   ASSERT_TRUE(b.Recv(0, 1, 0, &msg).ok());
   EXPECT_NEAR(b.now(), 1.0, 1e-3);
@@ -81,8 +86,8 @@ TEST(Fabric, IntraNodeFasterThanInterNode) {
   fabric.RegisterProcess(1);  // other node
   Endpoint a(&fabric, 0), b(&fabric, 1), c(&fabric, 2);
   const double bytes = 1e9;
-  ASSERT_TRUE(a.Send(1, 1, 0, Payload(8), bytes).ok());
-  ASSERT_TRUE(a.Send(2, 1, 0, Payload(8), bytes).ok());
+  ASSERT_TRUE(a.Send(1, 1, 0, Bytes(8), bytes).ok());
+  ASSERT_TRUE(a.Send(2, 1, 0, Bytes(8), bytes).ok());
   Message m1, m2;
   ASSERT_TRUE(b.Recv(0, 1, 0, &m1).ok());
   ASSERT_TRUE(c.Recv(0, 1, 0, &m2).ok());
@@ -95,7 +100,7 @@ TEST(Fabric, RecvMergesMaxOfClockAndArrival) {
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1);
   b.AdvanceTo(5.0);  // receiver already ahead
-  ASSERT_TRUE(a.Send(1, 1, 0, Payload(8)).ok());
+  ASSERT_TRUE(a.Send(1, 1, 0, Bytes(8)).ok());
   Message msg;
   ASSERT_TRUE(b.Recv(0, 1, 0, &msg).ok());
   EXPECT_GE(b.now(), 5.0);
@@ -121,7 +126,7 @@ TEST(Fabric, QueuedMessageDeliveredEvenAfterSenderDies) {
   fabric.RegisterProcess(0);
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1);
-  ASSERT_TRUE(a.Send(1, 1, 0, Payload(4)).ok());
+  ASSERT_TRUE(a.Send(1, 1, 0, Bytes(4)).ok());
   fabric.Kill(0);
   Message msg;
   EXPECT_TRUE(b.Recv(0, 1, 0, &msg).ok());  // data first, then error
@@ -134,7 +139,7 @@ TEST(Fabric, SendToDeadPeerIsSilentlyDropped) {
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0);
   fabric.Kill(1);
-  EXPECT_TRUE(a.Send(1, 1, 0, Payload(4)).ok());
+  EXPECT_TRUE(a.Send(1, 1, 0, Bytes(4)).ok());
 }
 
 TEST(Fabric, DeadReceiverGetsAborted) {
@@ -205,7 +210,7 @@ TEST(Fabric, WatchGraceLetsDrainableMessagesThrough) {
   cluster.Spawn(3, [&](Endpoint& ep) {
     if (ep.pid() == 0) {
       while (!killed.load()) YieldTask();
-      ASSERT_TRUE(ep.Send(1, 1, 0, Payload(4)).ok());
+      ASSERT_TRUE(ep.Send(1, 1, 0, Bytes(4)).ok());
     } else if (ep.pid() == 1) {
       parked = true;
       Message msg;
@@ -239,11 +244,11 @@ TEST(Fabric, WatchFiresAfterGraceWhenTrulyStalled) {
         const int peer = 3 - ep.pid();
         for (int r = 0; r < kRounds; ++r) {
           if (ep.pid() == 0) {
-            ASSERT_TRUE(ep.Send(peer, 2, r, Payload(1)).ok());
+            ASSERT_TRUE(ep.Send(peer, 2, r, Bytes(1)).ok());
             ASSERT_TRUE(ep.Recv(peer, 2, r, &msg).ok());
           } else {
             ASSERT_TRUE(ep.Recv(peer, 2, r, &msg).ok());
-            ASSERT_TRUE(ep.Send(peer, 2, r, Payload(1)).ok());
+            ASSERT_TRUE(ep.Send(peer, 2, r, Bytes(1)).ok());
           }
           chain_steps++;
         }
@@ -265,6 +270,52 @@ TEST(Fabric, WatchFiresAfterGraceWhenTrulyStalled) {
   EXPECT_EQ(steps_at_fire.load(), 2 * kRounds);
 }
 
+TEST(Fabric, DeathWatchReportsEveryDeadPidOfDeathsWhileParked) {
+  // pid 1 awaits silent, alive pid 0. Watched pid 2 dies once pid 1 is
+  // parked, and pid 3 dies inside the grace that death opens: the watch
+  // fires once, naming both.
+  Cluster cluster(TestConfig());
+  std::vector<int> watch{0, 2, 3, 4};
+  std::atomic<bool> parked{false};
+  std::vector<int> failed;
+  cluster.Spawn(5, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      ASSERT_EQ(s.code(), Code::kProcFailed);
+      failed = s.failed_pids();
+    } else if (ep.pid() == 2) {
+      while (!parked.load()) YieldTask();
+      ep.fabric().Kill(2);
+    } else if (ep.pid() == 3) {
+      while (ep.fabric().IsAlive(2)) YieldTask();
+      ep.fabric().Kill(3);
+    }
+  });
+  cluster.Join();
+  EXPECT_EQ(failed, (std::vector<int>{2, 3}));
+}
+
+TEST(Fabric, DeathWatchReportsPidsThatDiedBeforeTheCall) {
+  Cluster cluster(TestConfig());
+  std::vector<int> watch{0, 2, 3};
+  std::vector<int> failed;
+  cluster.Spawn(4, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      while (ep.fabric().AliveCount() > 2) YieldTask();
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      ASSERT_EQ(s.code(), Code::kProcFailed);
+      failed = s.failed_pids();
+    } else if (ep.pid() >= 2) {
+      ep.fabric().Kill(ep.pid());
+    }
+  });
+  cluster.Join();
+  EXPECT_EQ(failed, (std::vector<int>{2, 3}));
+}
+
 TEST(Fabric, KillNodeKillsAllResidents) {
   SimConfig cfg = TestConfig();
   Fabric fabric(cfg);
@@ -281,8 +332,8 @@ TEST(Fabric, PurgeContextDropsOnlyThatContext) {
   fabric.RegisterProcess(0);
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1);
-  ASSERT_TRUE(a.Send(1, ChannelKey(7, 1), 0, Payload(1)).ok());
-  ASSERT_TRUE(a.Send(1, ChannelKey(8, 1), 0, Payload(1)).ok());
+  ASSERT_TRUE(a.Send(1, ChannelKey(7, 1), 0, Bytes(1)).ok());
+  ASSERT_TRUE(a.Send(1, ChannelKey(8, 1), 0, Bytes(1)).ok());
   fabric.PurgeContext(7);
   Message msg;
   EXPECT_EQ(b.TryRecv(0, ChannelKey(7, 1), 0, &msg).code(),
@@ -302,8 +353,8 @@ TEST(Fabric, AnySourceMatchesFirstArrival) {
   Fabric fabric(TestConfig());
   for (int i = 0; i < 3; ++i) fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0), b(&fabric, 1), c(&fabric, 2);
-  ASSERT_TRUE(b.Send(0, 1, 0, Payload(1, 0x0B)).ok());
-  ASSERT_TRUE(c.Send(0, 1, 0, Payload(1, 0x0C)).ok());
+  ASSERT_TRUE(b.Send(0, 1, 0, Bytes(1, 0x0B)).ok());
+  ASSERT_TRUE(c.Send(0, 1, 0, Bytes(1, 0x0C)).ok());
   Message msg;
   ASSERT_TRUE(a.Recv(kAnySource, 1, 0, &msg).ok());
   EXPECT_TRUE(msg.src == 1 || msg.src == 2);
@@ -334,7 +385,7 @@ TEST(Endpoint, SendAfterSelfKillAborts) {
   fabric.RegisterProcess(0);
   Endpoint a(&fabric, 0);
   a.KillNow();
-  EXPECT_EQ(a.Send(1, 1, 0, Payload(1)).code(), Code::kAborted);
+  EXPECT_EQ(a.Send(1, 1, 0, Bytes(1)).code(), Code::kAborted);
 }
 
 TEST(Cluster, SpawnPacksGpusPerNode) {
@@ -364,11 +415,11 @@ TEST(Cluster, PingPongAcrossThreads) {
   cluster.Spawn(2, [&](Endpoint& ep) {
     Message msg;
     if (ep.pid() == 0) {
-      ASSERT_TRUE(ep.Send(1, 1, 0, Payload(1 << 20)).ok());
+      ASSERT_TRUE(ep.Send(1, 1, 0, Bytes(1 << 20)).ok());
       ASSERT_TRUE(ep.Recv(1, 1, 1, &msg).ok());
     } else {
       ASSERT_TRUE(ep.Recv(0, 1, 0, &msg).ok());
-      ASSERT_TRUE(ep.Send(0, 1, 1, Payload(1 << 20)).ok());
+      ASSERT_TRUE(ep.Send(0, 1, 1, Bytes(1 << 20)).ok());
       b_final = ep.now();
     }
   });
@@ -453,6 +504,137 @@ TEST(FailurePlan, PoissonIsDeterministicAndBounded) {
     EXPECT_LT(a.events()[i].at, 100.0);
     EXPECT_LT(a.events()[i].target, 8);
   }
+}
+
+// Sizes on both sides of the inline limit, and a large one.
+const size_t kPayloadSizes[] = {0, Payload::kInlineBytes,
+                                Payload::kInlineBytes + 1, size_t{1} << 20};
+
+std::vector<uint8_t> Pattern(size_t n) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(i * 7 + 1);
+  return v;
+}
+
+// Rank 0 sends each size twice; rank 1 receives the first copy into a
+// buffer and the second as a blob. Then an 8-byte message received as 9
+// bytes must fail with `mismatch` and "size mismatch".
+void RoundTripEverySize(coll::Transport& t, Code mismatch) {
+  if (t.rank() == 0) {
+    for (size_t n : kPayloadSizes) {
+      const std::vector<uint8_t> v = Pattern(n);
+      ASSERT_TRUE(t.SendTo(1, 1, v.data(), n).ok());
+      ASSERT_TRUE(t.SendTo(1, 2, v.data(), n).ok());
+    }
+    const uint64_t word = 42;
+    ASSERT_TRUE(t.SendTo(1, 3, &word, sizeof(word)).ok());
+    return;
+  }
+  for (size_t n : kPayloadSizes) {
+    std::vector<uint8_t> got(n);
+    ASSERT_TRUE(t.RecvFrom(0, 1, got.data(), n).ok());
+    EXPECT_EQ(got, Pattern(n)) << n << " bytes into a buffer";
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(t.RecvBlob(0, 2, &blob).ok());
+    EXPECT_EQ(blob, Pattern(n)) << n << " bytes as a blob";
+  }
+  uint8_t too_long[9];
+  Status s = t.RecvFrom(0, 3, too_long, sizeof(too_long));
+  EXPECT_EQ(s.code(), mismatch);
+  EXPECT_NE(s.ToString().find("size mismatch"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(Payload, StoresSmallBytesInlineAndHandsLargeOnesOver) {
+  for (size_t n : kPayloadSizes) {
+    Payload p(Pattern(n));
+    ASSERT_EQ(p.size(), n);
+    if (n != 0) {
+      EXPECT_EQ(p[n - 1], Pattern(n)[n - 1]);
+    }
+    Payload moved(std::move(p));
+    EXPECT_EQ(std::move(moved).TakeVector(), Pattern(n));
+  }
+  Payload empty = {};
+  EXPECT_EQ(empty.size(), 0u);
+}
+
+TEST(Transports, EveryPayloadSizeRoundTripsThroughEndpoint) {
+  Cluster cluster(TestConfig());
+  cluster.Spawn(2, [](Endpoint& ep) {
+    if (ep.pid() == 0) {
+      for (size_t n : kPayloadSizes) {
+        ASSERT_TRUE(ep.Send(1, 1, 0, Pattern(n)).ok());
+      }
+      return;
+    }
+    for (size_t n : kPayloadSizes) {
+      Message msg;
+      ASSERT_TRUE(ep.Recv(0, 1, 0, &msg).ok());
+      EXPECT_EQ(std::move(msg.payload).TakeVector(), Pattern(n));
+    }
+  });
+  cluster.Join();
+}
+
+TEST(Transports, EveryPayloadSizeRoundTripsThroughMpi) {
+  Cluster cluster(TestConfig());
+  cluster.Spawn(2, [](Endpoint& ep) {
+    mpi::Comm comm = mpi::Comm::World(ep, {0, 1});
+    RoundTripEverySize(comm, Code::kInternal);
+    // The point-to-point calls share the codec.
+    const std::vector<uint8_t> big = Pattern(Payload::kInlineBytes + 1);
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(comm.Send(1, 4, big.data(), big.size()).ok());
+      ASSERT_TRUE(comm.Send(1, 5, big.data(), big.size()).ok());
+      ASSERT_TRUE(comm.Send(1, 6, big.data(), big.size()).ok());
+      return;
+    }
+    std::vector<uint8_t> got(big.size());
+    ASSERT_TRUE(comm.Recv(0, 4, got.data(), got.size()).ok());
+    EXPECT_EQ(got, big);
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(comm.RecvBlobFrom(0, 5, &blob).ok());
+    EXPECT_EQ(blob, big);
+    Status s = comm.Recv(0, 6, got.data(), got.size() - 1,
+                         /*watch_members=*/true);
+    EXPECT_EQ(s.code(), Code::kInternal);
+    EXPECT_NE(s.ToString().find("p2p size mismatch"), std::string::npos);
+  });
+  cluster.Join();
+}
+
+TEST(Transports, EveryPayloadSizeRoundTripsThroughNccl) {
+  Cluster cluster(TestConfig());
+  cluster.Spawn(2, [](Endpoint& ep) {
+    auto comm = nccl::Comm::InitRank(ep, {0, 1}, "payload");
+    ASSERT_NE(comm, nullptr);
+    RoundTripEverySize(*comm, Code::kInternal);
+  });
+  cluster.Join();
+}
+
+TEST(Transports, EveryPayloadSizeRoundTripsThroughGloo) {
+  Cluster cluster(TestConfig());
+  kv::Store store;
+  cluster.Spawn(2, [&](Endpoint& ep) {
+    auto ctx = gloo::Context::Connect(ep, store, "payload", 2);
+    ASSERT_NE(ctx, nullptr);
+    RoundTripEverySize(*ctx, Code::kInternal);
+  });
+  cluster.Join();
+}
+
+TEST(Transports, EveryPayloadSizeRoundTripsThroughFabricChannel) {
+  Cluster cluster(TestConfig());
+  const std::vector<int> pids{0, 1};
+  cluster.Spawn(2, [&](Endpoint& ep) {
+    Seconds now = ep.now();
+    coll::FabricChannel ch(ep, pids, ep.pid(), ChannelKey(9, 1),
+                           /*cost_scale=*/1.0, &now, nullptr, nullptr);
+    RoundTripEverySize(ch, Code::kInvalid);
+  });
+  cluster.Join();
 }
 
 }  // namespace
