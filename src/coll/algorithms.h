@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -325,7 +326,19 @@ Status BinomialReduce(Transport& t, const T* sendbuf, T* recvbuf,
   if (P == 1 || count == 0) return Status::Ok();
   const size_t bytes = count * sizeof(T);
   const int relative = (r - root + P) % P;
-  std::vector<T> tmp(count);
+  // A child's contribution lands on the (fiber) stack when it is as
+  // small as the latency-bound allreduce's are, on the heap otherwise.
+  // The stack buffer is kept at 1 KiB: every op task's stack that runs
+  // this kernel stays resident that much deeper.
+  static_assert(std::is_trivially_copyable_v<T>);
+  constexpr size_t kStackBytes = 1024;
+  alignas(T) unsigned char small[kStackBytes];
+  std::vector<T> large;
+  T* tmp = reinterpret_cast<T*>(small);
+  if (bytes > kStackBytes) {
+    large.resize(count);
+    tmp = large.data();
+  }
 
   for (int mask = 1; mask < P; mask <<= 1) {
     if (relative & mask) {
@@ -334,7 +347,7 @@ Status BinomialReduce(Transport& t, const T* sendbuf, T* recvbuf,
     }
     if (relative + mask < P) {
       const int src = (relative + mask + root) % P;
-      RCC_RETURN_IF_ERROR(t.RecvFrom(src, /*tag=*/520, tmp.data(), bytes));
+      RCC_RETURN_IF_ERROR(t.RecvFrom(src, /*tag=*/520, tmp, bytes));
       for (size_t i = 0; i < count; ++i) {
         recvbuf[i] = Op::Apply(recvbuf[i], tmp[i]);
       }
@@ -382,32 +395,30 @@ Status RingAllgather(Transport& t, const T* sendbuf, T* recvbuf,
 }
 
 // Bruck allgather: ceil(log2 P) rounds; latency-optimal for small blocks.
+// Works in recvbuf itself: block j accumulates the block of rank
+// (r + j) % P, and a final rotation puts every block at its owner.
 template <typename T>
 Status BruckAllgather(Transport& t, const T* sendbuf, T* recvbuf,
                       size_t count) {
   const int P = t.size();
   const int r = t.rank();
   if (count == 0) return Status::Ok();
-  // tmp[j] accumulates the block of rank (r + j) % P.
-  std::vector<T> tmp(static_cast<size_t>(P) * count);
-  std::memcpy(tmp.data(), sendbuf, count * sizeof(T));
+  std::memmove(recvbuf, sendbuf, count * sizeof(T));
 
   int step = 0;
   for (int k = 1; k < P; k <<= 1, ++step) {
     const int nblocks = std::min(k, P - k);
     const int dst = (r - k + P) % P;
     const int src = (r + k) % P;
-    RCC_RETURN_IF_ERROR(t.SendTo(dst, /*tag=*/700 + step, tmp.data(),
+    RCC_RETURN_IF_ERROR(t.SendTo(dst, /*tag=*/700 + step, recvbuf,
                                  static_cast<size_t>(nblocks) * count * sizeof(T)));
     RCC_RETURN_IF_ERROR(t.RecvFrom(src, /*tag=*/700 + step,
-                                   tmp.data() + static_cast<size_t>(k) * count,
+                                   recvbuf + static_cast<size_t>(k) * count,
                                    static_cast<size_t>(nblocks) * count * sizeof(T)));
   }
-  for (int j = 0; j < P; ++j) {
-    const int owner = (r + j) % P;
-    std::memcpy(recvbuf + static_cast<size_t>(owner) * count,
-                tmp.data() + static_cast<size_t>(j) * count, count * sizeof(T));
-  }
+  // Block j belongs at (r + j) % P: rotate right by r blocks.
+  std::rotate(recvbuf, recvbuf + static_cast<size_t>(P - r) * count,
+              recvbuf + static_cast<size_t>(P) * count);
   return Status::Ok();
 }
 

@@ -28,59 +28,54 @@ void StackMetrics::Record(double latency_s, double op_bytes) {
   ops->Increment();
 }
 
-Request Request::Start(Info info, sim::Seconds submit, Body body,
-                       sim::Endpoint& ep, RequestMetrics& metrics,
-                       const Request* after) {
-  Request req;
-  req.state_ = std::make_shared<State>();
-  State* st = req.state_.get();
+void Request::Launch(Info info, sim::Seconds submit, sim::Endpoint& ep,
+                     RequestMetrics& metrics, const Request* after) {
+  State* st = state_.get();
   st->info = info;
   st->submit = submit;
   st->start = submit;
   st->complete = submit;
-  obs::Gauge* inflight = metrics.inflight.Get();
-  inflight->Add(1.0);
+  st->inflight = metrics.inflight.Get();
+  st->inflight->Add(1.0);
   // Queue-wait vs service breakdown per algo; the gauge is shared by
   // every communicator of the simulation.
-  std::shared_ptr<RequestMetrics::Algo> algo_metrics =
-      metrics.algos.For(info.algo, ep.metrics());
-  std::shared_ptr<State> pred =
-      (after != nullptr) ? after->state_ : nullptr;
+  st->metrics = metrics.algos.For(info.algo, ep.metrics());
+  st->log = ep.log();
+  if (after != nullptr) st->pred = after->state_;
   sim::TaskOptions opts;
   opts.pid = ep.pid();
   // The op task's run-queue position follows its virtual completion
   // clock (== the effective start time while the body runs).
   opts.clock = &st->complete;
-  st->worker = ep.fabric().engine().Spawn(
-      opts,
-      [st, inflight, log = ep.log(), m = std::move(algo_metrics),
-       pred = std::move(pred), body = std::move(body)]() mutable {
-        if (pred) {
-          while (!pred->done) pred->wp.Wait();
-          // In-order engine: start no earlier than the predecessor's
-          // completion.
-          if (pred->complete > st->complete) st->complete = pred->complete;
-        }
-        pred.reset();
-        st->start = st->complete;
-        Status s = body(&st->complete);
-        m->queue_wait->Observe(st->start - st->submit);
-        m->service->Observe(st->complete - st->start);
-        (s.ok() ? m->ops : m->ops_failed)->Increment();
-        log->Record(obs::flight::Ev::kCollSvc, st->complete,
-                    static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
-                    st->complete - st->start);
-        inflight->Add(-1.0);
-        st->status = std::move(s);
-        st->done = true;
-        st->wp.NotifyAll();
-      });
-  return req;
+  // One pointer: std::function keeps it inline.
+  st->worker = ep.fabric().engine().Spawn(opts, [st] { st->Run(); });
+}
+
+void Request::State::Run() {
+  if (pred) {
+    while (!pred->done) pred->wp.Wait();
+    // In-order engine: start no earlier than the predecessor's
+    // completion.
+    if (pred->complete > complete) complete = pred->complete;
+  }
+  pred.reset();
+  start = complete;
+  Status s = RunBody(&complete);
+  metrics->queue_wait->Observe(start - submit);
+  metrics->service->Observe(complete - start);
+  (s.ok() ? metrics->ops : metrics->ops_failed)->Increment();
+  log->Record(obs::flight::Ev::kCollSvc, complete,
+              static_cast<int64_t>(info.op_id), s.ok() ? 1 : 0,
+              complete - start);
+  inflight->Add(-1.0);
+  status = std::move(s);
+  done = true;
+  wp.NotifyAll();
 }
 
 Request Request::Failed(Info info, sim::Seconds submit, Status status) {
   Request req;
-  req.state_ = std::make_shared<State>();
+  req.state_ = std::allocate_shared<State>(common::PoolAllocator<State>());
   State* st = req.state_.get();
   st->info = info;
   st->submit = submit;

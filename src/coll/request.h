@@ -14,6 +14,10 @@
 // how many ops transfer concurrently. The chain is driven by virtual
 // completion time — a successor parks until its predecessor's completion
 // is known, with no background threads involved.
+//
+// An op task allocates nothing in steady state: the op body lives in the
+// request's own state, one object from the host thread's free lists (see
+// common/pool.h), and the task's closure holds only that state's pointer.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "coll/transport.h"
+#include "common/pool.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "sim/endpoint.h"
@@ -65,22 +70,27 @@ class Request {
     double bytes = 0.0;       // modeled wire payload
   };
 
-  // The op body. Runs on the op task; receives the op's private virtual
-  // clock (pre-advanced to the effective start time) and leaves the
-  // completion time in it.
-  using Body = std::function<Status(sim::Seconds*)>;
-
   Request() = default;
 
   // Starts the op as a task on the submitting rank `ep`'s engine, with
-  // its pid as the deterministic run-queue tie-break. `submit` is the
-  // rank's clock at submission; if `after` holds an active request, the
-  // op task first waits for it and starts no earlier than its
-  // completion. The op records into the submitting communicator's
-  // `metrics` and the rank's event log.
+  // its pid as the deterministic run-queue tie-break. `body` is a
+  // callable `Status(sim::Seconds* now)` run on the op task: it receives
+  // the op's private virtual clock (pre-advanced to the effective start
+  // time) and leaves the completion time in it. `submit` is the rank's
+  // clock at submission; if `after` holds an active request, the op task
+  // first waits for it and starts no earlier than its completion. The op
+  // records into the submitting communicator's `metrics` and the rank's
+  // event log.
+  template <typename Body>
   static Request Start(Info info, sim::Seconds submit, Body body,
                        sim::Endpoint& ep, RequestMetrics& metrics,
-                       const Request* after = nullptr);
+                       const Request* after = nullptr) {
+    Request req;
+    req.state_ = std::allocate_shared<Op<Body>>(
+        common::PoolAllocator<Op<Body>>(), std::move(body));
+    req.Launch(info, submit, ep, metrics, after);
+    return req;
+  }
 
   // An already-completed failed request (submission-time errors such as
   // a revoked or aborted communicator).
@@ -106,7 +116,22 @@ class Request {
   Status Join();
 
  private:
+  // One op: its timing, status and completion wait point, and what the
+  // op task needs to run it. The task holds a raw pointer, so whoever
+  // drops the last handle first joins the task.
   struct State {
+    State() = default;
+    State(const State&) = delete;
+    State& operator=(const State&) = delete;
+    virtual ~State() { JoinWorker(); }
+    // The op body (see Start); a failed request has none.
+    virtual Status RunBody(sim::Seconds*) { return Status::Ok(); }
+    // The op task: waits for the predecessor, runs the body, records.
+    void Run();
+    void JoinWorker() {
+      if (worker.joinable()) worker.Join();
+    }
+
     Info info;
     sim::Seconds submit = 0.0;
     sim::Seconds start = 0.0;
@@ -115,10 +140,24 @@ class Request {
     sim::WaitPoint wp;
     bool done = false;
     sim::TaskHandle worker;
-    ~State() {
-      if (worker.joinable()) worker.Join();
-    }
+    std::shared_ptr<State> pred;  // released once it completed
+    obs::Gauge* inflight = nullptr;
+    obs::flight::Ring* log = nullptr;
+    std::shared_ptr<RequestMetrics::Algo> metrics;
   };
+
+  template <typename B>
+  struct Op final : State {
+    explicit Op(B b) : body(std::move(b)) {}
+    // Joins before `body` goes: the task may still be running it.
+    ~Op() override { JoinWorker(); }
+    Status RunBody(sim::Seconds* now) override { return body(now); }
+    B body;
+  };
+
+  // Fills in a fresh state_ and spawns its op task.
+  void Launch(Info info, sim::Seconds submit, sim::Endpoint& ep,
+              RequestMetrics& metrics, const Request* after);
 
   std::shared_ptr<State> state_;
 };

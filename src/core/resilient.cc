@@ -449,7 +449,7 @@ Status ResilientComm::Allreduce(const float* sendbuf, float* recvbuf,
   return WaitAll();
 }
 
-Status ResilientComm::RunHostOp(const std::function<Status()>& data,
+Status ResilientComm::RunHostOp(common::FunctionRef<Status()> data,
                                 int64_t count, double bytes) {
   RCC_RETURN_IF_ERROR(WaitAll());  // a host entry is alone in its window
   WindowOp& op = Post(count, bytes);
@@ -470,7 +470,7 @@ Status ResilientComm::BcastBlob(
   // A failed attempt cannot tell a receiver's complete blob from a
   // partial one, so only a produced blob or a completed attempt counts.
   bool held = false;
-  const std::function<Status()> data = [&]() -> Status {
+  auto data = [&]() -> Status {
     if (comm_->rank() == 0 && !held) {
       *blob = produce();
       held = true;
@@ -487,7 +487,7 @@ Status ResilientComm::BcastBlob(
 
 Status ResilientComm::AllgatherU64(uint64_t mine,
                                    std::vector<uint64_t>* all) {
-  const std::function<Status()> data = [&] {
+  auto data = [&] {
     all->assign(comm_->size(), 0);
     return comm_->Allgather<uint64_t>(&mine, all->data(), 1);
   };

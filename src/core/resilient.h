@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "coll/request.h"
+#include "common/function_ref.h"
 #include "horovod/plan.h"
 #include "kvstore/kvstore.h"
 #include "mpi/comm.h"
@@ -224,7 +225,8 @@ class ResilientComm {
     size_t count = 0;
     double cost_scale = 1.0;
     coll::Request req;
-    const std::function<Status()>* host = nullptr;  // caller-owned
+    // The data phase; points into the RunHostOp call that posted it.
+    const common::FunctionRef<Status()>* host = nullptr;
     bool done = false;
   };
 
@@ -255,8 +257,9 @@ class ResilientComm {
   // (alone in its window), else the GPU barrier.
   Status ClosingSync();
   // A blocking host op: closes any open window, posts one host entry,
-  // runs `data` inline and closes the entry's window.
-  Status RunHostOp(const std::function<Status()>& data, int64_t count,
+  // runs `data` inline and closes the entry's window, which drops the
+  // entry: `data` is needed only for this call.
+  Status RunHostOp(common::FunctionRef<Status()> data, int64_t count,
                    double bytes);
   // Earliest window entry whose data this rank still needs, else the
   // kNoIncompleteOp sentinel.

@@ -33,15 +33,6 @@ Status Comm::FinishCollective(Status s) {
   return s;
 }
 
-coll::Request Comm::StartOp(coll::Request::Info info,
-                            coll::Request::Body body) {
-  coll::Request req =
-      coll::Request::Start(info, ep_->now(), std::move(body), *ep_,
-                           request_metrics_, &engine_tail_);
-  engine_tail_ = req;
-  return req;
-}
-
 Status Comm::Wait(coll::Request* req) {
   if (req == nullptr || !req->active()) {
     return Status(Code::kInvalid, "wait on empty request");

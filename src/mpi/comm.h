@@ -216,7 +216,14 @@ class Comm : public coll::Transport {
 
   // Launches the op worker chained after the previous op on this
   // communicator instance.
-  coll::Request StartOp(coll::Request::Info info, coll::Request::Body body);
+  template <typename Body>
+  coll::Request StartOp(coll::Request::Info info, Body body) {
+    coll::Request req =
+        coll::Request::Start(info, ep_->now(), std::move(body), *ep_,
+                             request_metrics_, &engine_tail_);
+    engine_tail_ = req;
+    return req;
+  }
 
   Status RawSend(int dst_rank, uint64_t channel, int tag, const void* data,
                  size_t bytes);

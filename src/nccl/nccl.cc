@@ -53,15 +53,6 @@ void Comm::NodeGroups(std::vector<std::vector<int>>* by_node,
   }
 }
 
-coll::Request Comm::StartOp(coll::Request::Info info,
-                            coll::Request::Body body) {
-  coll::Request req =
-      coll::Request::Start(info, ep_->now(), std::move(body), *ep_,
-                           request_metrics_, &engine_tail_);
-  engine_tail_ = req;
-  return req;
-}
-
 void Comm::SyncStream() {
   if (!engine_tail_.active()) return;
   engine_tail_.Join();

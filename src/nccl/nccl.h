@@ -204,7 +204,14 @@ class Comm : public coll::Transport {
        double cost_scale);
   Status BeginOp();
   Status FinishOp(Status s);
-  coll::Request StartOp(coll::Request::Info info, coll::Request::Body body);
+  template <typename Body>
+  coll::Request StartOp(coll::Request::Info info, Body body) {
+    coll::Request req =
+        coll::Request::Start(info, ep_->now(), std::move(body), *ep_,
+                             request_metrics_, &engine_tail_);
+    engine_tail_ = req;
+    return req;
+  }
   // Stream-ordering for the inline collectives: drains any in-flight
   // request-based op before an inline op starts (real NCCL serializes
   // everything on the stream).

@@ -52,8 +52,9 @@ void Batcher::CommitStep(const std::vector<Request>& stream, double now,
   const double rd = static_cast<double>(reduced);
   static_assert(sizeof(rbits) == sizeof(rd));
   __builtin_memcpy(&rbits, &rd, sizeof(rbits));
-  std::vector<Seq> still;
-  still.reserve(running_.size());
+  // Finished sequences leave running_, compacted in place and in order:
+  // the digest folds the running order.
+  size_t kept = 0;
   for (Seq& s : running_) {
     s.pos += 1;
     if (s.first_token < 0) {
@@ -75,10 +76,10 @@ void Batcher::CommitStep(const std::vector<Request>& stream, double now,
       c.tokens = s.pos;
       completions_.push_back(c);
     } else {
-      still.push_back(s);
+      running_[kept++] = s;
     }
   }
-  running_ = std::move(still);
+  running_.resize(kept);
   (void)step_seconds;  // carried by the driver's metric export
 }
 
@@ -89,10 +90,9 @@ void Batcher::RestartRunning() {
   }
 }
 
-std::vector<double> Batcher::TakeFirstTokenLatencies() {
-  std::vector<double> out = std::move(fresh_ttft_);
+void Batcher::TakeFirstTokenLatencies(std::vector<double>* out) {
+  out->swap(fresh_ttft_);
   fresh_ttft_.clear();
-  return out;
 }
 
 std::vector<uint8_t> Batcher::Serialize() const {

@@ -65,9 +65,10 @@ class Batcher {
   uint64_t digest() const { return digest_; }
   int64_t steps() const { return steps_; }
 
-  // Per-seq TTFT observations from the last CommitStep (virtual
-  // seconds), drained by the caller for metric export.
-  std::vector<double> TakeFirstTokenLatencies();
+  // Per-seq TTFT observations since the last drain (virtual seconds),
+  // swapped into *out for metric export; both buffers keep their
+  // capacity.
+  void TakeFirstTokenLatencies(std::vector<double>* out);
 
   std::vector<uint8_t> Serialize() const;
   Status Restore(const std::vector<uint8_t>& blob);

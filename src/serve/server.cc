@@ -120,6 +120,12 @@ ServeReport ServingDriver::Loop() {
   sim::Endpoint& ep = rc_->endpoint();
   const size_t hidden = static_cast<size_t>(opts_.hidden < 1 ? 1 : opts_.hidden);
   std::vector<float> send(hidden), recv(hidden);
+  // Activation i of a step is ((step + i) mod 97 + rank + 1) * 1e-3: a
+  // window of `hidden` floats at offset step mod 97 into one table per
+  // rank (rebuilt when a repair renumbers this rank).
+  std::vector<float> activations;
+  int activations_rank = -1;
+  std::vector<double> ttft;  // drained from the batcher every step
   size_t exported_completions = 0;
   int64_t exported_replays = 0;
   obs::flight::Ring* fly = ep.log();
@@ -177,14 +183,18 @@ ServeReport ServingDriver::Loop() {
     const double step_start = t_sync_;
     const int batch = batcher_.batch_tokens();
     ep.Compute(opts_.flops_per_token * (batch + prompt_tokens));
-    // Activation i is ((step + i) mod 97 + rank + 1) * 1e-3: the residue
-    // is stepped instead of divided per element.
-    const int rank_offset = rc_->rank() + 1;
-    int64_t residue = batcher_.steps() % 97;
-    for (size_t i = 0; i < hidden; ++i) {
-      send[i] = static_cast<float>(residue + rank_offset) * 1e-3f;
-      if (++residue == 97) residue = 0;
+    if (activations_rank != rc_->rank()) {
+      activations_rank = rc_->rank();
+      const int rank_offset = activations_rank + 1;
+      activations.resize(97 + hidden);
+      for (size_t j = 0; j < activations.size(); ++j) {
+        const int64_t residue = static_cast<int64_t>(j % 97);
+        activations[j] = static_cast<float>(residue + rank_offset) * 1e-3f;
+      }
     }
+    std::memcpy(send.data(),
+                activations.data() + static_cast<size_t>(batcher_.steps() % 97),
+                hidden * sizeof(float));
     Status st =
         rc_->Allreduce(send.data(), recv.data(), hidden, opts_.decode_cost_scale);
     if (!st.ok()) return Finish(/*aborted=*/true);
@@ -213,7 +223,7 @@ ServeReport ServingDriver::Loop() {
     }
     flight_completions = done_list.size();
 
-    std::vector<double> ttft = batcher_.TakeFirstTokenLatencies();
+    batcher_.TakeFirstTokenLatencies(&ttft);
     if (rc_->rank() == 0) {
       ExportStepMetrics(step_seconds, batch, recovery);
       obs::Histogram* h = metrics_.ttft.Get();
@@ -240,10 +250,9 @@ Status ServingDriver::AgreeClock() {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(now));
   std::memcpy(&bits, &now, sizeof(bits));
-  std::vector<uint64_t> all;
-  RCC_RETURN_IF_ERROR(rc_->AllgatherU64(bits, &all));
+  RCC_RETURN_IF_ERROR(rc_->AllgatherU64(bits, &clock_words_));
   double agreed = t_sync_;
-  for (uint64_t b : all) {
+  for (uint64_t b : clock_words_) {
     double v = 0.0;
     std::memcpy(&v, &b, sizeof(v));
     if (v > agreed) agreed = v;

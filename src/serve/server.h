@@ -151,6 +151,7 @@ class ServingDriver : private core::ReplicatedState {
   AutoscaleController ctl_;
   core::StepBoundary boundary_;
   double t_sync_ = 0.0;  // agreed step clock (identical on every rank)
+  std::vector<uint64_t> clock_words_;  // AgreeClock's allgather, reused
   int last_repairs_ = 0;
   int64_t decode_replays_ = 0;
   ServeReport report_;

@@ -10,6 +10,7 @@
 
 #include "common/env.h"
 #include "common/log.h"
+#include "common/pool.h"
 
 // TSan needs to be told about stack switches or it reports false races
 // between code that ran on different fibers of the same OS thread.
@@ -178,6 +179,7 @@ struct StackCache {
   }
 };
 thread_local StackCache tls_stacks;
+thread_local uint64_t tls_switches = 0;  // see FiberSwitches
 
 void* TakeStack() {
   StackCache& cache = tls_stacks;
@@ -223,6 +225,8 @@ void SetStallHandler(std::function<void(const std::string&)> handler) {
 
 uint64_t FiberStacksMapped() { return tls_stacks.mapped; }
 
+uint64_t FiberSwitches() { return tls_switches; }
+
 struct FiberTask : std::enable_shared_from_this<FiberTask> {
   enum class St { kRunnable, kRunning, kParked, kDone };
 
@@ -231,19 +235,11 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   const Seconds* clock = nullptr;
   std::function<void()> fn;
 
-  void* sp = nullptr;          // saved stack pointer while switched out
+  Engine::Context ctx;
   void* stack_base = nullptr;  // mmap base (guard page + usable stack)
-#ifdef RCC_TSAN_FIBERS
-  void* tsan_fiber = nullptr;
-#endif
-#ifdef RCC_ASAN_FIBERS
-  void* asan_fake_stack = nullptr;
-#endif
 
   St state = St::kRunnable;
   uint64_t park_epoch = 0;   // bumped on every wake; stale waiter filter
-  bool pending_park = false; // fiber announced a park; scheduler commits it
-  bool pending_yield = false;  // fiber yielded; requeue behind same-time peers
   bool timeout_park = false; // parked via WaitFor (quiescence-wakeable)
   double park_timeout = 0.0;  // WaitFor's timeout value (ladder rung)
   bool woke_by_timeout = false;
@@ -264,9 +260,9 @@ Engine::~Engine() {
   // cache: an abandoned fiber never resumes.
   for (auto& t : tasks_) {
 #ifdef RCC_TSAN_FIBERS
-    if (t->tsan_fiber != nullptr) {
-      __tsan_destroy_fiber(t->tsan_fiber);
-      t->tsan_fiber = nullptr;
+    if (t->ctx.tsan_fiber != nullptr) {
+      __tsan_destroy_fiber(t->ctx.tsan_fiber);
+      t->ctx.tsan_fiber = nullptr;
     }
 #endif
     t->engine = nullptr;
@@ -285,16 +281,20 @@ void Engine::CheckOwnerThread(const char* what) const {
 
 TaskHandle Engine::Spawn(TaskOptions opts, std::function<void()> fn) {
   CheckOwnerThread("Spawn");
-  auto t = std::make_shared<FiberTask>();
+  // From this thread's free list: a task made and dropped per op
+  // allocates nothing in steady state.
+  auto t = std::allocate_shared<FiberTask>(common::PoolAllocator<FiberTask>());
   t->engine = this;
   t->pid = opts.pid;
   t->clock = opts.clock;
   t->fn = std::move(fn);
   t->stack_base = TakeStack();
-  t->sp = InitialFrame(StackLow(t->stack_base) + FiberStackBytes(),
-                       &Engine::FiberMain, t.get());
+  t->ctx.sp = InitialFrame(StackLow(t->stack_base) + FiberStackBytes(),
+                           &Engine::FiberMain, t.get());
+  t->ctx.stack_bottom = StackLow(t->stack_base);
+  t->ctx.stack_size = FiberStackBytes();
 #ifdef RCC_TSAN_FIBERS
-  t->tsan_fiber = __tsan_create_fiber(0);
+  t->ctx.tsan_fiber = __tsan_create_fiber(0);
 #endif
   t->id = next_task_id_++;
   tasks_.push_back(t);
@@ -325,24 +325,26 @@ bool Engine::ParkCurrent(bool timeout_park, double timeout_seconds) {
   FiberTask* t = tls_current_task;
   RCC_CHECK(t != nullptr && t->engine == this)
       << "ParkCurrent outside a fiber of this engine";
-  t->pending_park = true;
+  t->state = FiberTask::St::kParked;
   t->timeout_park = timeout_park;
   t->park_timeout = timeout_seconds;
   t->woke_by_timeout = false;
-  SwitchToScheduler(t);
+  HandOff(t);
   ++t->park_epoch;  // invalidate stale WaitPoint entries
   t->timeout_park = false;
   return !t->woke_by_timeout;
 }
 
 // Cooperative yield: re-queues the calling fiber behind every runnable
-// peer at the same virtual time and returns to the scheduler.
+// peer at the same virtual time and hands off to the queue's head (which
+// is the caller itself when no such peer exists).
 void Engine::YieldCurrent() {
   FiberTask* t = tls_current_task;
   RCC_CHECK(t != nullptr && t->engine == this)
       << "YieldCurrent outside a fiber of this engine";
-  t->pending_yield = true;
-  SwitchToScheduler(t);
+  t->state = FiberTask::St::kRunnable;
+  PushYielded(t);
+  HandOff(t);
 }
 
 // Moves a parked task back onto the run queue if `park_epoch` still
@@ -415,77 +417,94 @@ void Engine::ReclaimDone() {
   done_in_table_ = 0;
 }
 
+FiberTask* Engine::PopRunnable() {
+  while (!queue_.empty()) {
+    FiberTask* t = queue_.top().task;
+    queue_.pop();
+    if (t->state == FiberTask::St::kRunnable) return t;
+  }
+  return nullptr;
+}
+
 void Engine::FiberMain(FiberTask* t) {
   Engine* e = t->engine;
-#ifdef RCC_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(nullptr, &e->sched_stack_bottom_,
-                                  &e->sched_stack_size_);
-#endif
+  e->Resumed(&t->ctx);
   t->fn();
   t->fn = nullptr;  // run closure destructors on the fiber, in order
   t->state = FiberTask::St::kDone;
-  e->SwitchToScheduler(t, /*finished=*/true);
+  t->engine = nullptr;
+  ++e->done_in_table_;
+  // The fiber still runs on its stack: the next context releases it.
+  e->finished_ = t;
+  e->Progress();
+  e->done_wp_.NotifyAll();
+  e->HandOff(t);
   RCC_CHECK(false) << "resumed a completed fiber";
 }
 
-void Engine::SwitchToScheduler(FiberTask* t,
-                               [[maybe_unused]] bool finished) {
-#ifdef RCC_TSAN_FIBERS
-  __tsan_switch_to_fiber(sched_tsan_fiber_, 0);
-#endif
-#ifdef RCC_ASAN_FIBERS
-  // A finished fiber passes no fake-stack slot, so ASan frees its fake
-  // stack.
-  __sanitizer_start_switch_fiber(finished ? nullptr : &t->asan_fake_stack,
-                                 sched_stack_bottom_, sched_stack_size_);
-#endif
-  rcc_sim_switch_fiber(&t->sp, sched_sp_);
-#ifdef RCC_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(t->asan_fake_stack, &sched_stack_bottom_,
-                                  &sched_stack_size_);
-#endif
+// The one way a fiber leaves the CPU. `t` has committed its next state
+// (parked, requeued by a yield, or done); the fiber pops the run queue
+// itself and switches straight into the next runnable fiber, exactly the
+// one the scheduler loop would have popped, so the run order is the
+// scheduler's. It switches to the pumping thread's stack only when the
+// queue is drained (quiescence is the scheduler's) or `t` just finished
+// the joined task. Returns when `t` runs again: at once when a yield left
+// it at the head of the queue.
+void Engine::HandOff(FiberTask* t) {
+  const bool finished = t->state == FiberTask::St::kDone;
+  FiberTask* next = finished && t == joined_ ? nullptr : PopRunnable();
+  if (next == t) {
+    t->state = FiberTask::St::kRunning;
+    return;
+  }
+  SwitchTo(&t->ctx, next, finished);
 }
 
-// Runs one fiber until it parks or completes. Requires `t` in state
-// kRunnable.
-void Engine::RunTask(FiberTask* t) {
-  t->state = FiberTask::St::kRunning;
-  tls_current_task = t;
-#ifdef RCC_TSAN_FIBERS
-  __tsan_switch_to_fiber(t->tsan_fiber, 0);
-#endif
-#ifdef RCC_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&sched_fake_stack_, StackLow(t->stack_base),
-                                 FiberStackBytes());
-#endif
-  rcc_sim_switch_fiber(&sched_sp_, t->sp);
-#ifdef RCC_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
-#endif
-  tls_current_task = nullptr;
-  if (t->state == FiberTask::St::kDone) {
-    t->engine = nullptr;
-    ++done_in_table_;
-    ReturnStack(&t->stack_base);
-#ifdef RCC_TSAN_FIBERS
-    if (t->tsan_fiber != nullptr) {
-      __tsan_destroy_fiber(t->tsan_fiber);
-      t->tsan_fiber = nullptr;
-    }
-#endif
-    Progress();
-    ReclaimDone();  // may free `t`; it is not touched below
-    done_wp_.NotifyAll();
-  } else if (t->pending_yield) {
-    t->pending_yield = false;
-    t->state = FiberTask::St::kRunnable;
-    PushYielded(t);
-  } else if (t->pending_park) {
-    t->pending_park = false;
-    t->state = FiberTask::St::kParked;
-  } else {
-    RCC_CHECK(false) << "fiber yielded without parking or completing";
+// Switches from `from` into `next`'s fiber, or into the pumping thread's
+// stack when `next` is null. A finished `from` passes no fake-stack slot,
+// so ASan frees its fake stack.
+void Engine::SwitchTo(Context* from, FiberTask* next,
+                      [[maybe_unused]] bool from_finished) {
+  Context* to = &sched_;
+  if (next != nullptr) {
+    next->state = FiberTask::St::kRunning;
+    to = &next->ctx;
   }
+  tls_current_task = next;
+  left_ = from;
+  ++tls_switches;
+#ifdef RCC_TSAN_FIBERS
+  __tsan_switch_to_fiber(to->tsan_fiber, 0);
+#endif
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(from_finished ? nullptr : &from->asan_fake_stack,
+                                 to->stack_bottom, to->stack_size);
+#endif
+  rcc_sim_switch_fiber(&from->sp, to->sp);
+  Resumed(from);
+}
+
+// Runs first on every context that gains the CPU. Completes the ASan
+// switch (learning the extent of the stack just left, which is how the
+// pumping thread's becomes known), then releases a fiber that finished
+// on its way here: its stack goes back to the thread's cache and the
+// task table is compacted, neither of which it could do while running
+// on that stack.
+void Engine::Resumed([[maybe_unused]] Context* self) {
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(self->asan_fake_stack, &left_->stack_bottom,
+                                  &left_->stack_size);
+#endif
+  FiberTask* t = std::exchange(finished_, nullptr);
+  if (t == nullptr) return;
+  ReturnStack(&t->stack_base);
+#ifdef RCC_TSAN_FIBERS
+  if (t->ctx.tsan_fiber != nullptr) {
+    __tsan_destroy_fiber(t->ctx.tsan_fiber);
+    t->ctx.tsan_fiber = nullptr;
+  }
+#endif
+  ReclaimDone();  // may free `t`
 }
 
 // The scheduler loop. Requires a non-fiber caller: the owner thread (the
@@ -503,18 +522,11 @@ void Engine::RunScheduler(const FiberTask& joined) {
     ~Unpump() { *p = false; }
   } unpump{&pumping_};
 #ifdef RCC_TSAN_FIBERS
-  sched_tsan_fiber_ = __tsan_get_current_fiber();
+  sched_.tsan_fiber = __tsan_get_current_fiber();
 #endif
+  joined_ = &joined;
   for (;;) {
-    FiberTask* next = nullptr;
-    while (!queue_.empty()) {
-      RunEntry e = queue_.top();
-      queue_.pop();
-      if (e.task->state == FiberTask::St::kRunnable) {
-        next = e.task;
-        break;
-      }
-    }
+    FiberTask* next = PopRunnable();
     if (next == nullptr) {
       // Run queue drained: quiescence. Climb one rung of the ladder:
       // expire the WaitFor-parked fibers with the *smallest* timeout
@@ -551,8 +563,9 @@ void Engine::RunScheduler(const FiberTask& joined) {
       }
       continue;
     }
-    RunTask(next);
-    // Only a task that ran can have finished the joined one.
+    // The fibers hand the thread on among themselves and give it back
+    // once the queue drains or the joined task finished.
+    SwitchTo(&sched_, next, /*from_finished=*/false);
     if (joined.state == FiberTask::St::kDone) return;
   }
 }
@@ -616,18 +629,27 @@ bool WaitPoint::Park(bool timeout_park, double timeout_seconds) {
   RCC_CHECK(self != nullptr)
       << "WaitPoint wait off a fiber: only a simulation's fibers can block "
          "(run the caller as a Cluster or Engine task)";
-  fiber_waiters_.push_back({self->shared_from_this(), self->park_epoch});
+  FiberWaiter w{self->shared_from_this(), self->park_epoch};
+  if (first_.task == nullptr) {
+    first_ = std::move(w);
+  } else {
+    more_.push_back(std::move(w));
+  }
   return self->engine->ParkCurrent(timeout_park, timeout_seconds);
 }
 
 void WaitPoint::NotifyAll() {
   // Unpark only queues tasks, so nothing can touch the list mid-walk;
   // clear() keeps its capacity for the next park.
-  for (const FiberWaiter& w : fiber_waiters_) {
+  if (first_.task == nullptr) return;
+  auto wake = [](const FiberWaiter& w) {
     Engine* e = w.task->engine;  // null once the task finished
     if (e != nullptr) e->Unpark(w.task.get(), w.park_epoch);
-  }
-  fiber_waiters_.clear();
+  };
+  wake(first_);
+  for (const FiberWaiter& w : more_) wake(w);
+  first_.task.reset();
+  more_.clear();
 }
 
 }  // namespace rcc::sim

@@ -3,10 +3,14 @@
 // register-only x86-64 routine (no syscall per switch), driven by a run
 // queue ordered by (virtual time, pid, sequence). No OS threads are
 // created: the external caller's thread pumps the scheduler inside
-// blocking calls (Cluster::Join, TaskHandle::Join). 10k+ ranks fit in one
-// process, and the whole simulation is single-threaded, hence
-// deterministic. Finished tasks leave the engine's task table, so a
-// long run holds only its live fibers.
+// blocking calls (Cluster::Join, TaskHandle::Join). A fiber that parks,
+// yields or finishes pops the run queue itself and switches straight into
+// the next runnable fiber, one stack switch per handoff; the caller's
+// thread runs again only when the task it joined has finished or the
+// queue has drained. 10k+ ranks fit in one process, and the whole
+// simulation is single-threaded, hence deterministic. Finished tasks
+// leave the engine's task table, so a long run holds only its live
+// fibers.
 //
 // One simulation is owned by one host thread: the first thread that
 // pumps an engine owns it, and pumping or spawning from any other thread
@@ -58,6 +62,10 @@ void SetStallHandler(std::function<void(const std::string& report)> handler);
 // returns to, a per-thread cache, so a thread that runs simulations one
 // after another maps only as many stacks as its largest one needs.
 uint64_t FiberStacksMapped();
+
+// Stack switches the calling host thread has made so far: one per
+// handoff between fibers, or between a fiber and the thread's own stack.
+uint64_t FiberSwitches();
 
 // Cooperative yield for busy-wait loops (spinning on a flag another rank
 // sets). The calling fiber re-queues itself *behind* every runnable peer
@@ -131,7 +139,10 @@ class WaitPoint {
   // Parks the calling fiber; see WaitFor for the return value.
   bool Park(bool timeout_park, double timeout_seconds);
 
-  std::vector<FiberWaiter> fiber_waiters_;
+  // The waiters in park order: the first inline (most points never hold
+  // more than one), the rest in a vector.
+  FiberWaiter first_{nullptr, 0};
+  std::vector<FiberWaiter> more_;
 };
 
 // The fiber scheduler. A Fabric owns one; every task of that simulation
@@ -167,6 +178,7 @@ class Engine {
  private:
   friend class TaskHandle;
   friend class WaitPoint;
+  friend struct FiberTask;
   friend void YieldTask();
 
   struct RunEntry {
@@ -181,6 +193,17 @@ class Engine {
     }
   };
 
+  // One execution context: a fiber's stack, or the pumping thread's own.
+  struct Context {
+    void* sp = nullptr;  // saved stack pointer while switched out
+    // Used only under ThreadSanitizer (the fiber) and AddressSanitizer
+    // (the fake stack and the stack's extent).
+    void* tsan_fiber = nullptr;
+    void* asan_fake_stack = nullptr;
+    const void* stack_bottom = nullptr;
+    size_t stack_size = 0;
+  };
+
   bool ParkCurrent(bool timeout_park, double timeout_seconds);
   void YieldCurrent();
   void Unpark(FiberTask* t, uint64_t park_epoch);
@@ -192,8 +215,11 @@ class Engine {
   void Progress();
   void ReclaimDone();
   static void FiberMain(FiberTask* t);
-  void SwitchToScheduler(FiberTask* t, bool finished = false);
-  void RunTask(FiberTask* t);
+  // Pops the next runnable task; null when the queue is drained.
+  FiberTask* PopRunnable();
+  void HandOff(FiberTask* t);
+  void SwitchTo(Context* from, FiberTask* next, bool from_finished);
+  void Resumed(Context* self);
   void RunScheduler(const FiberTask& joined);
   std::string StallReport(const char* where);
 
@@ -211,13 +237,12 @@ class Engine {
 
   std::thread::id owner_;  // the first thread that pumped; unset before
   bool pumping_ = false;   // RunScheduler is on the stack
-  void* sched_sp_ = nullptr;  // the pumping thread's saved stack pointer
-  void* sched_tsan_fiber_ = nullptr;  // used only under ThreadSanitizer
-  // The pumping thread's stack and fake stack, used only under
-  // AddressSanitizer.
-  const void* sched_stack_bottom_ = nullptr;
-  size_t sched_stack_size_ = 0;
-  void* sched_fake_stack_ = nullptr;
+  Context sched_;          // the pumping thread's stack
+  const FiberTask* joined_ = nullptr;  // the task RunScheduler waits for
+  // A finished fiber that switched away but still holds its stack and
+  // task-table slot: whichever context resumes next releases them.
+  FiberTask* finished_ = nullptr;
+  Context* left_ = nullptr;  // the context the last switch left
 
   WaitPoint done_wp_;  // notified on every task completion
   std::function<void(const std::string&)> stall_observer_;

@@ -136,7 +136,7 @@ Status Fabric::Send(int src, int dst, uint64_t channel, int tag,
 void Fabric::Unlink(Mailbox& mbox, Node* prev, Node* n) {
   (prev != nullptr ? prev->next : mbox.head) = n->next;
   if (mbox.tail == n) mbox.tail = prev;
-  n->msg.payload = Payload();  // a free node holds no heap bytes
+  n->msg.payload.Recycle();
   n->next = free_;
   free_ = n;
 }

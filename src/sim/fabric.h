@@ -51,6 +51,11 @@ inline constexpr int kAnySource = -1;
 class Payload {
  public:
   static constexpr size_t kInlineBytes = 64;
+  // Heap capacity a recycled payload keeps for its next message (see
+  // Recycle): enough for a decode step's 1 KiB activation. Keeping 4 KiB
+  // grew a 192-rank paper_grid unit's peak RSS by 3%: every free node
+  // keeps the largest payload it ever carried.
+  static constexpr size_t kRetainedBytes = 1024;
 
   Payload() = default;
   Payload(const std::vector<uint8_t>& v) { Assign(v.data(), v.size()); }
@@ -72,6 +77,17 @@ class Payload {
   std::vector<uint8_t> TakeVector() && {
     if (size_ > kInlineBytes) return std::move(heap_);
     return {inline_, inline_ + size_};
+  }
+  // Empties the payload for a free mailbox node. A heap buffer of up to
+  // kRetainedBytes keeps its capacity, so the next message of that size
+  // allocates nothing; a larger one is freed.
+  void Recycle() {
+    size_ = 0;
+    if (heap_.capacity() > kRetainedBytes) {
+      std::vector<uint8_t>().swap(heap_);
+    } else {
+      heap_.clear();
+    }
   }
 
  private:
@@ -214,7 +230,8 @@ class Fabric {
 
  private:
   // A mailbox is a FIFO list of nodes from the fabric's free list: no
-  // allocation per message, and only as many nodes as were ever pending.
+  // allocation per message, and only as many nodes as were ever pending,
+  // each keeping at most Payload::kRetainedBytes of heap capacity.
   struct Node {
     Message msg;
     Node* next = nullptr;

@@ -10,9 +10,11 @@
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -408,6 +410,171 @@ TEST(FiberTaskTable, StaleWaitPointEntryOutlivesItsCluster) {
   }
   // The entry's task was reclaimed and its engine is gone.
   wp.NotifyAll();
+}
+
+// --------------------------------------------------------------------
+// Fiber-to-fiber handoff.
+// --------------------------------------------------------------------
+
+using Resume = std::pair<int, Seconds>;  // (pid, clock) at a resume
+
+// A scripted mix over five fibers: parks, WaitFor timeouts on two ladder
+// rungs, yields, a spawn from a fiber, a join from a fiber and finishes.
+// Returns the (pid, clock) of the start and of every resume.
+std::vector<Resume> ScriptedResumeOrder() {
+  Engine engine;
+  std::vector<Resume> order;
+  Seconds clock[5] = {};
+  WaitPoint ping, never, relay;
+  bool pinged = false, relayed = false;
+  auto note = [&](int pid) { order.emplace_back(pid, clock[pid]); };
+  std::vector<TaskHandle> tasks;
+  // pid 0: parks until pid 1 pings, yields, then spawns pid 4 and joins
+  // it from this fiber.
+  tasks.push_back(engine.Spawn({0, &clock[0]}, [&] {
+    note(0);
+    clock[0] = 1.0;
+    while (!pinged) {
+      ping.Wait();
+      note(0);
+    }
+    YieldTask();
+    note(0);
+    TaskHandle child = engine.Spawn({4, &clock[4]}, [&] {
+      note(4);
+      clock[4] = clock[0] + 0.25;
+      YieldTask();
+      note(4);
+      relayed = true;
+      relay.NotifyAll();
+    });
+    child.Join();
+    note(0);
+  }));
+  // pid 1: times out on a WaitFor nobody notifies, then pings pid 0.
+  tasks.push_back(engine.Spawn({1, &clock[1]}, [&] {
+    note(1);
+    EXPECT_FALSE(never.WaitFor(0.5));
+    note(1);
+    clock[1] = 2.0;
+    pinged = true;
+    ping.NotifyAll();
+    YieldTask();
+    note(1);
+  }));
+  // pid 2: yields three times, then waits for pid 4's relay on the
+  // ladder's top rung.
+  tasks.push_back(engine.Spawn({2, &clock[2]}, [&] {
+    for (int i = 0; i < 3; ++i) {
+      YieldTask();
+      note(2);
+    }
+    while (!relayed) {
+      relay.WaitFor(1.0);
+      note(2);
+    }
+  }));
+  // pid 3: moves ahead in time, yields, and expires on the bottom rung
+  // beside pid 1's entry on the same WaitPoint.
+  tasks.push_back(engine.Spawn({3, &clock[3]}, [&] {
+    clock[3] = 0.5;
+    YieldTask();
+    note(3);
+    EXPECT_FALSE(never.WaitFor(0.0));
+    note(3);
+    clock[3] = 3.0;
+    YieldTask();
+    note(3);
+  }));
+  for (TaskHandle& t : tasks) t.Join();
+  return order;
+}
+
+TEST(FiberHandoff, ScriptedMixResumesInTheSchedulerLoopsOrder) {
+  // Recorded from the engine whose every fiber went back to the
+  // scheduler loop between two runs: handing off fiber to fiber must
+  // resume the same fibers in the same order at the same clocks.
+  const std::vector<Resume> expected = {
+      {0, 0}, {1, 0}, {2, 0}, {2, 0},
+      {2, 0}, {3, 0.5}, {3, 0.5}, {3, 3},
+      {1, 0}, {0, 1}, {0, 1}, {4, 0},
+      {4, 1.25}, {2, 0}, {0, 1}, {1, 2}
+  };
+  EXPECT_EQ(ScriptedResumeOrder(), expected);
+}
+
+TEST(FiberHandoff, PingPongSwitchesOncePerPark) {
+  Engine engine;
+  WaitPoint wp[2];
+  int turn = 0;
+  const int kRoundTrips = 1000;
+  auto player = [&](int me) {
+    return [&, me] {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        while (turn != me) wp[me].Wait();
+        turn = 1 - me;
+        wp[1 - me].NotifyAll();
+      }
+    };
+  };
+  const uint64_t before = FiberSwitches();
+  TaskHandle a = engine.Spawn({0, nullptr}, player(0));
+  TaskHandle b = engine.Spawn({1, nullptr}, player(1));
+  a.Join();
+  b.Join();
+  // 2N messages, one park and one switch each, plus entering the first
+  // fiber and returning to the joining thread. Switching through the
+  // scheduler's stack would take 4N.
+  const uint64_t switches = FiberSwitches() - before;
+  EXPECT_GE(switches, 2u * kRoundTrips);
+  EXPECT_LE(switches, 2u * kRoundTrips + 4);
+}
+
+TEST(FiberHandoff, YieldAtTheHeadOfTheQueueDoesNotSwitch) {
+  Engine engine;
+  int yields = 0;
+  const uint64_t before = FiberSwitches();
+  engine.Spawn({}, [&] {
+    for (; yields < 100; ++yields) YieldTask();
+  }).Join();
+  EXPECT_EQ(yields, 100);
+  // Into the fiber and back out; no yield switches.
+  EXPECT_EQ(FiberSwitches() - before, 2u);
+}
+
+// The address of a local of the calling frame: which stack it runs on.
+[[gnu::noinline]] uintptr_t StackProbe() {
+  volatile char c = 0;
+  return reinterpret_cast<uintptr_t>(&c);
+}
+
+TEST(FiberHandoff, SuccessorReleasesAFinishedFibersStackBeforeSpawning) {
+  // pid 0 finishes and hands off to pid 1, which spawns pid 2. The
+  // finished fiber's stack returns to the cache on pid 1's resume, after
+  // the switch: pid 2 reuses it without anything still running on it.
+  Engine engine;
+  uintptr_t finished_on = 0, spawned_on = 0;
+  int ran = 0;
+  TaskHandle a = engine.Spawn({0, nullptr}, [&] {
+    finished_on = StackProbe();
+    ++ran;
+  });
+  TaskHandle b = engine.Spawn({1, nullptr}, [&] {
+    TaskHandle c = engine.Spawn({2, nullptr}, [&] {
+      char scratch[16 * 1024];
+      std::memset(scratch, 0x5A, sizeof scratch);
+      spawned_on = StackProbe() + (scratch[sizeof scratch - 1] == 0x5A);
+      ++ran;
+    });
+    c.Join();
+    ++ran;
+  });
+  b.Join();
+  a.Join();
+  EXPECT_EQ(ran, 3);
+  const uintptr_t apart = finished_on > spawned_on ? finished_on - spawned_on
+                                                   : spawned_on - finished_on;
+  EXPECT_LT(apart, 64u * 1024) << "pid 2 did not get pid 0's stack";
 }
 
 // A small simulation: eight ranks exchange a ring of messages.
